@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .data import (
@@ -27,7 +28,7 @@ from .data import (
     Scenario,
     validate,
 )
-from .exactlp import ExactSimplex, Infeasible, LpOutcome, verify_farkas
+from .exactlp import ExactSimplex, Infeasible, LpOutcome, integer_rhs, verify_farkas
 from .response import ConstraintSystem
 from .symbolic import SymbolicBoundSet, Term, _make_term
 
@@ -82,22 +83,42 @@ class InfeasibleDistribution(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class BoundResult:
-    """Lower/upper bound values with attaining certificates and provenance."""
+    """Lower/upper bound values with attaining certificates and provenance.
+
+    On the LP path ``lp_optima`` holds the lower and upper optima, each with
+    the response type that represents every merged column; the certificates
+    (response type -> weight) are built from them on first read.
+    """
 
     lower: Fraction
     upper: Fraction
     method: str  # "lp" | "closed-form"
     scenario: Scenario | None = None
     estimand: Estimand | None = None
-    lower_certificate: dict[int, Fraction] | None = None
-    upper_certificate: dict[int, Fraction] | None = None
     term_sets: tuple[SymbolicBoundSet, SymbolicBoundSet] | None = None
     diagnostics: dict = field(default_factory=dict)
     notes: tuple[str, ...] = ()
+    lp_optima: tuple[tuple[LpOutcome, Sequence[int]], ...] | None = field(
+        default=None, repr=False
+    )
 
     @property
     def interval(self) -> tuple[Fraction, Fraction]:
         return (self.lower, self.upper)
+
+    @cached_property
+    def lower_certificate(self) -> dict[int, Fraction] | None:
+        return self._certificate(0)
+
+    @cached_property
+    def upper_certificate(self) -> dict[int, Fraction] | None:
+        return self._certificate(1)
+
+    def _certificate(self, side: int) -> dict[int, Fraction] | None:
+        if self.lp_optima is None:
+            return None
+        out, reps = self.lp_optima[side]
+        return {reps[g]: v for g, v in out.solution.items() if v}
 
 
 # -- presolve ---------------------------------------------------------------------
@@ -146,10 +167,13 @@ def merge_columns(system: ConstraintSystem) -> MergedSystem:
 class BoundsSolver:
     """Reusable exact bound solver with warm restarts across right-hand sides.
 
-    Bootstrap and simulation loops call :meth:`solve_b` repeatedly; after the
-    first solve, each new right-hand side restarts from the previous optimal
-    basis (dual simplex), which typically needs an order of magnitude fewer
-    pivots than a cold solve.
+    Bootstrap and simulation loops call :meth:`solve_b` repeatedly.  After
+    the first (cold) solve, each new right-hand side is answered by
+    `ExactSimplex.resolve_b`: a recently optimal basis that is still primal
+    feasible is reused as is, otherwise the dual simplex restarts from the
+    current basis.  Either way the result is a certified optimum, typically
+    an order of magnitude cheaper than a cold solve.  The right-hand side may
+    be given as rationals or, with ``scale=N``, as integers meaning b / N.
     """
 
     def __init__(
@@ -170,24 +194,11 @@ class BoundsSolver:
         m = system.n_rows
         self._lo = ExactSimplex(m, self.merged.columns, self.merged.min_costs)
         self._hi = ExactSimplex(m, self.merged.columns, [-c for c in self.merged.max_costs])
-        self._lo_ready = False
-        self._hi_ready = False
         self._slack_lp: ExactSimplex | None = None
-        self._slack_ready = False
         self._norm_idx = system.row_keys.index("normalization")
         self._cell_rows = [i for i in range(m) if i != self._norm_idx]
 
     # - internals -
-
-    def _run(self, which: str, b: Sequence[Fraction]) -> LpOutcome:
-        lp = self._lo if which == "lo" else self._hi
-        ready = self._lo_ready if which == "lo" else self._hi_ready
-        out = lp.resolve_b(b) if ready else lp.solve(b)
-        if which == "lo":
-            self._lo_ready = True
-        else:
-            self._hi_ready = True
-        return out
 
     def _wrap_infeasible(self, exc: Infeasible) -> InfeasibleDistribution:
         cert = {
@@ -212,10 +223,7 @@ class BoundsSolver:
                 columns.append(((r, -1),))
                 costs.extend((1, 1))
             self._slack_lp = ExactSimplex(self.system.n_rows, columns, costs)
-        out = (
-            self._slack_lp.resolve_b(b) if self._slack_ready else self._slack_lp.solve(b)
-        )
-        self._slack_ready = True
+        out = self._slack_lp.resolve_b(b)
         projected = list(b)
         for j, v in out.solution.items():
             if j >= n_struct and v:
@@ -226,22 +234,26 @@ class BoundsSolver:
 
     # - public API -
 
-    def solve_b(self, b: Sequence[Fraction], *, slack: bool = False) -> BoundResult:
-        b = list(b)
+    def solve_b(
+        self, b: Sequence, *, slack: bool = False, scale: int | None = None
+    ) -> BoundResult:
+        if scale is None:
+            b, scale = integer_rhs(b)
         notes: list[str] = []
         diagnostics: dict = {
             "n_variables": self.system.n_variables,
             "n_merged_columns": len(self.merged.columns),
         }
         try:
-            lo = self._run("lo", b)
+            lo = self._lo.resolve_b(b, scale)
         except Infeasible as exc:
             wrapped = self._wrap_infeasible(exc)
             if not verify_farkas(self.merged.columns, b, exc.farkas):
                 raise AssertionError("invalid infeasibility certificate") from exc
             if not slack:
                 raise wrapped from None
-            b, total = self.project_slack(b)
+            projected, total = self.project_slack([Fraction(v, scale) for v in b])
+            b, scale = integer_rhs(projected)
             diagnostics["slack_total"] = total
             diagnostics["slack_certificate"] = wrapped.certificate
             notes.append(
@@ -250,8 +262,8 @@ class BoundsSolver:
                 f"{total}); bounds are computed at the nearest compatible "
                 "distribution and are not bounds for the raw data."
             )
-            lo = self._run("lo", b)
-        hi = self._run("hi", b)
+            lo = self._lo.resolve_b(b, scale)
+        hi = self._hi.resolve_b(b, scale)
         lower, upper = lo.value, -hi.value
         if lower > upper:
             raise AssertionError("LP returned crossed bounds")
@@ -263,14 +275,9 @@ class BoundsSolver:
             method="lp",
             scenario=self.system.scenario,
             estimand=self.system.estimand,
-            lower_certificate={
-                self.merged.min_reps[g]: v for g, v in lo.solution.items() if v
-            },
-            upper_certificate={
-                self.merged.max_reps[g]: v for g, v in hi.solution.items() if v
-            },
             diagnostics=diagnostics,
             notes=tuple(notes),
+            lp_optima=((lo, self.merged.min_reps), (hi, self.merged.max_reps)),
         )
 
     def solve(self, dist: ObservedDistribution, *, slack: bool = False) -> BoundResult:

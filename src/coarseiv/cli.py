@@ -6,7 +6,8 @@ into reproducible runs.  Structured output is a single JSON document per run
 with `schema`, `config_echo`, `results`, and `diagnostics` sections; exact
 rationals appear as "numerator/denominator" strings next to float and
 two-decimal display forms.  Exit codes: 0 success, 1 verification failure,
-2 input error, 3 infeasible data, 4 size cap exceeded.
+2 input error, 3 infeasible data, 4 size cap exceeded, 5 broken engine
+invariant.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from .bounds import (
-    BoundResult,
-    BoundsSolver,
     CapExceeded,
     InfeasibleDistribution,
     closed_form_classic,
@@ -770,6 +769,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _scenario_label(args) -> str:
+    for attr in ("preset", "scenario", "example"):
+        value = getattr(args, attr, None)
+        if value:
+            return f"{attr} {value}"
+    return "no scenario"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -797,6 +804,15 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except (RuntimeError, AssertionError) as exc:
+        # A broken engine invariant: pivot limit, zero pivot, unbounded LP,
+        # crossed bounds or an invalid Farkas certificate.
+        print(
+            f"internal error in {args.subcommand} ({_scenario_label(args)}): "
+            f"{type(exc).__name__}: {exc}",
+            file=sys.stderr,
+        )
+        return 5
     if isinstance(payload, str):
         print(payload)
     else:

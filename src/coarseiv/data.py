@@ -454,23 +454,44 @@ def _load_yaml(source: str | io.TextIOBase, expected_schema: str) -> dict:
     return doc
 
 
+def _list_field(doc: dict, key: str, what: str) -> list:
+    try:
+        value = doc[key]
+    except KeyError:
+        raise InputError(f"{what} document missing field {key!r}") from None
+    if not isinstance(value, list):
+        raise InputError(f"{what} field {key!r} must be a list, got {value!r}")
+    return value
+
+
+def _int_field(row: dict, key: str) -> int:
+    value = row[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"row {row!r}: {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _bool_field(row: dict, key: str, default: bool) -> bool:
+    value = row.get(key, default)
+    if not isinstance(value, bool):
+        raise InputError(f"row {row!r}: {key!r} must be true or false, got {value!r}")
+    return value
+
+
 def load_summary(source: str | io.TextIOBase) -> ObservedDistribution:
     """Load summary counts keyed by (z, x, y) from a YAML document."""
     doc = _load_yaml(source, SUMMARY_SCHEMA)
-    try:
-        zs = [str(z) for z in doc["instrument_levels"]]
-        xs = [str(x) for x in doc["exposure_levels"]]
-        rows = doc["counts"]
-    except KeyError as exc:
-        raise InputError(f"summary document missing field {exc}") from exc
+    zs = [str(z) for z in _list_field(doc, "instrument_levels", "summary")]
+    xs = [str(x) for x in _list_field(doc, "exposure_levels", "summary")]
+    rows = _list_field(doc, "counts", "summary")
     counts: dict[tuple[str, str, int], int] = {}
     n_per_z: dict[str, int] = {z: 0 for z in zs}
     for row in rows:
         try:
-            z, x, y, n = str(row["z"]), str(row["x"]), int(row["y"]), row["n"]
-        except (KeyError, TypeError, ValueError) as exc:
+            z, x, y, n = str(row["z"]), str(row["x"]), _int_field(row, "y"), _int_field(row, "n")
+        except (KeyError, TypeError) as exc:
             raise InputError(f"malformed count row {row!r}: {exc}") from exc
-        if not isinstance(n, int) or n < 0:
+        if n < 0:
             raise InputError(f"count for ({z}, {x}, {y}) must be a nonnegative integer, got {n!r}")
         if z not in n_per_z:
             raise InputError(f"count row references undeclared instrument level {z!r}")
@@ -493,19 +514,15 @@ def load_summary(source: str | io.TextIOBase) -> ObservedDistribution:
 
 def load_scenario(source: str | io.TextIOBase) -> Scenario:
     doc = _load_yaml(source, SCENARIO_SCHEMA)
-    try:
-        zs = [str(z) for z in doc["instrument_levels"]]
-        level_rows = doc["levels"]
-    except KeyError as exc:
-        raise InputError(f"scenario document missing field {exc}") from exc
+    zs = [str(z) for z in _list_field(doc, "instrument_levels", "scenario")]
     levels = []
-    for row in level_rows:
+    for row in _list_field(doc, "levels", "scenario"):
         try:
             levels.append(
                 ExposureLevel(
                     label=str(row["label"]),
-                    well_defining=bool(row.get("well_defining", True)),
-                    z_dependent=bool(row.get("z_dependent", False)),
+                    well_defining=_bool_field(row, "well_defining", True),
+                    z_dependent=_bool_field(row, "z_dependent", False),
                 )
             )
         except (KeyError, TypeError) as exc:
@@ -536,8 +553,8 @@ def load_coarsening(source: str | io.TextIOBase) -> CoarseningMap:
                         label=str(row["label"]),
                         lower=None if row.get("lower") is None else float(row["lower"]),
                         upper=None if row.get("upper") is None else float(row["upper"]),
-                        lower_closed=bool(row.get("lower_closed", True)),
-                        upper_closed=bool(row.get("upper_closed", False)),
+                        lower_closed=_bool_field(row, "lower_closed", True),
+                        upper_closed=_bool_field(row, "upper_closed", False),
                     )
                 )
             except (KeyError, TypeError, ValueError) as exc:

@@ -2,22 +2,33 @@
 
 Solves  min c.x  subject to  A x = b, x >= 0  with all arithmetic exact.
 Columns of A are sparse integer vectors (in this package they have at most a
-handful of +-1 entries), b is a vector of nonnegative Fractions and c is an
+handful of +-1 entries), b is a nonnegative rational vector and c is an
 integer vector.  The solver keeps the basis inverse in integer-adjugate form
 (M = d * B^-1 with M integral and d = det B), so every pivot is fraction-free
-integer arithmetic with one exact division.
+integer arithmetic with one exact division.  The right-hand side is held as
+integers too: b = b~ / N, either given that way (``scale=N``) or converted
+once by :func:`integer_rhs`.
 
-Warm restarts are first-class: `resolve_b` reuses the optimal basis through
-dual-simplex steps when only b changes (bootstrap replicates, distribution
-sweeps), and `resolve_costs` restarts the primal when only c changes
-(lower/upper bound pairs share a basis).
+Warm restarts are first-class.  `resolve_b` handles a change of b only
+(bootstrap replicates, distribution sweeps).  It keeps the last
+``_CACHE_SIZE`` optimal bases in most-recently-used order and accepts the
+first one that is primal feasible for the new b (M.b~ >= 0, inert rows at
+zero): the costs have not changed since it was optimal, so it is still dual
+feasible and hence optimal.  Only when no cached basis fits does it run the
+dual simplex from the current basis.  `resolve_costs` restarts the primal
+when only c changes (lower/upper bound pairs share a basis).
+
+An `LpOutcome` carries the optimal value as one Fraction; the primal solution
+and the dual vector are built from the optimal basis on first access.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 __all__ = [
@@ -26,6 +37,7 @@ __all__ = [
     "Infeasible",
     "LpOutcome",
     "column_dot",
+    "integer_rhs",
     "verify_farkas",
 ]
 
@@ -35,6 +47,8 @@ Column = tuple[tuple[int, int], ...]
 # Consecutive degenerate pivots tolerated before switching to Bland's rule.
 _DEGENERATE_LIMIT = 30
 _MAX_PIVOTS = 200_000
+# Optimal bases kept for `resolve_b`.
+_CACHE_SIZE = 64
 
 
 class Infeasible(Exception):
@@ -50,15 +64,51 @@ class Infeasible(Exception):
         self.violation = violation
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
+class _Vertex:
+    """Snapshot of an optimal basis: basic variable per row, M = d * B^-1, d."""
+
+    basis: tuple[int, ...]
+    M: list[list[int]]
+    d: int
+    fail: int = 0  # row that last made this basis infeasible; tested first
+
+
+@dataclass(frozen=True, eq=False)
 class LpOutcome:
-    """Optimal value plus primal and dual certificates."""
+    """Optimal value plus primal and dual certificates.
+
+    `solution` maps each basic structural variable to its value; `dual` is y
+    with y.b == value and c_j - y.A_j >= 0 for every column (min sense).
+    Both are built from the optimal basis on first access.
+    """
 
     value: Fraction
-    solution: dict[int, Fraction]  # structural variable -> value, basic vars only
-    dual: tuple[Fraction, ...]  # y with y.b == value and c_j - y.A_j >= 0 (min sense)
-    basis: tuple[int, ...]
     pivots: int
+    vertex: _Vertex = field(repr=False)
+    levels: list[int] = field(repr=False)  # M . b~
+    scale: int = field(repr=False)  # N
+    costs: Sequence[int] = field(repr=False)
+    n: int = field(repr=False)  # number of structural variables
+
+    @property
+    def basis(self) -> tuple[int, ...]:
+        return self.vertex.basis
+
+    @cached_property
+    def solution(self) -> dict[int, Fraction]:
+        denom = self.vertex.d * self.scale
+        return {
+            var: Fraction(x, denom)
+            for var, x in zip(self.vertex.basis, self.levels)
+            if var < self.n
+        }
+
+    @cached_property
+    def dual(self) -> tuple[Fraction, ...]:
+        vx = self.vertex
+        y = _pricing_vector(vx.basis, vx.M, self.costs, self.n)
+        return tuple(Fraction(v, vx.d) for v in y)
 
 
 def column_dot(column: Column, vec: Sequence) -> object:
@@ -69,11 +119,36 @@ def column_dot(column: Column, vec: Sequence) -> object:
     return total
 
 
-def verify_farkas(columns: Sequence[Column], b: Sequence[Fraction], pi: Sequence[Fraction]) -> bool:
-    """Check that pi certifies infeasibility of A x = b, x >= 0."""
+def verify_farkas(columns: Sequence[Column], b: Sequence, pi: Sequence[Fraction]) -> bool:
+    """Check that pi certifies infeasibility of A x = b, x >= 0 (b may be scaled)."""
     if sum(p * v for p, v in zip(pi, b)) <= 0:
         return False
     return all(column_dot(col, pi) <= 0 for col in columns)
+
+
+def integer_rhs(b: Sequence) -> tuple[list[int], int]:
+    """Integer form (b~, N) of a rational vector b: b == b~ / N, N = lcm of denominators."""
+    fracs = [Fraction(v) for v in b]
+    N = lcm(*(v.denominator for v in fracs))
+    return [v.numerator * (N // v.denominator) for v in fracs], N
+
+
+def _pricing_vector(
+    basis: Sequence[int],
+    M: list[list[int]],
+    costs: Sequence[int],
+    n: int,
+    artificial_cost: int = 0,
+) -> list[int]:
+    # y_int = c_B . M; the true duals are y_int / d.
+    y = [0] * len(M)
+    for row, var in zip(M, basis):
+        c = costs[var] if var < n else artificial_cost
+        if c:
+            for k, v in enumerate(row):
+                if v:
+                    y[k] += c * v
+    return y
 
 
 class ExactSimplex:
@@ -84,6 +159,9 @@ class ExactSimplex:
     never re-admitted once phase 1 ends; rows whose artificial cannot be
     pivoted out are structurally redundant and their artificial stays basic
     at level zero forever.
+
+    `solve` and `resolve_b` take b either as rationals or, with ``scale=N``,
+    as nonnegative integers b~ meaning b~ / N.
     """
 
     def __init__(self, n_rows: int, columns: Sequence[Column], costs: Sequence[int]):
@@ -93,72 +171,127 @@ class ExactSimplex:
         self.columns: list[Column] = [tuple(col) for col in columns]
         self.n = len(self.columns)
         self.costs: list[int] = [int(c) for c in costs]
-        # Solver state (populated by solve()).
-        self._basis: list[int] | None = None  # variable id per row
+        # Solver state (populated by solve()).  Pivots update _basis and _M in
+        # place, so a run that pivots first copies them (_thaw): the cached
+        # vertices and the outcomes built on them share those lists.
+        self._basis: Sequence[int] | None = None  # variable id per row
         self._M: list[list[int]] | None = None  # d * inverse of basis matrix
         self._d: int = 1  # det of basis matrix, kept > 0
         self._btilde: list[int] | None = None  # N * b
         self._N: int = 1  # common denominator of b
         self._xt: list[int] | None = None  # M . btilde, >= 0 when feasible
         self._pivots = 0
+        self._inert: tuple[int, ...] = ()  # rows of inert artificials
+        self._cache: list[_Vertex] = []  # optimal bases, most recently used first
 
     # -- public API ----------------------------------------------------------
 
-    def solve(self, b: Sequence[Fraction]) -> LpOutcome:
+    def solve(self, b: Sequence, scale: int | None = None) -> LpOutcome:
         """Cold solve: phase 1 from the all-artificial basis, then phase 2."""
-        self._load_b(b)
+        self._load_b(b, scale)
         m = self.m
+        self._cache.clear()
         self._basis = [self.n + i for i in range(m)]
         self._M = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
         self._d = 1
         self._xt = list(self._btilde)
         self._pivots = 0
         self._run_phase1()
-        self._run_primal(self.costs)
-        return self._outcome()
+        self._inert = tuple(i for i, var in enumerate(self._basis) if var >= self.n)
+        self._primal_loop(self.costs)
+        return self._remember()
 
-    def resolve_b(self, b: Sequence[Fraction]) -> LpOutcome:
-        """Warm solve after a change of b only, via dual simplex."""
-        if self._basis is None:
-            return self.solve(b)
-        self._load_b(b)
-        self._xt = self._mat_vec(self._btilde)
+    def resolve_b(self, b: Sequence, scale: int | None = None) -> LpOutcome:
+        """Warm solve after a change of b only: a cached basis, else dual simplex."""
+        if not self._cache:
+            return self.solve(b, scale)
+        self._load_b(b, scale)
         self._pivots = 0
+        vx = self._cached_vertex()
+        if vx is not None:
+            return self._outcome(vx)
+        self._thaw()
+        self._xt = self._mat_vec(self._btilde)
         self._run_dual(self.costs)
         self._check_inert_rows()
-        return self._outcome()
+        return self._remember()
 
     def resolve_costs(self, costs: Sequence[int]) -> LpOutcome:
         """Warm solve after a change of c only, restarting the primal."""
-        if self._basis is None:
-            raise RuntimeError("no basis yet; call solve() first")
+        if not self._cache:
+            raise RuntimeError("no optimal basis yet; call solve() first")
         self.costs = [int(c) for c in costs]
+        self._cache.clear()
         self._pivots = 0
-        self._run_primal(self.costs)
-        return self._outcome()
+        self._thaw()
+        self._primal_loop(self.costs)
+        return self._remember()
 
     # -- internals -----------------------------------------------------------
 
-    def _load_b(self, b: Sequence[Fraction]) -> None:
+    def _load_b(self, b: Sequence, scale: int | None) -> None:
         if len(b) != self.m:
             raise ValueError("b has wrong length")
-        fracs = [Fraction(v) for v in b]
-        if any(v < 0 for v in fracs):
+        if scale is None:
+            b, scale = integer_rhs(b)
+        elif scale <= 0:
+            raise ValueError("scale must be positive")
+        if any(v < 0 for v in b):
             raise ValueError("b must be nonnegative")
-        self._N = lcm(*(v.denominator for v in fracs)) if fracs else 1
-        self._btilde = [int(v * self._N) for v in fracs]
-        self._bfrac = fracs
+        self._btilde = list(b)
+        self._N = scale
 
-    def _column(self, j: int) -> Column:
-        if j < self.n:
-            return self.columns[j]
-        return ((j - self.n, 1),)
+    def _cached_vertex(self) -> _Vertex | None:
+        # First cached basis with M.b~ >= 0 and every inert row at zero.
+        bt, inert, cache = self._btilde, self._inert, self._cache
+        for k, vx in enumerate(cache):
+            rows = vx.M
+            fail = vx.fail
+            level = sum(map(mul, rows[fail], bt))
+            if level < 0 or (level and fail in inert):
+                continue
+            xt = []
+            for i, row in enumerate(rows):
+                level = sum(map(mul, row, bt))
+                if level < 0 or (level and i in inert):
+                    vx.fail = i
+                    break
+                xt.append(level)
+            else:
+                if k:
+                    cache.insert(0, cache.pop(k))
+                self._basis, self._M, self._d, self._xt = vx.basis, rows, vx.d, xt
+                return vx
+        return None
 
-    def _cost_of(self, j: int, costs: Sequence[int]) -> int:
-        return costs[j] if j < self.n else 0
+    def _remember(self) -> LpOutcome:
+        # Cache the current (optimal) basis as the most recently used one.
+        vx = _Vertex(tuple(self._basis), self._M, self._d)
+        self._basis = vx.basis
+        self._cache.insert(0, vx)
+        del self._cache[_CACHE_SIZE:]
+        return self._outcome(vx)
+
+    def _thaw(self) -> None:
+        self._basis = list(self._basis)
+        self._M = [row[:] for row in self._M]
+        self._xt = list(self._xt)
+
+    def _outcome(self, vx: _Vertex) -> LpOutcome:
+        costs, n = self.costs, self.n
+        total = sum(costs[var] * x for var, x in zip(vx.basis, self._xt) if var < n)
+        return LpOutcome(
+            value=Fraction(total, vx.d * self._N),
+            pivots=self._pivots,
+            vertex=vx,
+            levels=self._xt,
+            scale=self._N,
+            costs=costs,
+            n=n,
+        )
 
     def _mat_vec(self, v: Sequence[int]) -> list[int]:
-        return [sum(row[k] * v[k] for k in range(self.m) if v[k]) for row in self._M]
+        return [sum(map(mul, row, v)) for row in self._M]
 
     def _col_times_M(self, col: Column) -> list[int]:
         # w = M . A_j, exploiting sparsity of the column.
@@ -172,23 +305,6 @@ class ExactSimplex:
                 for i in range(self.m):
                     w[i] += coef * M[i][r]
         return w
-
-    def _pricing_vector(self, costs: Sequence[int]) -> list[int]:
-        # y_int = c_B . M; true duals are y_int / d.
-        M = self._M
-        y = [0] * self.m
-        for i, var in enumerate(self._basis):
-            c = self._cost_of(var, costs)
-            if c:
-                row = M[i]
-                for k in range(self.m):
-                    if row[k]:
-                        y[k] += c * row[k]
-        return y
-
-    def _reduced_numerator(self, j: int, y: list[int], costs: Sequence[int]) -> int:
-        # sign(reduced cost of j) == sign of this integer, since d > 0
-        return self._d * costs[j] - column_dot(self.columns[j], y)
 
     def _pivot(self, row: int, j: int, w: list[int]) -> None:
         """Replace the basic variable in `row` by variable j (direction w = M.A_j)."""
@@ -233,23 +349,10 @@ class ExactSimplex:
             if var >= self.n:
                 total += self._xt[i]
         if total:
-            y = self._pricing_vector_art(phase1_costs)
+            y = _pricing_vector(self._basis, self._M, phase1_costs, self.n, artificial_cost=1)
             pi = tuple(Fraction(y[k], self._d) for k in range(self.m))
             raise Infeasible(pi, Fraction(total, self._d * self._N))
         self._evict_artificials()
-
-    def _pricing_vector_art(self, costs: Sequence[int]) -> list[int]:
-        # Pricing vector when artificials carry unit cost (phase 1 only).
-        M = self._M
-        y = [0] * self.m
-        for i, var in enumerate(self._basis):
-            c = costs[var] if var < self.n else 1
-            if c:
-                row = M[i]
-                for k in range(self.m):
-                    if row[k]:
-                        y[k] += c * row[k]
-        return y
 
     def _evict_artificials(self) -> None:
         # Pivot artificials out of the basis on any nonzero entry; rows where
@@ -268,10 +371,7 @@ class ExactSimplex:
         bland = False
         degenerate_streak = 0
         while True:
-            if artificial_cost:
-                y = self._pricing_vector_art(costs)
-            else:
-                y = self._pricing_vector(costs)
+            y = _pricing_vector(self._basis, self._M, costs, self.n, artificial_cost)
             d = self._d
             enter = -1
             best = 0
@@ -313,9 +413,6 @@ class ExactSimplex:
                 degenerate_streak = 0
                 bland = False
 
-    def _run_primal(self, costs: Sequence[int]) -> None:
-        self._primal_loop(costs)
-
     def _run_dual(self, costs: Sequence[int]) -> None:
         # The entering column always comes from the full dual ratio test —
         # anything else loses dual feasibility, after which termination no
@@ -339,7 +436,7 @@ class ExactSimplex:
                         row = i
             if row < 0:
                 return
-            y = self._pricing_vector(costs)
+            y = _pricing_vector(self._basis, self._M, costs, self.n)
             d = self._d
             Mr = self._M[row]
             enter = -1
@@ -369,29 +466,8 @@ class ExactSimplex:
     def _check_inert_rows(self) -> None:
         # Dual simplex only repairs negative levels; a positive level on an
         # inert artificial row means b is inconsistent with a redundant row.
-        for i, var in enumerate(self._basis):
-            if var >= self.n and self._xt[i] > 0:
+        for i in self._inert:
+            if self._xt[i] > 0:
                 Mr = self._M[i]
                 pi = tuple(Fraction(Mr[k], self._d) for k in range(self.m))
                 raise Infeasible(pi, Fraction(self._xt[i], self._d * self._N))
-
-    def _outcome(self) -> LpOutcome:
-        d, N = self._d, self._N
-        denom = d * N
-        solution: dict[int, Fraction] = {}
-        value = Fraction(0)
-        for i, var in enumerate(self._basis):
-            if var < self.n:
-                xv = Fraction(self._xt[i], denom)
-                solution[var] = xv
-                if self.costs[var]:
-                    value += self.costs[var] * xv
-        y = self._pricing_vector(self.costs)
-        dual = tuple(Fraction(y[k], d) for k in range(self.m))
-        return LpOutcome(
-            value=value,
-            solution=solution,
-            dual=dual,
-            basis=tuple(self._basis),
-            pivots=self._pivots,
-        )

@@ -12,7 +12,8 @@ Three resampling schemes share one engine:
   probabilities.
 
 Every replicate recomputes the bounds through the exact LP solver (warm
-restarts across replicates), never through a shortcut estimator.  Replicates
+restarts across replicates, right-hand sides fed as integer counts over one
+common scale), never through a shortcut estimator.  Replicates
 whose resampled table is incompatible with the scenario are retried under the
 L1-slack projection and counted; if more than ``max_infeasible_fraction`` of
 replicates need rescue the run aborts.
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import ceil
+from math import ceil, lcm
 from typing import Sequence
 
 import numpy as np
@@ -182,6 +183,11 @@ class _Resampler:
         self.cells = [
             (x, y) for x in scenario.level_labels() for y in (0, 1)
         ]
+        row_of = {key: i for i, key in enumerate(self.system.row_keys)}
+        self.cell_rows = {
+            z: [row_of[(z, x, y)] for (x, y) in self.cells]
+            for z in scenario.instrument_levels
+        }
         self.pvals = {
             z: np.array(
                 [float(dist.prob(z, x, y)) for (x, y) in self.cells], dtype=float
@@ -206,25 +212,25 @@ class _Resampler:
         lowers: list[Fraction] = []
         uppers: list[Fraction] = []
         n_infeasible = 0
-        row_keys = self.system.row_keys
+        # Each replicate's right-hand side as integers over one common scale:
+        # cell (z, x, y) reads count * (scale // n_z), normalization reads scale.
+        scale = lcm(*sizes.values())
+        factor = {z: scale // n for z, n in sizes.items()}
+        rows = self.cell_rows
+        b = [0] * self.system.n_rows
+        b[self.system.row_keys.index("normalization")] = scale
         for child in seeds:
             rng = np.random.Generator(np.random.PCG64(child))
-            draw: dict[tuple[str, str, int], int] = {}
             for z in self.scenario.instrument_levels:
-                counts = rng.multinomial(sizes[z], self.pvals[z])
-                for (x, y), c in zip(self.cells, counts):
-                    draw[(z, x, y)] = int(c)
-            b = [
-                Fraction(1)
-                if key == "normalization"
-                else Fraction(draw[key], sizes[key[0]])
-                for key in row_keys
-            ]
+                counts = rng.multinomial(sizes[z], self.pvals[z]).tolist()
+                f = factor[z]
+                for r, c in zip(rows[z], counts):
+                    b[r] = c * f
             try:
-                res = self.solver.solve_b(b)
+                res = self.solver.solve_b(b, scale=scale)
             except InfeasibleDistribution:
                 n_infeasible += 1
-                res = self.solver.solve_b(b, slack=True)
+                res = self.solver.solve_b(b, slack=True, scale=scale)
             lowers.append(res.lower)
             uppers.append(res.upper)
         return lowers, uppers, n_infeasible

@@ -1,6 +1,10 @@
 """Command-line interface: output schema, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +43,22 @@ def test_bounds_peanut_document(capsys):
     assert cf["form"] == "ten-term"
     assert cf["expected_tight"] is True
     assert doc["results"]["agreement"] is True
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "coarseiv", "bounds", "--preset", "peanut-ternary"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lp = json.loads(proc.stdout)["results"]["lp"]
+    assert (lp["lower"]["exact"], lp["upper"]["exact"]) == (PEANUT_LOWER, PEANUT_UPPER)
 
 
 def test_bounds_homocysteine_display(capsys):
@@ -200,6 +220,26 @@ def test_cap_exit_4(capsys):
     )
     assert code == 4
     assert "exceed" in err
+
+
+@pytest.mark.parametrize(
+    "error",
+    [RuntimeError("pivot limit exceeded"), AssertionError("LP returned crossed bounds")],
+)
+def test_broken_engine_invariant_exits_5(capsys, monkeypatch, error):
+    from coarseiv.exactlp import ExactSimplex
+
+    def broken(self, b, scale=None):
+        raise error
+
+    monkeypatch.setattr(ExactSimplex, "resolve_b", broken)
+    code, out, err = run_cli(capsys, "bounds", "--preset", "peanut-ternary")
+    assert code == 5
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert "bounds" in lines[0] and "peanut-ternary" in lines[0]
+    assert str(error) in lines[0]
 
 
 def test_ci_requires_seed_via_argparse(capsys):

@@ -315,6 +315,46 @@ estimand: {kind: counterfactual_risk, x: x}
     assert scn.estimand == Estimand("counterfactual_risk", "x")
 
 
+_SUMMARY_HEAD = """
+schema: coarseiv/summary/1
+instrument_levels: [z0, z1]
+exposure_levels: [x]
+"""
+_SCENARIO_HEAD = """
+schema: coarseiv/scenario/1
+instrument_levels: [z0, z1]
+"""
+
+
+_ROWS = "  - {z: z1, x: x, y: 0, n: 2}\n"
+
+
+@pytest.mark.parametrize(
+    "loader, doc",
+    [
+        (load_summary, _SUMMARY_HEAD + "counts:\n  - {z: z0, x: x, y: 1.7, n: 3}\n" + _ROWS),
+        (load_summary, _SUMMARY_HEAD + "counts:\n  - {z: z0, x: x, y: 1, n: true}\n" + _ROWS),
+        (load_summary, _SUMMARY_HEAD + "counts: null\n"),
+        (load_scenario, _SCENARIO_HEAD + "levels:\n  - {label: x}\n  - {label: m, well_defining: 'false', z_dependent: true}\n"),
+        (load_scenario, _SCENARIO_HEAD + "levels:\n  - {label: x}\n  - {label: m, z_dependent: 'false'}\n"),
+        (load_scenario, _SCENARIO_HEAD + "levels: null\n"),
+        (load_coarsening, "schema: coarseiv/coarsening/1\nkind: interval\nentries:\n  - {label: a, upper: 1, upper_closed: 'false'}\n  - {label: b, lower: 1, lower_closed: false}\n"),
+    ],
+    ids=[
+        "float-y",
+        "bool-n",
+        "null-counts",
+        "string-well-defining",
+        "string-z-dependent",
+        "null-levels",
+        "string-upper-closed",
+    ],
+)
+def test_loaders_reject_mistyped_scalars(loader, doc):
+    with pytest.raises(InputError):
+        loader(io.StringIO(doc))
+
+
 def test_load_coarsening_label_kind():
     doc = """
 schema: coarseiv/coarsening/1

@@ -1,12 +1,13 @@
 """Exact rational simplex: known optima, certificates, warm restarts."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarseiv.exactlp import ExactSimplex, Infeasible, verify_farkas
+from coarseiv.exactlp import ExactSimplex, Infeasible, integer_rhs, verify_farkas
 
 
 def _transport_lp():
@@ -187,3 +188,147 @@ def test_degenerate_rhs_then_warm_restart_regression():
     warm = solver.solve_b(generic)
     cold = BoundsSolver(system).solve_b(generic)
     assert (warm.lower, warm.upper) == (cold.lower, cold.upper)
+
+
+# -- certified basis cache and integer right-hand sides ------------------------------
+
+
+def _homocysteine_lp(costs="min"):
+    from coarseiv.bounds import merge_columns
+    from coarseiv.datasets import scenario_preset
+    from coarseiv.response import build_constraint_system
+
+    dist, scenario = scenario_preset("homocysteine-3")
+    system = build_constraint_system(scenario)
+    merged = merge_columns(system)
+    c = merged.min_costs if costs == "min" else [-v for v in merged.max_costs]
+    return system, dist, merged.columns, list(c)
+
+
+def _rhs_sequence(system, dist, seed, count=90):
+    """Seeded (b~, N) right-hand sides: near the data, far apart, infeasible.
+
+    Cells are integer counts per instrument stratum over one common scale N.
+    """
+    import random
+
+    rng = random.Random(seed)
+    zs = dist.instrument_levels
+    cells = [(x, y) for x in dist.exposure_levels for y in (0, 1)]
+    row_of = {key: i for i, key in enumerate(system.row_keys)}
+    sizes = dict(dist.n_per_z)
+    scale = lcm(*sizes.values())
+    out = []
+    for t in range(count):
+        kind = t % 3
+        b = [0] * system.n_rows
+        b[row_of["normalization"]] = scale
+        for zi, z in enumerate(zs):
+            if kind == 0:  # near: resample the observed stratum
+                weights = [dist.counts.get((z, x, y), 0) for x, y in cells]
+            elif kind == 1:  # far: a random full-support distribution
+                weights = [rng.randint(1, 20) for _ in cells]
+            else:  # extreme: mass piled on a clean level's opposite outcomes
+                weights = [1] * len(cells)
+                weights[cells.index((dist.exposure_levels[0], zi % 2))] = 60
+            counts = [0] * len(cells)
+            for k in rng.choices(range(len(cells)), weights=weights, k=sizes[z]):
+                counts[k] += 1
+            for (x, y), c in zip(cells, counts):
+                b[row_of[(z, x, y)]] = c * (scale // sizes[z])
+        out.append((b, scale))
+    return out
+
+
+def _check_certificates(columns, costs, b, scale, out):
+    bf = [Fraction(v, scale) for v in b]
+    y = out.dual
+    assert sum(yi * v for yi, v in zip(y, bf)) == out.value
+    for col, c in zip(columns, costs):
+        assert c - sum(coef * y[r] for r, coef in col) >= 0
+    acc = [Fraction(0)] * len(b)
+    for j, xv in out.solution.items():
+        assert xv >= 0
+        for r, coef in columns[j]:
+            acc[r] += coef * xv
+    assert acc == bf
+    assert sum(costs[j] * xv for j, xv in out.solution.items()) == out.value
+
+
+@pytest.mark.parametrize("side", ["min", "max"])
+def test_cached_warm_resolves_match_cold_solves(side):
+    system, dist, columns, costs = _homocysteine_lp(side)
+    lp = ExactSimplex(system.n_rows, columns, costs)
+    n_feasible = n_infeasible = 0
+    for b, scale in _rhs_sequence(system, dist, seed=5):
+        cold_lp = ExactSimplex(system.n_rows, columns, costs)
+        try:
+            cold = cold_lp.solve([Fraction(v, scale) for v in b])
+        except Infeasible:
+            with pytest.raises(Infeasible) as exc:
+                lp.resolve_b(b, scale=scale)
+            assert verify_farkas(columns, b, exc.value.farkas)
+            n_infeasible += 1
+            continue
+        warm = lp.resolve_b(b, scale=scale)
+        assert warm.value == cold.value
+        _check_certificates(columns, costs, b, scale, warm)
+        n_feasible += 1
+    assert n_feasible >= 30 and n_infeasible >= 10
+
+
+def test_integer_and_rational_rhs_agree():
+    system, dist, columns, costs = _homocysteine_lp()
+    lp = ExactSimplex(system.n_rows, columns, costs)
+    b = system.rhs(dist)
+    b_int, scale = integer_rhs(b)
+    assert [Fraction(v, scale) for v in b_int] == b
+    assert lp.solve(b_int, scale=scale).value == ExactSimplex(
+        system.n_rows, columns, costs
+    ).solve(b).value
+
+
+def test_previously_seen_rhs_is_answered_without_pivots():
+    system, dist, columns, costs = _homocysteine_lp()
+    lp = ExactSimplex(system.n_rows, columns, costs)
+    (b0, n0), (b1, n1) = _rhs_sequence(system, dist, seed=3, count=2)
+    first = lp.solve(b0, scale=n0)
+    lp.resolve_b(b1, scale=n1)
+    again = lp.resolve_b(b0, scale=n0)
+    assert again.pivots == 0 and again.value == first.value
+
+
+@pytest.mark.parametrize("b2", [3, 1])
+def test_redundant_row_inconsistency_raises_with_cached_bases(b2):
+    # Row 2 is the sum of rows 0 and 1, so its artificial stays basic (inert)
+    # and b is feasible only if b2 == b0 + b1.
+    columns = [((0, 1), (2, 1)), ((0, 1), (2, 1)), ((1, 1), (2, 1)), ((1, 1), (2, 1))]
+    lp = ExactSimplex(3, columns, [1, 2, 3, 1])
+    for b in ([1, 1, 2], [0, 2, 2], [2, 0, 2], [1, 1, 2]):
+        assert lp.resolve_b(b, scale=1).value == b[0] + b[1]
+    b = [Fraction(1), Fraction(1), Fraction(b2)]
+    with pytest.raises(Infeasible) as exc:
+        lp.resolve_b(b)
+    assert verify_farkas(columns, b, exc.value.farkas)
+    # The solver still answers feasible right-hand sides afterwards.
+    assert lp.resolve_b([3, 1, 4], scale=2).value == Fraction(3 + 1, 2)
+
+
+def test_resolve_costs_after_cached_resolves():
+    system, dist, columns, costs = _homocysteine_lp()
+    _, _, _, upper_costs = _homocysteine_lp("max")
+    lp = ExactSimplex(system.n_rows, columns, costs)
+    seq = _rhs_sequence(system, dist, seed=11, count=12)[::3]
+    for b, scale in seq:
+        lp.resolve_b(b, scale=scale)
+    b, scale = seq[-1]
+    out = lp.resolve_costs(upper_costs)
+    cold = ExactSimplex(system.n_rows, columns, upper_costs).solve(b, scale=scale)
+    assert out.value == cold.value
+    _check_certificates(columns, upper_costs, b, scale, out)
+    # The cache now serves the new objective: warm resolves still match.
+    for b, scale in seq:
+        warm = lp.resolve_b(b, scale=scale)
+        assert warm.value == ExactSimplex(
+            system.n_rows, columns, upper_costs
+        ).solve(b, scale=scale).value

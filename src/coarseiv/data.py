@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -177,6 +178,8 @@ class CoarseningMap:
                 raise InputError(
                     f"interval coarsening cannot place non-numeric exposure {x_star!r}"
                 )
+            if math.isnan(x_star):
+                raise InputError("interval coarsening cannot place exposure value nan")
             for entry in self.intervals:
                 if entry.contains(x_star):
                     return entry.label
@@ -471,6 +474,21 @@ def _int_field(row: dict, key: str) -> int:
     return value
 
 
+def _bound_field(row: dict, key: str) -> float | None:
+    # An interval boundary: absent or null when unbounded, else a number
+    # (not a boolean, not nan).
+    value = row.get(key)
+    if value is None:
+        return None
+    try:
+        bound = None if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError):
+        bound = None
+    if bound is None or math.isnan(bound):
+        raise InputError(f"row {row!r}: {key!r} must be a number, got {value!r}")
+    return bound
+
+
 def _bool_field(row: dict, key: str, default: bool) -> bool:
     value = row.get(key, default)
     if not isinstance(value, bool):
@@ -483,6 +501,9 @@ def load_summary(source: str | io.TextIOBase) -> ObservedDistribution:
     doc = _load_yaml(source, SUMMARY_SCHEMA)
     zs = [str(z) for z in _list_field(doc, "instrument_levels", "summary")]
     xs = [str(x) for x in _list_field(doc, "exposure_levels", "summary")]
+    for key, labels in (("instrument_levels", zs), ("exposure_levels", xs)):
+        if len(set(labels)) != len(labels):
+            raise InputError(f"summary field {key!r} repeats a label: {labels}")
     rows = _list_field(doc, "counts", "summary")
     counts: dict[tuple[str, str, int], int] = {}
     n_per_z: dict[str, int] = {z: 0 for z in zs}
@@ -546,13 +567,13 @@ def load_coarsening(source: str | io.TextIOBase) -> CoarseningMap:
     kind = doc.get("kind")
     if kind == "interval":
         entries = []
-        for row in doc.get("entries", []):
+        for row in _list_field(doc, "entries", "coarsening"):
             try:
                 entries.append(
                     IntervalEntry(
                         label=str(row["label"]),
-                        lower=None if row.get("lower") is None else float(row["lower"]),
-                        upper=None if row.get("upper") is None else float(row["upper"]),
+                        lower=_bound_field(row, "lower"),
+                        upper=_bound_field(row, "upper"),
                         lower_closed=_bool_field(row, "lower_closed", True),
                         upper_closed=_bool_field(row, "upper_closed", False),
                     )
@@ -562,7 +583,7 @@ def load_coarsening(source: str | io.TextIOBase) -> CoarseningMap:
         return CoarseningMap(kind="interval", intervals=tuple(entries))
     if kind == "label":
         pairs = []
-        for row in doc.get("entries", []):
+        for row in _list_field(doc, "entries", "coarsening"):
             try:
                 pairs.append((str(row["from"]), str(row["to"])))
             except (KeyError, TypeError) as exc:

@@ -37,6 +37,7 @@ __all__ = [
     "Infeasible",
     "LpOutcome",
     "column_dot",
+    "independent_rows",
     "integer_rhs",
     "verify_farkas",
 ]
@@ -133,6 +134,54 @@ def integer_rhs(b: Sequence) -> tuple[list[int], int]:
     return [v.numerator * (N // v.denominator) for v in fracs], N
 
 
+def independent_rows(
+    rows: Sequence[Sequence[int]],
+) -> tuple[list[int], list[list[int]], int]:
+    """Greedy independent rows with a right inverse, by fraction-free elimination.
+
+    Scans the integer vectors `rows` in order and keeps each one that is
+    linearly independent of those kept before, stopping once they span the
+    whole space.  Returns (kept, X, d): with B the kept rows (k x n), X is an
+    n x k integer matrix and d > 0 an integer such that B X = d I.  When B
+    is square, X / d is its inverse and d = |det B|.
+
+    Bareiss-style Gauss-Jordan: kept rows are stored reduced, each with its
+    slice of the row transform appended, and every entry stays an integer
+    minor, so each division is exact.
+    """
+    kept: list[int] = []
+    cols: list[int] = []  # pivot column of each kept row
+    red: list[list[int]] = []  # reduced kept rows, transform appended
+    d = 1
+    n = len(rows[0]) if rows else 0
+    for i, row in enumerate(rows):
+        w = [d * v for v in row] + [0] * len(kept)
+        for t, c in enumerate(cols):
+            f = row[c]
+            if f:
+                w = [a - f * b for a, b in zip(w, red[t])]
+        c = next((k for k in range(n) if w[k]), -1)
+        if c < 0:
+            continue
+        w.append(d)
+        p = w[c]
+        for t, r in enumerate(red):
+            r.append(0)
+            f = r[c]
+            red[t] = [(p * a - f * b) // d for a, b in zip(r, w)]
+        red.append(w)
+        cols.append(c)
+        kept.append(i)
+        d = p
+        if len(kept) == n:
+            break
+    sign = -1 if d < 0 else 1
+    X = [[0] * len(kept) for _ in range(n)]
+    for r, c in zip(red, cols):
+        X[c] = [sign * v for v in r[n:]]
+    return kept, X, sign * d
+
+
 def _pricing_vector(
     basis: Sequence[int],
     M: list[list[int]],
@@ -183,6 +232,7 @@ class ExactSimplex:
         self._pivots = 0
         self._inert: tuple[int, ...] = ()  # rows of inert artificials
         self._cache: list[_Vertex] = []  # optimal bases, most recently used first
+        self._infeasible: Infeasible | None = None  # set while b~ has no solution
 
     # -- public API ----------------------------------------------------------
 
@@ -217,7 +267,13 @@ class ExactSimplex:
         return self._remember()
 
     def resolve_costs(self, costs: Sequence[int]) -> LpOutcome:
-        """Warm solve after a change of c only, restarting the primal."""
+        """Warm solve after a change of c only, restarting the primal.
+
+        Raises `Infeasible` again if the last b given was infeasible.
+        """
+        if self._infeasible is not None:
+            exc = self._infeasible
+            raise Infeasible(exc.farkas, exc.violation)
         if not self._cache:
             raise RuntimeError("no optimal basis yet; call solve() first")
         self.costs = [int(c) for c in costs]
@@ -277,7 +333,13 @@ class ExactSimplex:
         self._M = [row[:] for row in self._M]
         self._xt = list(self._xt)
 
+    def _reject(self, farkas: tuple[Fraction, ...], violation: Fraction) -> Infeasible:
+        # Remembered until the next optimum, so resolve_costs refuses this b.
+        self._infeasible = Infeasible(farkas, violation)
+        return self._infeasible
+
     def _outcome(self, vx: _Vertex) -> LpOutcome:
+        self._infeasible = None
         costs, n = self.costs, self.n
         total = sum(costs[var] * x for var, x in zip(vx.basis, self._xt) if var < n)
         return LpOutcome(
@@ -351,7 +413,7 @@ class ExactSimplex:
         if total:
             y = _pricing_vector(self._basis, self._M, phase1_costs, self.n, artificial_cost=1)
             pi = tuple(Fraction(y[k], self._d) for k in range(self.m))
-            raise Infeasible(pi, Fraction(total, self._d * self._N))
+            raise self._reject(pi, Fraction(total, self._d * self._N))
         self._evict_artificials()
 
     def _evict_artificials(self) -> None:
@@ -452,7 +514,7 @@ class ExactSimplex:
                     enter, en, ea = j, num, -alpha
             if enter < 0:
                 pi = tuple(Fraction(-Mr[k], self._d) for k in range(self.m))
-                raise Infeasible(pi, Fraction(-xt[row], self._d * self._N))
+                raise self._reject(pi, Fraction(-xt[row], self._d * self._N))
             degenerate = en == 0
             self._pivot(row, enter, self._col_times_M(self.columns[enter]))
             if degenerate:
@@ -470,4 +532,4 @@ class ExactSimplex:
             if self._xt[i] > 0:
                 Mr = self._M[i]
                 pi = tuple(Fraction(Mr[k], self._d) for k in range(self.m))
-                raise Infeasible(pi, Fraction(self._xt[i], self._d * self._N))
+                raise self._reject(pi, Fraction(self._xt[i], self._d * self._N))

@@ -10,9 +10,11 @@ probabilities, and audits:
   demoting a non-contrast level to z-dependent (zero violations required: the
   sampled model satisfies the scenario by construction, so any violation is
   an engine bug, not sampling noise);
-* tightness — both LP certificates verify by direct substitution, and a
-  projection-based random inner search never escapes the LP interval while
-  approaching its endpoints;
+* tightness — both bounds carry a primal certificate that attains them by
+  direct substitution and a dual certificate, checked against every
+  unmerged response type, that proves them optimal; a projection-based
+  random inner search, run in integers over one common scale, never escapes
+  the LP interval while approaching its endpoints;
 * the cross-scenario equivalences — ill-defining vs instrument-affected
   levels produce bit-identical constraint systems, adding such a level never
   changes the bounds, and the two-level-instrument term sets coincide with
@@ -26,16 +28,18 @@ push-forward p = A q to be exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 import numpy as np
 
 from .bounds import (
-    BoundResult,
     BoundsSolver,
     InfeasibleDistribution,
+    MergedSystem,
     classic_term_sets,
     closed_form_classic,
     closed_form_single_level,
@@ -50,6 +54,7 @@ from .data import (
     ObservedDistribution,
     Scenario,
 )
+from .exactlp import column_dot, independent_rows
 from .response import ConstraintSystem, build_constraint_system
 from .symbolic import derive_symbolic, term_sets_equal
 
@@ -66,6 +71,7 @@ __all__ = [
 ]
 
 SIMPLEX_DENOMINATOR = 3600
+_RESTART_DENOMINATOR = 720  # lattice of the tightness search's random points
 _MAX_FAILURES = 5  # failure details retained per report
 
 
@@ -117,13 +123,6 @@ def _true_value(system: ConstraintSystem, parts: Sequence[int], denominator: int
     return Fraction(
         sum(c * p for c, p in zip(system.objective, parts) if c), denominator
     )
-
-
-def _rhs_from_acc(system: ConstraintSystem, acc: Sequence[int], denominator: int) -> list[Fraction]:
-    return [
-        Fraction(1) if key == "normalization" else Fraction(acc[i], denominator)
-        for i, key in enumerate(system.row_keys)
-    ]
 
 
 def sample_scm(
@@ -223,11 +222,12 @@ def check_validity(scenario: Scenario, trials: int, seed: int) -> ValidityReport
     for t, child in enumerate(children):
         rng = np.random.Generator(np.random.PCG64(child))
         parts = _sample_parts(rng, system, SIMPLEX_DENOMINATOR, point_mass=False)
+        # Every column carries the normalization row, so acc is A q scaled
+        # by the denominator: the integer right-hand side over it.
         acc = _push_forward(system, parts)
-        b = _rhs_from_acc(system, acc, SIMPLEX_DENOMINATOR)
         true = _true_value(system, parts, SIMPLEX_DENOMINATOR)
         try:
-            res = solver.solve_b(b)
+            res = solver.solve_b(acc, scale=SIMPLEX_DENOMINATOR)
         except InfeasibleDistribution as exc:
             n_validity += 1
             fail(trial=t, audit="matching", error=str(exc), q_parts=parts)
@@ -237,18 +237,12 @@ def check_validity(scenario: Scenario, trials: int, seed: int) -> ValidityReport
             fail(trial=t, audit="matching", lower=res.lower, upper=res.upper,
                  true=true, q_parts=parts)
 
-        probs = {
-            key: Fraction(acc[i], SIMPLEX_DENOMINATOR)
-            for i, key in enumerate(system.row_keys)
-            if key != "normalization"
-        }
+        acc_of = dict(zip(system.row_keys, acc))
         for label, wsys, wsolver in weaker:
-            wb = [
-                Fraction(1) if key == "normalization" else probs[key]
-                for key in wsys.row_keys
-            ]
             try:
-                wres = wsolver.solve_b(wb)
+                wres = wsolver.solve_b(
+                    [acc_of[key] for key in wsys.row_keys], scale=SIMPLEX_DENOMINATOR
+                )
             except InfeasibleDistribution as exc:
                 n_validity += 1
                 fail(trial=t, audit=f"demoted:{label}", error=str(exc), q_parts=parts)
@@ -263,6 +257,11 @@ def check_validity(scenario: Scenario, trials: int, seed: int) -> ValidityReport
                      strong=(res.lower, res.upper), weak=(wres.lower, wres.upper))
 
         if ternary_audit or risk_audit:
+            probs = {
+                key: Fraction(v, SIMPLEX_DENOMINATOR)
+                for key, v in acc_of.items()
+                if key != "normalization"
+            }
             dist = ObservedDistribution.from_probs(
                 scenario.instrument_levels, labels, probs
             )
@@ -326,11 +325,10 @@ class TightnessReport:
     trials: int
     seed: int
     restarts: int
-    n_certificate_failures: int
+    n_certificate_failures: int  # primal and dual, both sides
     n_inner_violations: int
     worst_lower_gap: Fraction
     worst_upper_gap: Fraction
-    improvement_monotone: bool
     failures: tuple[dict, ...]
 
     @property
@@ -341,9 +339,11 @@ class TightnessReport:
 def _certificate_ok(
     system: ConstraintSystem,
     certificate: dict[int, Fraction],
-    b: Sequence[Fraction],
+    b: Sequence,
     target: Fraction,
+    scale: int,
 ) -> bool:
+    """Primal certificate: weights q >= 0 with A q == b / scale and c.q == target."""
     if any(v < 0 for v in certificate.values()):
         return False
     acc = [Fraction(0)] * system.n_rows
@@ -354,92 +354,87 @@ def _certificate_ok(
         c = system.objective[j]
         if c:
             value += c * v
-    return acc == list(b) and value == target
+    return [v * scale for v in acc] == list(b) and value == target
+
+
+def _dual_ok(
+    system: ConstraintSystem,
+    dual: Sequence[Fraction],
+    b: Sequence[int],
+    scale: int,
+    sign: int,
+    target: Fraction,
+) -> bool:
+    """Dual certificate on the unmerged system, for min sign * c.q.
+
+    Checks sign * c_j - y.A_j >= 0 for every response type j and
+    y.b == sign * target (b = b~ / scale), in integers over the lcm of y's
+    denominators.  With the primal certificate this proves the bound sharp.
+    """
+    den = lcm(*(v.denominator for v in dual))
+    y = [v.numerator * (den // v.denominator) for v in dual]
+    if Fraction(sum(map(mul, y, b)), den * scale) != sign * target:
+        return False
+    return all(
+        sign * den * c >= column_dot(col, y)
+        for col, c in zip(system.columns, system.objective)
+    )
 
 
 class _Projector:
-    """Exact affine projection onto {A_merged q = p} via a full-rank row subset."""
+    """Exact orthogonal projection onto {A_merged q = p}, in integers.
 
-    def __init__(self, solver: BoundsSolver):
-        self.solver = solver
-        merged = solver.merged
-        m = solver.system.n_rows
+    Projects through a full-rank row subset of the merged matrix and the
+    inverse of its Gram matrix, held as gram_inv / det.  `project` takes q0
+    and p as integers over a common scale L and returns integers over det * L.
+    """
+
+    def __init__(self, merged: MergedSystem, n_rows: int):
         n_groups = len(merged.columns)
-        dense = [[Fraction(0)] * n_groups for _ in range(m)]
+        dense = [[0] * n_groups for _ in range(n_rows)]
         for g, col in enumerate(merged.columns):
             for r, coef in col:
-                dense[r][g] = Fraction(coef)
-        # Greedy full-rank row subset by exact elimination.
-        self.rows: list[int] = []
-        rref: list[list[Fraction]] = []
-        for i in range(m):
-            vec = list(dense[i])
-            for red in rref:
-                lead = next(k for k, v in enumerate(red) if v != 0)
-                if vec[lead]:
-                    f = vec[lead] / red[lead]
-                    vec = [a - f * bb for a, bb in zip(vec, red)]
-            if any(v != 0 for v in vec):
-                rref.append(vec)
-                self.rows.append(i)
-        self.n_groups = n_groups
+                dense[r][g] = coef
+        self.rows, _, _ = independent_rows(dense)
         self.sparse_rows = [
-            tuple((g, dense[i][g]) for g in range(n_groups) if dense[i][g])
-            for i in self.rows
+            tuple((g, c) for g, c in enumerate(dense[i]) if c) for i in self.rows
         ]
-        d = len(self.rows)
-        gram = [[Fraction(0)] * d for _ in range(d)]
         maps = [dict(row) for row in self.sparse_rows]
-        for i in range(d):
-            for j in range(i, d):
-                s = sum(
-                    c * maps[j][g] for g, c in self.sparse_rows[i] if g in maps[j]
-                )
-                gram[i][j] = gram[j][i] = s
-        self.gram_inv = _invert(gram)
+        gram = [
+            [sum(c * mj.get(g, 0) for g, c in row) for mj in maps]
+            for row in self.sparse_rows
+        ]
+        _, inv, det = independent_rows(gram)
+        common = gcd(det, *(v for row in inv for v in row))
+        self.gram_inv = [[v // common for v in row] for row in inv]
+        self.det = det // common
 
-    def project(self, q0: list[Fraction], p: Sequence[Fraction]) -> list[Fraction]:
-        d = len(self.rows)
+    def project(self, q0: Sequence[int], p: Sequence[int]) -> list[int]:
         resid = [
-            sum(c * q0[g] for g, c in self.sparse_rows[i]) - p[self.rows[i]]
-            for i in range(d)
+            sum(c * q0[g] for g, c in row) - p[i]
+            for i, row in zip(self.rows, self.sparse_rows)
         ]
-        w = [
-            sum(self.gram_inv[i][j] * resid[j] for j in range(d) if resid[j])
-            for i in range(d)
-        ]
-        out = list(q0)
-        for i in range(d):
-            wi = w[i]
-            if wi:
-                for g, c in self.sparse_rows[i]:
-                    out[g] -= c * wi
+        out = [self.det * v for v in q0]
+        for inv_row, row in zip(self.gram_inv, self.sparse_rows):
+            w = sum(map(mul, inv_row, resid))
+            if w:
+                for g, c in row:
+                    out[g] -= c * w
         return out
-
-
-def _invert(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(mat)
-    a = [row[:] for row in mat]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        f = a[col][col]
-        a[col] = [v / f for v in a[col]]
-        inv[col] = [v / f for v in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return inv
 
 
 def check_tightness(
     scenario: Scenario, trials: int, seed: int, *, restarts: int | None = None
 ) -> TightnessReport:
-    """Verify LP certificates and squeeze the interval from the inside."""
+    """Verify LP certificates and squeeze the interval from the inside.
+
+    Per trial, both bounds must carry a primal certificate that attains them
+    and a dual certificate that proves them optimal for every response type.
+    Then `restarts` random points are projected onto the trial's observables
+    and, where the projection leaves the simplex, pulled back towards the
+    generating model until feasible: none may escape the LP interval.  The
+    search runs in integers over one common scale.
+    """
     if trials < 1:
         raise InputError("need at least one trial")
     if scenario.estimand is None:
@@ -447,7 +442,7 @@ def check_tightness(
     system = build_constraint_system(scenario)
     solver = BoundsSolver(system)
     merged = solver.merged
-    projector = _Projector(solver)
+    projector = _Projector(merged, system.n_rows)
     n_groups = len(merged.columns)
     if restarts is None:
         restarts = max(6, min(24, 4000 // max(1, n_groups)))
@@ -455,6 +450,11 @@ def check_tightness(
     for g, js in enumerate(merged.members):
         for j in js:
             group_of[j] = g
+    # Observables and restart points share the scale L; projections and the
+    # generating model live over det * L.
+    L = lcm(SIMPLEX_DENOMINATOR, _RESTART_DENOMINATOR)
+    b_up, q0_up = L // SIMPLEX_DENOMINATOR, L // _RESTART_DENOMINATOR
+    q_scale = projector.det * L
 
     n_cert = n_inner = 0
     worst_lower_gap = Fraction(0)
@@ -470,38 +470,44 @@ def check_tightness(
         rng = np.random.Generator(np.random.PCG64(child))
         parts = _sample_parts(rng, system, SIMPLEX_DENOMINATOR, point_mass=False)
         acc = _push_forward(system, parts)
-        b = _rhs_from_acc(system, acc, SIMPLEX_DENOMINATOR)
-        res = solver.solve_b(b)
-        for cert, target, side in (
-            (res.lower_certificate, res.lower, "lower"),
-            (res.upper_certificate, res.upper, "upper"),
-        ):
-            if not _certificate_ok(system, cert, b, target):
+        res = solver.solve_b(acc, scale=SIMPLEX_DENOMINATOR)
+        sides = (
+            ("lower", 1, res.lower, res.lower_certificate),
+            ("upper", -1, res.upper, res.upper_certificate),
+        )
+        for (side, sign, target, cert), (optimum, _) in zip(sides, res.lp_optima):
+            if not _certificate_ok(system, cert, acc, target, SIMPLEX_DENOMINATOR):
                 n_cert += 1
                 fail(trial=t, side=side, kind="certificate", target=target)
+            if not _dual_ok(system, optimum.dual, acc, SIMPLEX_DENOMINATOR, sign, target):
+                n_cert += 1
+                fail(trial=t, side=side, kind="dual-certificate", target=target)
 
         # Inner approximation: feasible points can only tighten the record,
         # never escape the interval.
-        q_true = [Fraction(0)] * n_groups
+        q_true = [0] * n_groups
         for j, pj in enumerate(parts):
             if pj:
-                q_true[group_of[j]] += Fraction(pj, SIMPLEX_DENOMINATOR)
+                q_true[group_of[j]] += pj
+        q_true = [v * b_up * projector.det for v in q_true]
+        b = [v * b_up for v in acc]
+        true_min = sum(map(mul, q_true, merged.min_costs))
+        true_max = sum(map(mul, q_true, merged.max_costs))
         best_min = best_max = None
         for _ in range(restarts):
-            raw = _compose(rng, n_groups, 720)
-            q0 = [Fraction(v, 720) for v in raw]
-            q_proj = projector.project(q0, b)
-            if min(q_proj) < 0:
-                t_max = Fraction(1)
-                for qt, qp in zip(q_true, q_proj):
-                    d = qp - qt
-                    if d < 0:
-                        t_max = min(t_max, qt / -d)
-                q_cand = [qt + t_max * (qp - qt) for qt, qp in zip(q_true, q_proj)]
-            else:
-                q_cand = q_proj
-            vmin = sum(q * c for q, c in zip(q_cand, merged.min_costs) if c)
-            vmax = sum(q * c for q, c in zip(q_cand, merged.max_costs) if c)
+            raw = _compose(rng, n_groups, _RESTART_DENOMINATOR)
+            q_proj = projector.project([v * q0_up for v in raw], b)
+            # Largest step tn / td <= 1 from q_true towards q_proj that stays
+            # nonnegative; a nonnegative projection is taken whole.
+            tn = td = 1
+            for qt, qp in zip(q_true, q_proj):
+                if qp < qt and qt * td < tn * (qt - qp):
+                    tn, td = qt, qt - qp
+            # The objective is linear along the step.
+            proj_min = sum(map(mul, q_proj, merged.min_costs))
+            proj_max = sum(map(mul, q_proj, merged.max_costs))
+            vmin = Fraction(true_min * td + tn * (proj_min - true_min), q_scale * td)
+            vmax = Fraction(true_max * td + tn * (proj_max - true_max), q_scale * td)
             best_min = vmin if best_min is None else min(best_min, vmin)
             best_max = vmax if best_max is None else max(best_max, vmax)
         if best_min < res.lower or best_max > res.upper:
@@ -521,7 +527,6 @@ def check_tightness(
         n_inner_violations=n_inner,
         worst_lower_gap=worst_lower_gap,
         worst_upper_gap=worst_upper_gap,
-        improvement_monotone=True,  # running extrema are monotone by construction
         failures=tuple(failures),
     )
 
@@ -582,19 +587,21 @@ def _with_extra(base: Scenario, variant: str, label: str = "m") -> Scenario:
 
 def _scrambled_rhs(
     system: ConstraintSystem,
-    b: list[Fraction],
+    b: list[int],
     label: str,
     rng: np.random.Generator,
-) -> list[Fraction]:
-    """Redistribute the z-dependent level's outcome mass within each stratum."""
-    out = list(b)
+) -> list[int]:
+    """Redistribute the z-dependent level's outcome mass within each stratum.
+
+    Takes and returns integers; the result is over 720 times b's scale.
+    """
+    out = [v * 720 for v in b]
     idx = {key: i for i, key in enumerate(system.row_keys)}
     for z in system.scenario.instrument_levels:
         i0, i1 = idx[(z, label, 0)], idx[(z, label, 1)]
-        total = out[i0] + out[i1]
-        share = Fraction(int(rng.integers(0, 721)), 720)
-        out[i1] = share * total
-        out[i0] = total - out[i1]
+        total = b[i0] + b[i1]
+        out[i1] = int(rng.integers(0, 721)) * total
+        out[i0] = 720 * total - out[i1]
     return out
 
 
@@ -664,10 +671,9 @@ def check_equivalences(trials: int, seed: int) -> EquivalenceReport:
             # (a) weakest-scenario sample: scramble invariance + closed form.
             parts = _sample_parts(rng, ill_sys, SIMPLEX_DENOMINATOR, point_mass=False)
             acc = _push_forward(ill_sys, parts)
-            b = _rhs_from_acc(ill_sys, acc, SIMPLEX_DENOMINATOR)
-            res = ill_solver.solve_b(b)
-            b_scr = _scrambled_rhs(ill_sys, b, extra_label, rng)
-            res_scr = ill_solver.solve_b(b_scr)
+            res = ill_solver.solve_b(acc, scale=SIMPLEX_DENOMINATOR)
+            b_scr = _scrambled_rhs(ill_sys, acc, extra_label, rng)
+            res_scr = ill_solver.solve_b(b_scr, scale=SIMPLEX_DENOMINATOR * 720)
             if (res.lower, res.upper) != (res_scr.lower, res_scr.upper):
                 n_mismatch += 1
                 fail(trial=t, kind="scramble", plain=(res.lower, res.upper),
@@ -689,20 +695,10 @@ def check_equivalences(trials: int, seed: int) -> EquivalenceReport:
             # (b) without-extra-level sample, zero-padded.
             parts2 = _sample_parts(rng, base_sys, SIMPLEX_DENOMINATOR, point_mass=False)
             acc2 = _push_forward(base_sys, parts2)
-            b2 = _rhs_from_acc(base_sys, acc2, SIMPLEX_DENOMINATOR)
-            res2 = base_solver.solve_b(b2)
-            probs2 = {
-                key: Fraction(acc2[i], SIMPLEX_DENOMINATOR)
-                for i, key in enumerate(base_sys.row_keys)
-                if key != "normalization"
-            }
-            b_pad = [
-                Fraction(1)
-                if key == "normalization"
-                else probs2.get(key, Fraction(0))
-                for key in ill_sys.row_keys
-            ]
-            res_pad = ill_solver.solve_b(b_pad)
+            res2 = base_solver.solve_b(acc2, scale=SIMPLEX_DENOMINATOR)
+            acc2_of = dict(zip(base_sys.row_keys, acc2))
+            b_pad = [acc2_of.get(key, 0) for key in ill_sys.row_keys]
+            res_pad = ill_solver.solve_b(b_pad, scale=SIMPLEX_DENOMINATOR)
             if (res2.lower, res2.upper) != (res_pad.lower, res_pad.upper):
                 n_mismatch += 1
                 fail(trial=t, kind="zero-pad", base=(res2.lower, res2.upper),

@@ -25,6 +25,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .data import Estimand, InputError, ObservedDistribution, Scenario
+from .exactlp import independent_rows
 from .response import ConstraintSystem
 
 __all__ = [
@@ -144,40 +145,12 @@ def _primitive(vec: list[Fraction] | list[int]) -> tuple[int, ...]:
 def _extreme_rays(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Extreme rays of the pointed cone {v : row . v <= 0 for all rows}."""
     dim = len(rows[0])
-    # Select dim linearly independent rows for the simplicial start cone.
-    basis_idx: list[int] = []
-    rref: list[list[Fraction]] = []
-    for i, row in enumerate(rows):
-        vec = [Fraction(v) for v in row]
-        for r in rref:
-            lead = next(k for k, v in enumerate(r) if v != 0)
-            if vec[lead]:
-                f = vec[lead] / r[lead]
-                vec = [a - f * b for a, b in zip(vec, r)]
-        if any(v != 0 for v in vec):
-            rref.append(vec)
-            basis_idx.append(i)
-            if len(basis_idx) == dim:
-                break
+    # The first dim independent rows span a simplicial start cone whose rays
+    # are the negated columns of their inverse X / d (d > 0).
+    basis_idx, X, _ = independent_rows(rows)
     if len(basis_idx) < dim:
         raise InputError("dual cone is not pointed; cannot enumerate vertices")
-
-    # Invert the basis matrix exactly; initial rays are its negated inverse columns.
-    mat = [[Fraction(rows[i][k]) for k in range(dim)] for i in basis_idx]
-    inv = [[Fraction(1 if i == j else 0) for j in range(dim)] for i in range(dim)]
-    for col in range(dim):
-        piv = next(r for r in range(col, dim) if mat[r][col] != 0)
-        mat[col], mat[piv] = mat[piv], mat[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        f = mat[col][col]
-        mat[col] = [v / f for v in mat[col]]
-        inv[col] = [v / f for v in inv[col]]
-        for r in range(dim):
-            if r != col and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
-                inv[r] = [a - f * b for a, b in zip(inv[r], inv[col])]
-    rays = [_primitive([-inv[r][k] for r in range(dim)]) for k in range(dim)]
+    rays = [_primitive([-X[r][k] for r in range(dim)]) for k in range(dim)]
 
     def dot(row: tuple[int, ...], ray: tuple[int, ...]) -> int:
         return sum(a * b for a, b in zip(row, ray))

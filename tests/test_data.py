@@ -355,6 +355,32 @@ def test_loaders_reject_mistyped_scalars(loader, doc):
         loader(io.StringIO(doc))
 
 
+_INTERVALS = (
+    "schema: coarseiv/coarsening/1\nkind: interval\nentries:\n"
+    "  - {label: a, upper: 1}\n  - {label: b, lower: 1}\n"
+)
+
+
+@pytest.mark.parametrize(
+    "load",
+    [
+        lambda: load_coarsening(io.StringIO(_INTERVALS)).apply(float("nan")),
+        lambda: load_summary(io.StringIO(
+            "schema: coarseiv/summary/1\ninstrument_levels: [a, a]\n"
+            "exposure_levels: [x]\ncounts:\n  - {z: a, x: x, y: 0, n: 2}\n"
+        )),
+        lambda: load_coarsening(io.StringIO(_INTERVALS.replace("upper: 1}", "upper: true}"))),
+        lambda: load_coarsening(io.StringIO(
+            "schema: coarseiv/coarsening/1\nkind: label\nentries: null\n"
+        )),
+    ],
+    ids=["nan-exposure", "repeated-instrument-level", "boolean-interval-bound", "null-entries"],
+)
+def test_loaders_reject_silent_coercions(load):
+    with pytest.raises(InputError):
+        load()
+
+
 def test_load_coarsening_label_kind():
     doc = """
 schema: coarseiv/coarsening/1

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarseiv.exactlp import ExactSimplex, Infeasible, integer_rhs, verify_farkas
+from coarseiv.exactlp import (
+    ExactSimplex,
+    Infeasible,
+    independent_rows,
+    integer_rhs,
+    verify_farkas,
+)
 
 
 def _transport_lp():
@@ -332,3 +338,55 @@ def test_resolve_costs_after_cached_resolves():
         assert warm.value == ExactSimplex(
             system.n_rows, columns, upper_costs
         ).solve(b, scale=scale).value
+
+
+def test_resolve_costs_after_infeasible_resolve_b_raises():
+    lp = ExactSimplex(2, [((0, 1), (1, 1))], [0])
+    lp.solve([2, 2], scale=1)
+    with pytest.raises(Infeasible):
+        lp.resolve_b([1, 2], scale=1)
+    with pytest.raises(Infeasible):
+        lp.resolve_costs([0])
+    # A feasible b clears the state; the cached basis answers it unpivoted.
+    again = lp.resolve_b([3, 3], scale=1)
+    assert again.pivots == 0
+    assert lp.resolve_costs([1]).value == 3
+
+
+def _fraction_rank(rows):
+    a = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        for i in range(len(a)):
+            if i != rank and a[i][c]:
+                f = a[i][c] / a[rank][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=1, max_size=6
+        )
+    )
+)
+def test_independent_rows_greedy_and_right_inverse(rows):
+    kept, X, d = independent_rows(rows)
+    greedy: list[int] = []
+    for i in range(len(rows)):
+        if _fraction_rank([rows[j] for j in greedy + [i]]) > len(greedy):
+            greedy.append(i)
+    assert kept == greedy
+    assert d > 0
+    n = len(rows[0])
+    for a, i in enumerate(kept):
+        for b in range(len(kept)):
+            assert sum(rows[i][k] * X[k][b] for k in range(n)) == (d if a == b else 0)
+

@@ -6,10 +6,16 @@ import pytest
 
 from coarseiv.bounds import numeric_bounds
 from coarseiv.data import Estimand, ExposureLevel, InputError, Scenario
-from coarseiv.datasets import peanut_risk_scenario, peanut_scenario
+from coarseiv.datasets import (
+    homocysteine_scenario,
+    peanut_distribution,
+    peanut_risk_scenario,
+    peanut_scenario,
+)
 from coarseiv.oracle import (
     SIMPLEX_DENOMINATOR,
     _certificate_ok,
+    _dual_ok,
     check_equivalences,
     check_tightness,
     check_validity,
@@ -101,18 +107,46 @@ def test_certificate_checker_rejects_tampering():
     dist = peanut_distribution()
     res = numeric_bounds(system, dist)
     b = system.rhs(dist)
-    assert _certificate_ok(system, res.lower_certificate, b, res.lower)
-    assert _certificate_ok(system, res.upper_certificate, b, res.upper)
+    assert _certificate_ok(system, res.lower_certificate, b, res.lower, 1)
+    assert _certificate_ok(system, res.upper_certificate, b, res.upper, 1)
     assert not _certificate_ok(
-        system, res.lower_certificate, b, res.lower + Fraction(1, 1000)
+        system, res.lower_certificate, b, res.lower + Fraction(1, 1000), 1
     )
     j0 = next(iter(res.lower_certificate))
     tampered = dict(res.lower_certificate)
     tampered[j0] = tampered[j0] + Fraction(1, 1000)
-    assert not _certificate_ok(system, tampered, b, res.lower)
+    assert not _certificate_ok(system, tampered, b, res.lower, 1)
     negative = dict(res.lower_certificate)
     negative[j0] = -negative[j0]
-    assert not _certificate_ok(system, negative, b, res.lower)
+    assert not _certificate_ok(system, negative, b, res.lower, 1)
+
+
+def test_check_tightness_report_is_pinned():
+    # Locks the restart RNG stream and the exact search arithmetic.
+    report = check_tightness(homocysteine_scenario(3), trials=8, seed=1)
+    assert report.passed
+    assert report.restarts == 24
+    assert report.worst_lower_gap == Fraction(38628407, 105526800)
+    assert report.worst_upper_gap == Fraction(74974451, 191790000)
+
+
+def test_dual_checker_rejects_tampering():
+    scn = peanut_scenario("clean")
+    system = build_constraint_system(scn)
+    res = numeric_bounds(system, peanut_distribution())
+    b = system.rhs(peanut_distribution())
+    (lo, _), (hi, _) = res.lp_optima
+    assert _dual_ok(system, lo.dual, b, 1, 1, res.lower)
+    assert _dual_ok(system, hi.dual, b, 1, -1, res.upper)
+    assert not _dual_ok(system, lo.dual, b, 1, 1, res.lower + Fraction(1, 1000))
+    # The other side's dual prices b at -upper, not at the lower bound.
+    assert not _dual_ok(system, hi.dual, b, 1, 1, res.lower)
+    # Shifting the normalization price by 1 moves y.b to lower + 1 but
+    # lowers every reduced cost by 1, so the basic columns go negative.
+    norm = system.row_keys.index("normalization")
+    shifted = list(lo.dual)
+    shifted[norm] += 1
+    assert not _dual_ok(system, shifted, b, 1, 1, res.lower + 1)
 
 
 # -- equivalence families ------------------------------------------------------------

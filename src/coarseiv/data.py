@@ -66,13 +66,14 @@ def load_records(source: str | io.TextIOBase, instrument_levels: Sequence[str] |
     given, every z must belong to it.
     """
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return load_records(fh, instrument_levels)
-    reader = csv.reader(source)
+        return load_records(_read_text(source), instrument_levels)
     try:
-        header = next(reader)
-    except StopIteration:
-        raise InputError("empty record file: header required") from None
+        rows = list(csv.reader(source))
+    except csv.Error as exc:
+        raise InputError(f"malformed record file: {exc}") from exc
+    if not rows:
+        raise InputError("empty record file: header required")
+    header = rows[0]
     cols = [h.strip().lower() for h in header]
     for required in ("z", "x_star", "y"):
         if required not in cols:
@@ -80,7 +81,7 @@ def load_records(source: str | io.TextIOBase, instrument_levels: Sequence[str] |
     iz, ix, iy = cols.index("z"), cols.index("x_star"), cols.index("y")
     allowed = set(instrument_levels) if instrument_levels is not None else None
     records: list[RawRecord] = []
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(rows[1:], start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) <= max(iz, ix, iy):
@@ -441,10 +442,20 @@ def validate(scenario: Scenario, dist: ObservedDistribution) -> tuple[Scenario, 
 # -- structured document loaders -----------------------------------------------
 
 
+def _read_text(path: str) -> io.StringIO:
+    """The file's UTF-8 text, line endings untouched."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return io.StringIO(fh.read(), newline="")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def _load_yaml(source: str | io.TextIOBase, expected_schema: str) -> dict:
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            return _load_yaml(fh, expected_schema)
+        return _load_yaml(_read_text(source), expected_schema)
     try:
         doc = yaml.safe_load(source)
     except yaml.YAMLError as exc:
@@ -482,7 +493,7 @@ def _bound_field(row: dict, key: str) -> float | None:
         return None
     try:
         bound = None if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         bound = None
     if bound is None or math.isnan(bound):
         raise InputError(f"row {row!r}: {key!r} must be a number, got {value!r}")
@@ -549,8 +560,10 @@ def load_scenario(source: str | io.TextIOBase) -> Scenario:
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed level row {row!r}: {exc}") from exc
     estimand = None
-    if "estimand" in doc and doc["estimand"] is not None:
-        erow = doc["estimand"]
+    erow = doc.get("estimand")
+    if erow is not None:
+        if not isinstance(erow, dict):
+            raise InputError(f"scenario field 'estimand' must be a mapping, got {erow!r}")
         try:
             estimand = Estimand(
                 kind=str(erow["kind"]),

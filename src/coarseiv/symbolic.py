@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .data import Estimand, InputError, ObservedDistribution, Scenario
 from .exactlp import independent_rows
@@ -128,82 +128,69 @@ def term_sets_equal(a: SymbolicBoundSet, b: SymbolicBoundSet) -> bool:
 # -- double description over the homogenized dual cone --------------------------
 
 
-def _primitive(vec: list[Fraction] | list[int]) -> tuple[int, ...]:
-    fracs = [Fraction(v) for v in vec]
-    denom = 1
-    for v in fracs:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+def _primitive(vec: list[int]) -> tuple[int, ...]:
+    g = gcd(*vec)
     if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
+        return tuple(v // g for v in vec)
+    return tuple(vec)
 
 
 def _extreme_rays(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Extreme rays of the pointed cone {v : row . v <= 0 for all rows}."""
+    """Extreme rays of the pointed cone {v : row . v <= 0 for all rows}.
+
+    Double description (Fukuda & Prodon 1996): rows are inserted one at a
+    time into a simplicial start cone.  Each ray carries a bit mask of the
+    inserted rows it satisfies with equality (bit p for the p-th inserted row).
+    """
     dim = len(rows[0])
     # The first dim independent rows span a simplicial start cone whose rays
-    # are the negated columns of their inverse X / d (d > 0).
+    # are the negated columns of their inverse X / d (d > 0): ray k is tight on
+    # every start row but the k-th.
     basis_idx, X, _ = independent_rows(rows)
     if len(basis_idx) < dim:
         raise InputError("dual cone is not pointed; cannot enumerate vertices")
     rays = [_primitive([-X[r][k] for r in range(dim)]) for k in range(dim)]
+    full = (1 << dim) - 1
+    masks = [full ^ (1 << k) for k in range(dim)]
+    # Adjacent extreme rays of a pointed cone share at least dim - 2 tight rows.
+    min_meet = dim - 2
 
-    def dot(row: tuple[int, ...], ray: tuple[int, ...]) -> int:
-        return sum(a * b for a, b in zip(row, ray))
-
-    processed: list[int] = list(basis_idx)
-    masks: list[int] = []
-    for ray in rays:
-        m = 0
-        for pos, ridx in enumerate(processed):
-            if dot(rows[ridx], ray) == 0:
-                m |= 1 << pos
-        masks.append(m)
-
+    in_basis = set(basis_idx)
+    bit = 1 << dim
     for i, row in enumerate(rows):
-        if i in basis_idx:
+        if i in in_basis:
             continue
-        vals = [dot(row, ray) for ray in rays]
-        keep = [k for k, s in enumerate(vals) if s <= 0]
-        pos_idx = [k for k, s in enumerate(vals) if s > 0]
-        neg_idx = [k for k, s in enumerate(vals) if s < 0]
+        sparse = [(j, a) for j, a in enumerate(row) if a]
+        vals = [sum(a * ray[j] for j, a in sparse) for ray in rays]
+        neg = [(kn, masks[kn]) for kn, s in enumerate(vals) if s < 0]
         new_rays: list[tuple[int, ...]] = []
-        if pos_idx:
-            for kp in pos_idx:
-                for kn in neg_idx:
-                    meet = masks[kp] & masks[kn]
-                    adjacent = True
-                    for ko in range(len(rays)):
-                        if ko in (kp, kn):
-                            continue
-                        if (meet & ~masks[ko]) == 0:
-                            adjacent = False
+        new_masks: list[int] = []
+        for kp in [k for k, s in enumerate(vals) if s > 0]:
+            vp, rp, mp = vals[kp], rays[kp], masks[kp]
+            for kn, mn in neg:
+                meet = mp & mn
+                if meet.bit_count() < min_meet:
+                    continue
+                # Combinatorial test: kp and kn are adjacent iff no third ray
+                # is tight on every row that both are tight on.
+                count = 0
+                for m in masks:
+                    if m & meet == meet:
+                        count += 1
+                        if count > 2:
                             break
-                    if adjacent:
-                        combo = [
-                            vals[kp] * rn - vals[kn] * rp
-                            for rp, rn in zip(rays[kp], rays[kn])
-                        ]
-                        new_rays.append(_primitive(combo))
-        bit = 1 << len(processed)
-        surviving = [rays[k] for k in keep]
-        surviving_masks = [
-            masks[k] | (bit if vals[k] == 0 else 0) for k in keep
-        ]
-        processed.append(i)
-        for ray in new_rays:
-            m = 0
-            for pos, ridx in enumerate(processed):
-                if dot(rows[ridx], ray) == 0:
-                    m |= 1 << pos
-            surviving.append(ray)
-            surviving_masks.append(m)
-        rays = surviving
-        masks = surviving_masks
+                if count > 2:
+                    continue
+                vn = vals[kn]
+                new_rays.append(_primitive([vp * b - vn * a for a, b in zip(rp, rays[kn])]))
+                # On an inserted row h, h.new = vp (h.r-) + |vn| (h.r+) with both
+                # terms <= 0, so it is 0 iff both are: the new ray is tight where
+                # both parents are, and on the row just added.
+                new_masks.append(meet | bit)
+        keep = [k for k, s in enumerate(vals) if s <= 0]
+        rays = [rays[k] for k in keep] + new_rays
+        masks = [masks[k] | (bit if vals[k] == 0 else 0) for k in keep] + new_masks
+        bit <<= 1
     return rays
 
 
@@ -220,7 +207,7 @@ def derive_symbolic(
     the pinned polyhedron are returned as feasibility facts rather than bound
     terms.
     """
-    from .bounds import CapExceeded  # local import to avoid a cycle
+    from .bounds import CapExceeded, merge_columns  # local import to avoid a cycle
 
     if system.n_variables > max_variables:
         raise CapExceeded(
@@ -238,20 +225,17 @@ def derive_symbolic(
     dim = len(coord_keys) + 1  # + homogenization coordinate t
     t_idx = len(coord_keys)
 
-    # Merge identical columns; the dual constraint for a group is the extreme
-    # cost over its members (min for the lower direction, max for the upper).
-    groups: dict[tuple, list[int]] = {}
-    for j, col in enumerate(system.columns):
-        groups.setdefault(col, []).append(j)
+    # One dual constraint per group of identical columns, at the group's
+    # extreme cost (min for the lower direction, max for the upper).
+    merged = merge_columns(system)
 
     universe: list[Cell] = [key for key in system.row_keys if key != "normalization"]
 
     def run(direction: str) -> tuple[list[Term], list[Term]]:
         rows: list[tuple[int, ...]] = []
         sign = 1 if direction == "lower" else -1
-        for col, members in groups.items():
-            costs = [system.objective[j] for j in members]
-            c = min(costs) if direction == "lower" else max(costs)
+        costs = merged.min_costs if direction == "lower" else merged.max_costs
+        for col, c in zip(merged.columns, costs):
             row = [0] * dim
             for r, coef in col:
                 key = system.row_keys[r]

@@ -1,5 +1,6 @@
 """Command-line interface: output schema, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -324,6 +325,23 @@ def test_derive_text_latex_json(capsys):
     lower = doc["results"]["lower"]["terms"]
     assert len(lower) == 10
     assert {"constant", "cells", "rendered"} <= set(lower[0])
+
+
+# SHA-256 of `derive --preset P --format json` stdout: the enumeration may get
+# faster, but the terms, facts and their order must not change.
+DERIVE_JSON_SHA256 = {
+    "homocysteine-3": "3a7b8c2cc9f4b5352fa614132029b920659a5ee22368a20d1e4b2d5a18202248",
+    "homocysteine-4": "f82cd582303dc1fb2f3bb2005b87e4063b08331416362dc785b6e9c4c6647be7",
+    "peanut-ternary": "8246dba76143fa1e0707e2cc74b696d2cfb267b82a464d67728ec068619aea0c",
+    "peanut-risk": "27df78a955be6cb85307a919bd06ece34119a7684263d1db5a40d3ad71e55284",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(DERIVE_JSON_SHA256))
+def test_derive_json_is_byte_identical(capsys, preset):
+    code, out, err = run_cli(capsys, "derive", "--preset", preset, "--format", "json")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == DERIVE_JSON_SHA256[preset]
 
 
 # -- verify ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Data layer: records, coarsening maps, distributions, scenarios, loaders."""
 
+import csv
 import io
+import math
 from fractions import Fraction
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -339,6 +342,10 @@ _ROWS = "  - {z: z1, x: x, y: 0, n: 2}\n"
         (load_scenario, _SCENARIO_HEAD + "levels:\n  - {label: x}\n  - {label: m, z_dependent: 'false'}\n"),
         (load_scenario, _SCENARIO_HEAD + "levels: null\n"),
         (load_coarsening, "schema: coarseiv/coarsening/1\nkind: interval\nentries:\n  - {label: a, upper: 1, upper_closed: 'false'}\n  - {label: b, lower: 1, lower_closed: false}\n"),
+        (load_coarsening, "schema: coarseiv/coarsening/1\nkind: interval\nentries:\n  - {label: a, upper: 1" + "0" * 400 + "}\n"),
+        (load_scenario, _SCENARIO_HEAD + "levels:\n  - {label: x}\nestimand: []\n"),
+        (load_scenario, _SCENARIO_HEAD + "levels:\n  - {label: x}\nestimand: true\n"),
+        (load_records, "z,x_star,y\nz0,a\rb,1\n"),
     ],
     ids=[
         "float-y",
@@ -348,6 +355,10 @@ _ROWS = "  - {z: z1, x: x, y: 0, n: 2}\n"
         "string-z-dependent",
         "null-levels",
         "string-upper-closed",
+        "huge-interval-bound",
+        "list-estimand",
+        "boolean-estimand",
+        "carriage-return-in-unquoted-field",
     ],
 )
 def test_loaders_reject_mistyped_scalars(loader, doc):
@@ -404,3 +415,147 @@ entries:
     cmap = load_coarsening(io.StringIO(doc))
     assert cmap.apply(1.0) == "low"
     assert cmap.apply(2.0) == "high"
+
+
+# -- fuzzing: every document loads or raises InputError ------------------------------
+
+_SCALARS = (
+    st.sampled_from([None, True, False, 0, 1, -1, 2**63, 10**400, -(10**400), math.nan, -math.inf])
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=6)
+)
+_VALUES = _SCALARS | st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4) | _SCALARS, inner, max_size=3),
+    max_leaves=8,
+)
+
+_VALID_DOCS = {
+    "summary": [
+        {
+            "schema": "coarseiv/summary/1",
+            "instrument_levels": ["z0", "z1"],
+            "exposure_levels": ["x", "m"],
+            "counts": [{"z": "z0", "x": "x", "y": 1, "n": 3}, {"z": "z1", "x": "m", "y": 0, "n": 2}],
+        }
+    ],
+    "scenario": [
+        {
+            "schema": "coarseiv/scenario/1",
+            "instrument_levels": ["z0", "z1"],
+            "levels": [{"label": "x"}, {"label": "m", "well_defining": False, "z_dependent": True}],
+            "estimand": {"kind": "counterfactual_risk", "x": "x"},
+        },
+        {
+            "schema": "coarseiv/scenario/1",
+            "instrument_levels": ["z0", "z1"],
+            "levels": [{"label": "x"}, {"label": "xp", "z_dependent": False}],
+            "estimand": {"kind": "risk_difference", "x": "x", "x_prime": "xp"},
+        },
+    ],
+    "coarsening": [
+        {
+            "schema": "coarseiv/coarsening/1",
+            "kind": "interval",
+            "entries": [
+                {"label": "a", "upper": 1.0},
+                {"label": "b", "lower": 1.0, "upper": 2, "upper_closed": True},
+                {"label": "c", "lower": 2, "lower_closed": False},
+            ],
+        },
+        {
+            "schema": "coarseiv/coarsening/1",
+            "kind": "label",
+            "entries": [{"from": "a", "to": "x"}, {"from": 2, "to": "x"}],
+        },
+    ],
+}
+
+
+_DELETE = object()
+
+
+def _paths(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _replace(node, path, value):
+    if not path:
+        return value
+    out = dict(node) if isinstance(node, dict) else list(node)
+    if len(path) == 1 and value is _DELETE:
+        del out[path[0]]
+    else:
+        out[path[0]] = _replace(node[path[0]], path[1:], value)
+    return out
+
+
+@st.composite
+def _documents(draw, kind):
+    """A valid document with up to three sub-values (or the whole document)
+    replaced by random values or removed."""
+    doc = draw(st.sampled_from(_VALID_DOCS[kind]))
+    for _ in range(draw(st.integers(0, 3))):
+        # Deepest paths first: Hypothesis favours the first choices, and
+        # single-field edits reach the loaders' per-row checks.
+        path = draw(st.sampled_from(sorted(_paths(doc), key=len, reverse=True)))
+        value = _DELETE if path and draw(st.integers(0, 4)) == 0 else draw(_VALUES)
+        doc = _replace(doc, path, value)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "kind, loader",
+    [("summary", load_summary), ("scenario", load_scenario), ("coarsening", load_coarsening)],
+)
+def test_yaml_loaders_load_or_raise_input_error(kind, loader):
+    @settings(max_examples=1000, deadline=None)
+    @given(doc=_documents(kind))
+    def check(doc):
+        try:
+            loader(io.StringIO(yaml.safe_dump(doc, allow_unicode=True)))
+        except InputError:
+            pass
+
+    check()
+
+
+_CELLS = st.sampled_from(["z", "x_star", "y", "0", "1", "nan", "-inf", "1e999", "", "a\rb"]) | st.text(
+    max_size=5
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(st.lists(_CELLS, max_size=4), max_size=5),
+    levels=st.none() | st.lists(st.text(max_size=3), max_size=3),
+    quoted=st.booleans(),
+)
+def test_load_records_loads_or_raises_input_error(rows, levels, quoted):
+    if quoted:
+        buf = io.StringIO()
+        csv.writer(buf).writerows(rows)
+        text = buf.getvalue()
+    else:
+        text = "\n".join(",".join(row) for row in rows)
+    try:
+        load_records(io.StringIO(text), levels)
+    except InputError:
+        pass
+
+
+@pytest.mark.parametrize(
+    "load", [load_records, load_summary, load_scenario, load_coarsening]
+)
+def test_unreadable_files_raise_input_error(tmp_path, load):
+    with pytest.raises(InputError, match="cannot read"):
+        load(str(tmp_path / "missing.yaml"))
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes("schema: caf\xe9\n".encode("latin-1"))
+    with pytest.raises(InputError, match="not UTF-8"):
+        load(str(path))

@@ -1,9 +1,12 @@
 """Symbolic derivation: dual-vertex enumeration vs transcribed closed forms."""
 
+import itertools
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coarseiv.bounds import (
@@ -18,6 +21,7 @@ from coarseiv.oracle import sample_scm
 from coarseiv.response import build_constraint_system
 from coarseiv.symbolic import (
     SymbolicBoundSet,
+    _extreme_rays,
     derive_symbolic,
     format_bound_set,
     format_term,
@@ -169,6 +173,55 @@ def test_derived_sets_evaluate_to_the_lp_optimum(seed):
     res = numeric_bounds(system, scm.dist)
     assert lower.evaluate(scm.dist) == res.lower
     assert upper.evaluate(scm.dist) == res.upper
+
+
+# -- double description against brute force ------------------------------------------
+
+
+def _det(m):
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j in range(len(m))
+        if m[0][j]
+    )
+
+
+def _brute_force_rays(rows, dim):
+    """Every primitive kernel vector of a rank dim-1 row subset, either sign,
+    that satisfies all rows."""
+    rays = set()
+    for subset in itertools.combinations(rows, dim - 1):
+        kernel = [(-1) ** j * _det([r[:j] + r[j + 1:] for r in subset]) for j in range(dim)]
+        g = math.gcd(*kernel)
+        if g == 0:
+            continue  # rank < dim - 1
+        for sign in (1, -1):
+            ray = tuple(sign * v // g for v in kernel)
+            if all(sum(a * b for a, b in zip(row, ray)) <= 0 for row in rows):
+                rays.add(ray)
+    return rays
+
+
+@st.composite
+def _pointed_cones(draw):
+    dim = draw(st.integers(3, 4))
+    entries = st.tuples(*[st.integers(-2, 2)] * dim)
+    rows = draw(st.lists(entries, min_size=4, max_size=7))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=2))  # duplicated rows
+    rows = draw(st.permutations(rows))
+    assume(np.linalg.matrix_rank(np.array(rows)) == dim)
+    return rows, dim
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pointed_cones())
+def test_extreme_rays_match_brute_force(cone):
+    rows, dim = cone
+    rays = _extreme_rays(rows)
+    assert len(set(rays)) == len(rays)
+    assert set(rays) == _brute_force_rays(rows, dim)
 
 
 # -- rendering -----------------------------------------------------------------------

@@ -263,7 +263,9 @@ class BoundsSolver:
                 "distribution and are not bounds for the raw data."
             )
             lo = self._lo.resolve_b(b, scale)
-        hi = self._hi.resolve_b(b, scale)
+        # A cold upper solve starts from the phase-1 basis the lower side has
+        # just found for this b: phase 1 ignores the costs.
+        hi = self._hi.resolve_b(b, scale, start=self._lo.phase1)
         lower, upper = lo.value, -hi.value
         if lower > upper:
             raise AssertionError("LP returned crossed bounds")

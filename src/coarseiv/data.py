@@ -457,8 +457,10 @@ def _load_yaml(source: str | io.TextIOBase, expected_schema: str) -> dict:
     if isinstance(source, str):
         return _load_yaml(_read_text(source), expected_schema)
     try:
-        doc = yaml.safe_load(source)
-    except yaml.YAMLError as exc:
+        doc = yaml.load(source, Loader=yaml.CSafeLoader)
+    # SafeConstructor lets malformed tagged scalars (`!!int x`, `!!bool x`,
+    # `!!timestamp x`) escape as ValueError, LookupError or AttributeError.
+    except (yaml.YAMLError, ValueError, LookupError, AttributeError) as exc:
         raise InputError(f"invalid document: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError("document must be a mapping")

@@ -15,8 +15,9 @@ Warm restarts are first-class.  `resolve_b` handles a change of b only
 first one that is primal feasible for the new b (M.b~ >= 0, inert rows at
 zero): the costs have not changed since it was optimal, so it is still dual
 feasible and hence optimal.  Only when no cached basis fits does it run the
-dual simplex from the current basis.  `resolve_costs` restarts the primal
-when only c changes (lower/upper bound pairs share a basis).
+dual simplex from the current basis.  Phase 1 ignores c, so a cold solve
+keeps its post-phase-1 basis (`phase1`) and a solver with other costs over
+the same columns can start phase 2 from it (lower/upper bound pairs).
 
 An `LpOutcome` carries the optimal value as one Fraction; the primal solution
 and the dual vector are built from the optimal basis on first access.
@@ -232,55 +233,54 @@ class ExactSimplex:
         self._pivots = 0
         self._inert: tuple[int, ...] = ()  # rows of inert artificials
         self._cache: list[_Vertex] = []  # optimal bases, most recently used first
-        self._infeasible: Infeasible | None = None  # set while b~ has no solution
+        self.phase1: _Vertex | None = None  # feasible basis of the last cold solve
 
     # -- public API ----------------------------------------------------------
 
-    def solve(self, b: Sequence, scale: int | None = None) -> LpOutcome:
-        """Cold solve: phase 1 from the all-artificial basis, then phase 2."""
+    def solve(
+        self, b: Sequence, scale: int | None = None, start: _Vertex | None = None
+    ) -> LpOutcome:
+        """Cold solve: phase 1 from the all-artificial basis, then phase 2.
+
+        `start`, the `phase1` basis of a solver over the same columns and this
+        b, replaces phase 1; a start not primal feasible for b is an error.
+        """
         self._load_b(b, scale)
-        m = self.m
         self._cache.clear()
-        self._basis = [self.n + i for i in range(m)]
-        self._M = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-        self._d = 1
-        self._xt = list(self._btilde)
         self._pivots = 0
-        self._run_phase1()
-        self._inert = tuple(i for i, var in enumerate(self._basis) if var >= self.n)
+        if start is None:
+            m = self.m
+            self._basis = [self.n + i for i in range(m)]
+            self._M = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+            self._d, self._xt = 1, list(self._btilde)
+            self._run_phase1()
+            start = _Vertex(tuple(self._basis), self._M, self._d)
+        self._inert = tuple(i for i, var in enumerate(start.basis) if var >= self.n)
+        if self._feasible_vertex([start]) is None:
+            raise RuntimeError("start basis is not primal feasible for b")
+        self.phase1 = start
+        self._thaw()
         self._primal_loop(self.costs)
         return self._remember()
 
-    def resolve_b(self, b: Sequence, scale: int | None = None) -> LpOutcome:
-        """Warm solve after a change of b only: a cached basis, else dual simplex."""
+    def resolve_b(
+        self, b: Sequence, scale: int | None = None, start: _Vertex | None = None
+    ) -> LpOutcome:
+        """Warm solve after a change of b only: a cached basis, else dual simplex.
+
+        With no optimal basis yet this is `solve(b, scale, start)`.
+        """
         if not self._cache:
-            return self.solve(b, scale)
+            return self.solve(b, scale, start)
         self._load_b(b, scale)
         self._pivots = 0
-        vx = self._cached_vertex()
+        vx = self._feasible_vertex(self._cache)
         if vx is not None:
             return self._outcome(vx)
         self._thaw()
         self._xt = self._mat_vec(self._btilde)
         self._run_dual(self.costs)
         self._check_inert_rows()
-        return self._remember()
-
-    def resolve_costs(self, costs: Sequence[int]) -> LpOutcome:
-        """Warm solve after a change of c only, restarting the primal.
-
-        Raises `Infeasible` again if the last b given was infeasible.
-        """
-        if self._infeasible is not None:
-            exc = self._infeasible
-            raise Infeasible(exc.farkas, exc.violation)
-        if not self._cache:
-            raise RuntimeError("no optimal basis yet; call solve() first")
-        self.costs = [int(c) for c in costs]
-        self._cache.clear()
-        self._pivots = 0
-        self._thaw()
-        self._primal_loop(self.costs)
         return self._remember()
 
     # -- internals -----------------------------------------------------------
@@ -297,10 +297,12 @@ class ExactSimplex:
         self._btilde = list(b)
         self._N = scale
 
-    def _cached_vertex(self) -> _Vertex | None:
-        # First cached basis with M.b~ >= 0 and every inert row at zero.
-        bt, inert, cache = self._btilde, self._inert, self._cache
-        for k, vx in enumerate(cache):
+    def _feasible_vertex(self, vertices: list[_Vertex]) -> _Vertex | None:
+        # Make the first basis in `vertices` that is primal feasible for b~
+        # (M.b~ >= 0, every inert row at zero) current, and move it to the
+        # front.  Each basis's last failing row is tested first.
+        bt, inert = self._btilde, self._inert
+        for k, vx in enumerate(vertices):
             rows = vx.M
             fail = vx.fail
             level = sum(map(mul, rows[fail], bt))
@@ -315,7 +317,7 @@ class ExactSimplex:
                 xt.append(level)
             else:
                 if k:
-                    cache.insert(0, cache.pop(k))
+                    vertices.insert(0, vertices.pop(k))
                 self._basis, self._M, self._d, self._xt = vx.basis, rows, vx.d, xt
                 return vx
         return None
@@ -333,13 +335,7 @@ class ExactSimplex:
         self._M = [row[:] for row in self._M]
         self._xt = list(self._xt)
 
-    def _reject(self, farkas: tuple[Fraction, ...], violation: Fraction) -> Infeasible:
-        # Remembered until the next optimum, so resolve_costs refuses this b.
-        self._infeasible = Infeasible(farkas, violation)
-        return self._infeasible
-
     def _outcome(self, vx: _Vertex) -> LpOutcome:
-        self._infeasible = None
         costs, n = self.costs, self.n
         total = sum(costs[var] * x for var, x in zip(vx.basis, self._xt) if var < n)
         return LpOutcome(
@@ -413,7 +409,7 @@ class ExactSimplex:
         if total:
             y = _pricing_vector(self._basis, self._M, phase1_costs, self.n, artificial_cost=1)
             pi = tuple(Fraction(y[k], self._d) for k in range(self.m))
-            raise self._reject(pi, Fraction(total, self._d * self._N))
+            raise Infeasible(pi, Fraction(total, self._d * self._N))
         self._evict_artificials()
 
     def _evict_artificials(self) -> None:
@@ -514,7 +510,7 @@ class ExactSimplex:
                     enter, en, ea = j, num, -alpha
             if enter < 0:
                 pi = tuple(Fraction(-Mr[k], self._d) for k in range(self.m))
-                raise self._reject(pi, Fraction(-xt[row], self._d * self._N))
+                raise Infeasible(pi, Fraction(-xt[row], self._d * self._N))
             degenerate = en == 0
             self._pivot(row, enter, self._col_times_M(self.columns[enter]))
             if degenerate:
@@ -532,4 +528,4 @@ class ExactSimplex:
             if self._xt[i] > 0:
                 Mr = self._M[i]
                 pi = tuple(Fraction(Mr[k], self._d) for k in range(self.m))
-                raise self._reject(pi, Fraction(self._xt[i], self._d * self._N))
+                raise Infeasible(pi, Fraction(self._xt[i], self._d * self._N))

@@ -1,5 +1,6 @@
 """Exact bounds: frozen values, closed-form agreement, certificates, slack."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -235,3 +236,89 @@ def test_warm_solver_matches_fresh_solver(seed):
         warm = shared.solve(scm.dist)
         cold = BoundsSolver(system).solve(scm.dist)
         assert (warm.lower, warm.upper) == (cold.lower, cold.upper)
+
+
+# -- differential test against a float LP solver --------------------------------------
+
+
+def _random_scenario(rng):
+    """A random scenario within BoundsSolver's default caps."""
+    while True:
+        k_z, k_x = rng.choice([2, 3]), rng.choice([2, 3, 4])
+        n_clean = rng.randint(1, k_x)
+        types = k_x**k_z * 2**n_clean * 2 ** (k_z * (k_x - n_clean))
+        if types <= 4096 and 2 * k_z * k_x + 1 <= 30:
+            break
+    labels = [f"x{i}" for i in range(k_x)]
+    clean = sorted(rng.sample(labels, n_clean))
+    levels = tuple(
+        ExposureLevel(x) if x in clean
+        else ExposureLevel(x, well_defining=rng.random() < 0.5, z_dependent=True)
+        for x in labels
+    )
+    if n_clean >= 2:
+        x, x_prime = rng.sample(clean, 2)
+        estimand = Estimand("risk_difference", x=x, x_prime=x_prime)
+    else:
+        estimand = Estimand("counterfactual_risk", x=rng.choice(clean))
+    return Scenario(tuple(f"z{i}" for i in range(k_z)), levels, estimand)
+
+
+def _random_table(rng, scenario, incompatible):
+    """Random counts per stratum.  An incompatible table gives a clean level c
+    p(c, 1 | z0) >= 0.6 and p(c, 0 | z1) >= 0.6, which no model in which c's
+    outcome ignores the instrument can produce."""
+    labels = scenario.level_labels()
+    c = next(lv.label for lv in scenario.levels if lv.clean)
+    probs = {}
+    for k, z in enumerate(scenario.instrument_levels):
+        counts = {(z, x, y): rng.randint(0, 9) for x in labels for y in (0, 1)}
+        counts[(z, labels[0], 0)] += 1
+        total = sum(counts.values())
+        if incompatible and k < 2:
+            counts[(z, c, 1 - k)] += 2 * total
+            total *= 3
+        probs.update((key, Fraction(c, total)) for key, c in counts.items())
+    return ObservedDistribution.from_probs(scenario.instrument_levels, labels, probs)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_exact_bounds_match_float_solver(seed):
+    pytest.importorskip("scipy")
+    import numpy as np
+    from scipy.optimize import linprog
+
+    rng = random.Random(seed)
+    scenario = _random_scenario(rng)
+    system = build_constraint_system(scenario)
+    merged = merge_columns(system)
+    A = np.zeros((system.n_rows, len(merged.columns)))
+    for j, col in enumerate(merged.columns):
+        for r, coef in col:
+            A[r, j] = coef
+
+    def float_bounds(b):
+        bf = [float(v) for v in b]
+        lo = linprog(merged.min_costs, A_eq=A, b_eq=bf, method="highs")
+        hi = linprog([-c for c in merged.max_costs], A_eq=A, b_eq=bf, method="highs")
+        assert lo.status == 0 and hi.status == 0
+        return lo.fun, -hi.fun
+
+    shared = BoundsSolver(system)
+    dists = [
+        sample_scm(scenario, seed).dist,
+        sample_scm(scenario, seed, point_mass=True).dist,
+        _random_table(rng, scenario, incompatible=False),
+        _random_table(rng, scenario, incompatible=True),
+    ]
+    for dist in dists:
+        b = system.rhs(dist)
+        # A fresh solver's first call is cold (one phase 1 for both sides);
+        # the shared solver answers later calls warm.
+        for solver in (BoundsSolver(system), shared):
+            res = solver.solve_b(b, slack=True)
+            # The same b again reuses the projection the call just made.
+            target = solver.project_slack(b)[0] if "slack_total" in res.diagnostics else b
+            lo, hi = float_bounds(target)
+            assert abs(float(res.lower) - lo) <= 1e-9
+            assert abs(float(res.upper) - hi) <= 1e-9

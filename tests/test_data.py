@@ -346,6 +346,10 @@ _ROWS = "  - {z: z1, x: x, y: 0, n: 2}\n"
         (load_scenario, _SCENARIO_HEAD + "levels:\n  - {label: x}\nestimand: []\n"),
         (load_scenario, _SCENARIO_HEAD + "levels:\n  - {label: x}\nestimand: true\n"),
         (load_records, "z,x_star,y\nz0,a\rb,1\n"),
+        (load_summary, _SUMMARY_HEAD + "counts:\n  - {z: z0, x: x, y: 1, n: !!int x}\n"),
+        (load_summary, _SUMMARY_HEAD + "counts:\n  - {z: z0, x: x, y: 1, n: !!int ''}\n"),
+        (load_scenario, _SCENARIO_HEAD + "levels:\n  - {label: x, well_defining: !!bool x}\n"),
+        (load_scenario, _SCENARIO_HEAD + "levels:\n  - {label: !!timestamp x}\n"),
     ],
     ids=[
         "float-y",
@@ -359,6 +363,10 @@ _ROWS = "  - {z: z1, x: x, y: 0, n: 2}\n"
         "list-estimand",
         "boolean-estimand",
         "carriage-return-in-unquoted-field",
+        "malformed-int-tag",
+        "empty-int-tag",
+        "malformed-bool-tag",
+        "malformed-timestamp-tag",
     ],
 )
 def test_loaders_reject_mistyped_scalars(loader, doc):
@@ -519,6 +527,57 @@ def test_yaml_loaders_load_or_raise_input_error(kind, loader):
     def check(doc):
         try:
             loader(io.StringIO(yaml.safe_dump(doc, allow_unicode=True)))
+        except InputError:
+            pass
+
+    check()
+
+
+def _parsed(text, loader):
+    # repr compares NaN equal to NaN and tells 1, 1.0 and True apart.
+    try:
+        return repr(yaml.load(text, Loader=loader))
+    except yaml.YAMLError:
+        return yaml.YAMLError
+
+
+@pytest.mark.parametrize("kind", ["summary", "scenario", "coarsening"])
+def test_libyaml_parses_dumped_documents_like_pure_python(kind):
+    @settings(max_examples=1000, deadline=None)
+    @given(doc=_documents(kind))
+    def check(doc):
+        text = yaml.safe_dump(doc, allow_unicode=True)
+        assert _parsed(text, yaml.CSafeLoader) == _parsed(text, yaml.SafeLoader)
+
+    check()
+
+
+# YAML syntax, explicit tags and anchors; raw text may parse differently under
+# libyaml and pure-Python PyYAML, so only load-or-InputError is asserted.
+_FRAGMENTS = st.sampled_from(
+    [": ", "- ", "[", "]", "{", "}", ", ", "? ", "|", ">", "#", "'", '"', "\\", "\n", "\t",
+     "  ", "&a ", "*a", "!", "!!int ", "!!float ", "!!bool ", "!!timestamp ", "!!null ",
+     "!!binary ", "!!str ", "!!set ", "!!omap ", "!!python/tuple ", "%YAML 1.1\n", "---\n",
+     "...\n", "\x00", "\x85", "\ufeff", "z0", "x", "y", "n", "1", "-1", "1.5", "nan", ".inf",
+     "true", "~", "2001-02-03"]
+) | st.text(max_size=3)
+
+
+@pytest.mark.parametrize(
+    "kind, loader",
+    [("summary", load_summary), ("scenario", load_scenario), ("coarsening", load_coarsening)],
+)
+def test_yaml_loaders_load_or_raise_input_error_on_raw_text(kind, loader):
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        doc=st.sampled_from(_VALID_DOCS[kind]),
+        cut=st.integers(0, 30),
+        tail=st.lists(_FRAGMENTS, max_size=12).map("".join),
+    )
+    def check(doc, cut, tail):
+        head = yaml.safe_dump(doc, allow_unicode=True).splitlines(keepends=True)[:cut]
+        try:
+            loader(io.StringIO("".join(head) + tail))
         except InputError:
             pass
 

@@ -71,16 +71,6 @@ def test_resolve_b_detects_infeasibility():
     assert verify_farkas(columns, [Fraction(1), Fraction(2)], exc.value.farkas)
 
 
-def test_resolve_costs_switches_objective():
-    lp = _transport_lp()
-    lp.solve([Fraction(3), Fraction(5)])
-    out = lp.resolve_costs([5, 1, 4])
-    # Now routing everything through x1 is cheapest: x1=3 forces x1+x2=5
-    # -> x1=3, x2=2: value 3*1 + 2*4 = 11; or x1=5, x0=-2 impossible.
-    cold = ExactSimplex(2, lp.columns, [5, 1, 4]).solve([Fraction(3), Fraction(5)])
-    assert out.value == cold.value
-
-
 def _random_feasible_instance(rng_draw):
     """Small random equality-form LP with a known feasible point."""
     m, n = rng_draw["m"], rng_draw["n"]
@@ -320,37 +310,45 @@ def test_redundant_row_inconsistency_raises_with_cached_bases(b2):
     assert lp.resolve_b([3, 1, 4], scale=2).value == Fraction(3 + 1, 2)
 
 
-def test_resolve_costs_after_cached_resolves():
-    system, dist, columns, costs = _homocysteine_lp()
-    _, _, _, upper_costs = _homocysteine_lp("max")
-    lp = ExactSimplex(system.n_rows, columns, costs)
-    seq = _rhs_sequence(system, dist, seed=11, count=12)[::3]
-    for b, scale in seq:
-        lp.resolve_b(b, scale=scale)
-    b, scale = seq[-1]
-    out = lp.resolve_costs(upper_costs)
-    cold = ExactSimplex(system.n_rows, columns, upper_costs).solve(b, scale=scale)
-    assert out.value == cold.value
-    _check_certificates(columns, upper_costs, b, scale, out)
-    # The cache now serves the new objective: warm resolves still match.
-    for b, scale in seq:
-        warm = lp.resolve_b(b, scale=scale)
-        assert warm.value == ExactSimplex(
-            system.n_rows, columns, upper_costs
-        ).solve(b, scale=scale).value
+def test_upper_solve_from_lower_phase1_basis_matches_cold_solve():
+    system, dist, columns, lower = _homocysteine_lp()
+    _, _, _, upper = _homocysteine_lp("max")
+    m = system.n_rows
+    n_started = 0
+    for b, scale in _rhs_sequence(system, dist, seed=7, count=30):
+        lo = ExactSimplex(m, columns, lower)
+        try:
+            lo.solve(b, scale=scale)
+        except Infeasible:
+            continue
+        start_M = [row[:] for row in lo.phase1.M]
+        cold = ExactSimplex(m, columns, upper).solve(b, scale=scale)
+        # With zero costs phase 2 has nothing to improve: this counts phase 1 alone.
+        phase1 = ExactSimplex(m, columns, [0] * len(columns)).solve(b, scale=scale).pivots
+        started = ExactSimplex(m, columns, upper).solve(b, scale=scale, start=lo.phase1)
+        assert started.value == cold.value
+        assert started.basis == cold.basis
+        assert phase1 > 0 and started.pivots == cold.pivots - phase1
+        _check_certificates(columns, upper, b, scale, started)
+        assert lo.phase1.M == start_M  # the start is copied, not pivoted in place
+        n_started += 1
+    assert n_started >= 15
 
 
-def test_resolve_costs_after_infeasible_resolve_b_raises():
-    lp = ExactSimplex(2, [((0, 1), (1, 1))], [0])
-    lp.solve([2, 2], scale=1)
-    with pytest.raises(Infeasible):
-        lp.resolve_b([1, 2], scale=1)
-    with pytest.raises(Infeasible):
-        lp.resolve_costs([0])
-    # A feasible b clears the state; the cached basis answers it unpivoted.
-    again = lp.resolve_b([3, 3], scale=1)
-    assert again.pivots == 0
-    assert lp.resolve_costs([1]).value == 3
+@pytest.mark.parametrize(
+    "columns, b0, b1",
+    [
+        # Phase 1 ends at basis (x1, x2): x2 = b1 - b0 < 0 at b1, a feasible b.
+        ([((0, 1),), ((0, 1), (1, 1)), ((1, 1),)], [3, 5], [5, 3]),
+        # Row 1 keeps an inert artificial, which b1 would put at level 1.
+        ([((0, 1), (1, 1))], [2, 2], [1, 2]),
+    ],
+)
+def test_start_not_primal_feasible_for_b_raises(columns, b0, b1):
+    lp = ExactSimplex(2, columns, [0] * len(columns))
+    lp.solve(b0, scale=1)
+    with pytest.raises(RuntimeError, match="not primal feasible"):
+        ExactSimplex(2, columns, [1] * len(columns)).solve(b1, scale=1, start=lp.phase1)
 
 
 def _fraction_rank(rows):

@@ -806,9 +806,13 @@ def main(argv=None) -> int:
         return 4
     except (RuntimeError, AssertionError) as exc:
         # A broken engine invariant: pivot limit, zero pivot, unbounded LP,
-        # crossed bounds or an invalid Farkas certificate.
+        # crossed bounds or an invalid Farkas certificate.  The seed, where
+        # the subcommand takes one, makes the run replayable.
+        where = _scenario_label(args)
+        if getattr(args, "seed", None) is not None:
+            where += f", seed {args.seed}"
         print(
-            f"internal error in {args.subcommand} ({_scenario_label(args)}): "
+            f"internal error in {args.subcommand} ({where}): "
             f"{type(exc).__name__}: {exc}",
             file=sys.stderr,
         )

@@ -15,7 +15,8 @@ Warm restarts are first-class.  `resolve_b` handles a change of b only
 first one that is primal feasible for the new b (M.b~ >= 0, inert rows at
 zero): the costs have not changed since it was optimal, so it is still dual
 feasible and hence optimal.  Only when no cached basis fits does it run the
-dual simplex from the current basis.  Phase 1 ignores c, so a cold solve
+dual simplex, from the least infeasible of the ``_NEAREST`` most recently
+used bases (least sum of negative levels).  Phase 1 ignores c, so a cold solve
 keeps its post-phase-1 basis (`phase1`) and a solver with other costs over
 the same columns can start phase 2 from it (lower/upper bound pairs).
 
@@ -51,6 +52,8 @@ _DEGENERATE_LIMIT = 30
 _MAX_PIVOTS = 200_000
 # Optimal bases kept for `resolve_b`.
 _CACHE_SIZE = 64
+# Most recently used bases from which `resolve_b` picks a dual simplex start.
+_NEAREST = 4
 
 
 class Infeasible(Exception):
@@ -223,7 +226,8 @@ class ExactSimplex:
         self.costs: list[int] = [int(c) for c in costs]
         # Solver state (populated by solve()).  Pivots update _basis and _M in
         # place, so a run that pivots first copies them (_thaw): the cached
-        # vertices and the outcomes built on them share those lists.
+        # vertices and the outcomes built on them share those lists.  _xt is
+        # always a fresh list from the feasibility test or the start choice.
         self._basis: Sequence[int] | None = None  # variable id per row
         self._M: list[list[int]] | None = None  # d * inverse of basis matrix
         self._d: int = 1  # det of basis matrix, kept > 0
@@ -268,7 +272,11 @@ class ExactSimplex:
     ) -> LpOutcome:
         """Warm solve after a change of b only: a cached basis, else dual simplex.
 
-        With no optimal basis yet this is `solve(b, scale, start)`.
+        The first cached basis, in most-recently-used order, that is primal
+        feasible for b is optimal as it stands.  When none is, the dual
+        simplex starts from the least infeasible of the ``_NEAREST`` most
+        recently used bases.  With no optimal basis yet this is
+        `solve(b, scale, start)`.
         """
         if not self._cache:
             return self.solve(b, scale, start)
@@ -277,8 +285,9 @@ class ExactSimplex:
         vx = self._feasible_vertex(self._cache)
         if vx is not None:
             return self._outcome(vx)
+        vx, self._xt = self._nearest_vertex()
+        self._basis, self._M, self._d = vx.basis, vx.M, vx.d
         self._thaw()
-        self._xt = self._mat_vec(self._btilde)
         self._run_dual(self.costs)
         self._check_inert_rows()
         return self._remember()
@@ -322,6 +331,30 @@ class ExactSimplex:
                 return vx
         return None
 
+    def _nearest_vertex(self) -> tuple[_Vertex, list[int]]:
+        # The least infeasible of the _NEAREST most recently used bases and
+        # its levels M.b~: least sum of negative levels over d, compared
+        # exactly by cross-multiplication.  A candidate is dropped once its
+        # partial sum reaches the best so far, so ties go to the more recent.
+        bt = self._btilde
+        best, best_xt, best_s, best_d = None, None, 0, 1
+        for vx in self._cache[:_NEAREST]:
+            d = vx.d
+            bound = best_s * d  # the candidate loses once s * best_d reaches it
+            s = 0
+            xt = []
+            for row in vx.M:
+                level = sum(map(mul, row, bt))
+                if level < 0:
+                    s -= level
+                    if best is not None and s * best_d >= bound:
+                        break
+                xt.append(level)
+            else:
+                if best is None or s * best_d < bound:
+                    best, best_xt, best_s, best_d = vx, xt, s, d
+        return best, best_xt
+
     def _remember(self) -> LpOutcome:
         # Cache the current (optimal) basis as the most recently used one.
         vx = _Vertex(tuple(self._basis), self._M, self._d)
@@ -333,7 +366,6 @@ class ExactSimplex:
     def _thaw(self) -> None:
         self._basis = list(self._basis)
         self._M = [row[:] for row in self._M]
-        self._xt = list(self._xt)
 
     def _outcome(self, vx: _Vertex) -> LpOutcome:
         costs, n = self.costs, self.n
@@ -347,9 +379,6 @@ class ExactSimplex:
             costs=costs,
             n=n,
         )
-
-    def _mat_vec(self, v: Sequence[int]) -> list[int]:
-        return [sum(map(mul, row, v)) for row in self._M]
 
     def _col_times_M(self, col: Column) -> list[int]:
         # w = M . A_j, exploiting sparsity of the column.

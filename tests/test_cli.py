@@ -243,6 +243,33 @@ def test_broken_engine_invariant_exits_5(capsys, monkeypatch, error):
     assert str(error) in lines[0]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ci", "--preset", "peanut-ternary", "--method", "percentile",
+         "--bootstrap", "20", "--seed", "17"),
+        ("verify", "--preset", "peanut-ternary", "--suite", "validity",
+         "--trials", "2", "--seed", "17"),
+    ],
+)
+def test_exit_5_diagnostic_names_the_seed(capsys, monkeypatch, argv):
+    from coarseiv.exactlp import ExactSimplex
+
+    def broken(self, b, scale=None, start=None):
+        raise RuntimeError("zero pivot")
+
+    monkeypatch.setattr(ExactSimplex, "resolve_b", broken)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 5
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0] == (
+        f"internal error in {argv[0]} (preset peanut-ternary, seed 17): "
+        "RuntimeError: zero pivot"
+    )
+
+
 def test_ci_requires_seed_via_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ci", "--preset", "peanut-ternary", "--method", "percentile"])
@@ -367,6 +394,25 @@ def test_verify_collapse_suite(capsys):
     assert rows[-1]["ternary"]["lower"]["exact"] == "0/1"
     assert rows[-1]["ternary"]["upper"]["exact"] == "0/1"
     assert doc["results"]["passed"] is True
+
+
+# SHA-256 of stdout for commands whose warm re-solves miss the basis cache and
+# run the dual simplex: its start may change the pivots, never the document.
+WARM_MISS_SHA256 = {
+    "verify --preset homocysteine-3 --suite validity --trials 20 --seed 1":
+        "f4484c3b03199a9ea61422b820aab617ad9c4c63250d71bdcd313971a30bbae5",
+    "verify --preset homocysteine-3 --suite equivalences --trials 3 --seed 1":
+        "7b37b617de2e47e8a5f41830df0ed03b581a10cb4dadb148b11570c055895529",
+    "ci --preset homocysteine-3 --method multinomial --bootstrap 200 --seed 1":
+        "10913f3650d3a95886ae649559438bd56d3676f31b5ff8c80e0a4fd1f299f8c2",
+}
+
+
+@pytest.mark.parametrize("command", sorted(WARM_MISS_SHA256))
+def test_warm_resolve_documents_are_byte_identical(capsys, command):
+    code, out, err = run_cli(capsys, *command.split())
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == WARM_MISS_SHA256[command]
 
 
 # -- dump-lp --------------------------------------------------------------------------

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarseiv.exactlp import (
+    _NEAREST,
     ExactSimplex,
     Infeasible,
+    _Vertex,
     independent_rows,
     integer_rhs,
     verify_farkas,
@@ -294,17 +296,107 @@ def test_previously_seen_rhs_is_answered_without_pivots():
     assert again.pivots == 0 and again.value == first.value
 
 
+def _record_dual_starts(monkeypatch):
+    """Record (basis, d) of every dual simplex start; returns the growing list."""
+    starts = []
+    run_dual = ExactSimplex._run_dual
+
+    def recording(self, costs):
+        starts.append((tuple(self._basis), self._d))
+        return run_dual(self, costs)
+
+    monkeypatch.setattr(ExactSimplex, "_run_dual", recording)
+    return starts
+
+
+def _infeasibility(vx, bt):
+    """Sum of the negative levels of B^-1 b~, as an exact fraction."""
+    levels = (sum(a * v for a, v in zip(row, bt)) for row in vx.M)
+    return sum((Fraction(-x, vx.d) for x in levels if x < 0), Fraction(0))
+
+
+def _least_infeasible(lp, bt):
+    # min keeps the first of equal keys: ties go to the more recent basis.
+    return min(lp._cache[:_NEAREST], key=lambda vx: _infeasibility(vx, bt))
+
+
+def _oracle_rhs_sequence(system, seed, count):
+    """Far-apart full-support right-hand sides: b~ = A q for random type weights q.
+
+    Every column carries the normalization row, so the scale N is sum(q).
+    """
+    import random
+
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        q = [rng.randint(0, 9) for _ in system.columns]
+        b = [0] * system.n_rows
+        for col, w in zip(system.columns, q):
+            for r, coef in col:
+                b[r] += coef * w
+        out.append((b, sum(q)))
+    return out
+
+
+def test_miss_starts_from_least_infeasible_recent_basis(monkeypatch):
+    system, dist, columns, costs = _homocysteine_lp()
+    m = system.n_rows
+    lp = ExactSimplex(m, columns, costs)
+    (b0, n0), *rest = _oracle_rhs_sequence(system, seed=2, count=12)
+    lp.solve(b0, scale=n0)
+    for b, scale in rest[:-1]:
+        lp.resolve_b(b, scale=scale)
+    b, scale = rest[-1]
+    ranked = sorted(lp._cache, key=lambda vx: _infeasibility(vx, b))
+    best, worst = ranked[0], ranked[-1]
+    assert 0 < _infeasibility(best, b) < _infeasibility(worst, b)
+    # The most recent basis is the worst; the best comes next, then an equally
+    # infeasible copy of it with M and d doubled, which the tie must not pick.
+    twin = _Vertex(best.basis, [[2 * v for v in row] for row in best.M], 2 * best.d)
+    lp._cache[:] = [worst, best, twin]
+    starts = _record_dual_starts(monkeypatch)
+    out = lp.resolve_b(b, scale=scale)
+    assert starts == [(best.basis, best.d)]
+    cold = ExactSimplex(m, columns, costs).solve(b, scale=scale)
+    assert out.value == cold.value
+    _check_certificates(columns, costs, b, scale, out)
+
+
+@pytest.mark.parametrize("side", ["min", "max"])
+def test_far_apart_resolves_start_from_least_infeasible_basis(monkeypatch, side):
+    system, dist, columns, costs = _homocysteine_lp(side)
+    m = system.n_rows
+    lp = ExactSimplex(m, columns, costs)
+    starts = _record_dual_starts(monkeypatch)
+    n_misses = n_not_front = 0
+    for b, scale in _oracle_rhs_sequence(system, seed=13, count=60):
+        expected = _least_infeasible(lp, b) if lp._cache else None
+        n_starts = len(starts)
+        out = lp.resolve_b(b, scale=scale)
+        if expected is not None and len(starts) > n_starts:
+            assert starts[-1] == (expected.basis, expected.d)
+            n_misses += 1
+            n_not_front += expected is not lp._cache[1]  # _cache[0] is the new optimum
+        cold = ExactSimplex(m, columns, costs).solve(b, scale=scale)
+        assert out.value == cold.value
+        _check_certificates(columns, costs, b, scale, out)
+    assert n_misses >= 20 and n_not_front >= 5
+
+
 @pytest.mark.parametrize("b2", [3, 1])
-def test_redundant_row_inconsistency_raises_with_cached_bases(b2):
+def test_redundant_row_inconsistency_raises_with_cached_bases(monkeypatch, b2):
     # Row 2 is the sum of rows 0 and 1, so its artificial stays basic (inert)
     # and b is feasible only if b2 == b0 + b1.
     columns = [((0, 1), (2, 1)), ((0, 1), (2, 1)), ((1, 1), (2, 1)), ((1, 1), (2, 1))]
     lp = ExactSimplex(3, columns, [1, 2, 3, 1])
     for b in ([1, 1, 2], [0, 2, 2], [2, 0, 2], [1, 1, 2]):
         assert lp.resolve_b(b, scale=1).value == b[0] + b[1]
+    starts = _record_dual_starts(monkeypatch)
     b = [Fraction(1), Fraction(1), Fraction(b2)]
     with pytest.raises(Infeasible) as exc:
         lp.resolve_b(b)
+    assert len(starts) == 1  # no cached basis fits, so the dual simplex ran
     assert verify_farkas(columns, b, exc.value.farkas)
     # The solver still answers feasible right-hand sides afterwards.
     assert lp.resolve_b([3, 1, 4], scale=2).value == Fraction(3 + 1, 2)

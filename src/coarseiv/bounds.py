@@ -165,7 +165,7 @@ def merge_columns(system: ConstraintSystem) -> MergedSystem:
 
 
 class BoundsSolver:
-    """Reusable exact bound solver with warm restarts across right-hand sides.
+    """Reusable exact bound solver with warm starts across right-hand sides.
 
     Bootstrap and simulation loops call :meth:`solve_b` repeatedly.  After
     the first (cold) solve, each new right-hand side is answered by

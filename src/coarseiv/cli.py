@@ -45,8 +45,6 @@ from .datasets import (
     PRESET_NAMES,
     REPORTED,
     REPRODUCE_SEED,
-    homocysteine_distribution,
-    homocysteine_scenario,
     peanut_records,
     peanut_risk_records,
     peanut_risk_scenario,
@@ -430,11 +428,8 @@ def _tightness_doc(rep) -> dict:
     return {
         "trials": rep.trials,
         "seed": rep.seed,
-        "restarts": rep.restarts,
+        "n_certificates": rep.n_certificates,
         "n_certificate_failures": rep.n_certificate_failures,
-        "n_inner_violations": rep.n_inner_violations,
-        "worst_lower_gap": _num(rep.worst_lower_gap),
-        "worst_upper_gap": _num(rep.worst_upper_gap),
         "failures": _jsonify(list(rep.failures)),
         "passed": rep.passed,
     }

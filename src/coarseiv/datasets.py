@@ -24,7 +24,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .data import (
-    CoarseningMap,
     Estimand,
     ExposureLevel,
     ObservedDistribution,
@@ -225,11 +224,6 @@ def homocysteine_scenario(n_levels: int = 3, variant: str = "clean") -> Scenario
         levels=tuple(make(l) for l in levels),
         estimand=HOMOCYSTEINE_ESTIMAND,
     )
-
-
-def homocysteine_coarsening(n_levels: int = 3) -> CoarseningMap:
-    mapping = HOMOCYSTEINE_COARSEN_3 if n_levels == 3 else HOMOCYSTEINE_COARSEN_4
-    return CoarseningMap(kind="label", labels=tuple(mapping.items()))
 
 
 # -- presets and reported values ------------------------------------------------

@@ -9,7 +9,7 @@ integer arithmetic with one exact division.  The right-hand side is held as
 integers too: b = b~ / N, either given that way (``scale=N``) or converted
 once by :func:`integer_rhs`.
 
-Warm restarts are first-class.  `resolve_b` handles a change of b only
+Warm starts are first-class.  `resolve_b` handles a change of b only
 (bootstrap replicates, distribution sweeps).  It keeps the last
 ``_CACHE_SIZE`` optimal bases in most-recently-used order and accepts the
 first one that is primal feasible for the new b (M.b~ >= 0, inert rows at

@@ -12,7 +12,7 @@ Three resampling schemes share one engine:
   probabilities.
 
 Every replicate recomputes the bounds through the exact LP solver (warm
-restarts across replicates, right-hand sides fed as integer counts over one
+starts across replicates, right-hand sides fed as integer counts over one
 common scale), never through a shortcut estimator.  Replicates
 whose resampled table is incompatible with the scenario are retried under the
 L1-slack projection and counted; if more than ``max_infeasible_fraction`` of

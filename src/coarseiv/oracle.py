@@ -12,9 +12,8 @@ probabilities, and audits:
   an engine bug, not sampling noise);
 * tightness — both bounds carry a primal certificate that attains them by
   direct substitution and a dual certificate, checked against every
-  unmerged response type, that proves them optimal; a projection-based
-  random inner search, run in integers over one common scale, never escapes
-  the LP interval while approaching its endpoints;
+  unmerged response type, that proves them optimal; together they prove the
+  LP interval sharp;
 * the cross-scenario equivalences — ill-defining vs instrument-affected
   levels produce bit-identical constraint systems, adding such a level never
   changes the bounds, and the two-level-instrument term sets coincide with
@@ -30,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from typing import Sequence
 
@@ -39,13 +38,11 @@ import numpy as np
 from .bounds import (
     BoundsSolver,
     InfeasibleDistribution,
-    MergedSystem,
     classic_term_sets,
     closed_form_classic,
     closed_form_single_level,
     closed_form_ternary_contrast,
     single_level_term_sets,
-    ternary_term_sets,
 )
 from .data import (
     Estimand,
@@ -54,7 +51,7 @@ from .data import (
     ObservedDistribution,
     Scenario,
 )
-from .exactlp import column_dot, independent_rows
+from .exactlp import column_dot
 from .response import ConstraintSystem, build_constraint_system
 from .symbolic import derive_symbolic, term_sets_equal
 
@@ -71,7 +68,6 @@ __all__ = [
 ]
 
 SIMPLEX_DENOMINATOR = 3600
-_RESTART_DENOMINATOR = 720  # lattice of the tightness search's random points
 _MAX_FAILURES = 5  # failure details retained per report
 
 
@@ -324,16 +320,13 @@ class TightnessReport:
     scenario: Scenario
     trials: int
     seed: int
-    restarts: int
-    n_certificate_failures: int  # primal and dual, both sides
-    n_inner_violations: int
-    worst_lower_gap: Fraction
-    worst_upper_gap: Fraction
+    n_certificates: int  # primal and dual, both sides: four per trial
+    n_certificate_failures: int
     failures: tuple[dict, ...]
 
     @property
     def passed(self) -> bool:
-        return self.n_certificate_failures == 0 and self.n_inner_violations == 0
+        return self.n_certificate_failures == 0
 
 
 def _certificate_ok(
@@ -381,59 +374,13 @@ def _dual_ok(
     )
 
 
-class _Projector:
-    """Exact orthogonal projection onto {A_merged q = p}, in integers.
-
-    Projects through a full-rank row subset of the merged matrix and the
-    inverse of its Gram matrix, held as gram_inv / det.  `project` takes q0
-    and p as integers over a common scale L and returns integers over det * L.
-    """
-
-    def __init__(self, merged: MergedSystem, n_rows: int):
-        n_groups = len(merged.columns)
-        dense = [[0] * n_groups for _ in range(n_rows)]
-        for g, col in enumerate(merged.columns):
-            for r, coef in col:
-                dense[r][g] = coef
-        self.rows, _, _ = independent_rows(dense)
-        self.sparse_rows = [
-            tuple((g, c) for g, c in enumerate(dense[i]) if c) for i in self.rows
-        ]
-        maps = [dict(row) for row in self.sparse_rows]
-        gram = [
-            [sum(c * mj.get(g, 0) for g, c in row) for mj in maps]
-            for row in self.sparse_rows
-        ]
-        _, inv, det = independent_rows(gram)
-        common = gcd(det, *(v for row in inv for v in row))
-        self.gram_inv = [[v // common for v in row] for row in inv]
-        self.det = det // common
-
-    def project(self, q0: Sequence[int], p: Sequence[int]) -> list[int]:
-        resid = [
-            sum(c * q0[g] for g, c in row) - p[i]
-            for i, row in zip(self.rows, self.sparse_rows)
-        ]
-        out = [self.det * v for v in q0]
-        for inv_row, row in zip(self.gram_inv, self.sparse_rows):
-            w = sum(map(mul, inv_row, resid))
-            if w:
-                for g, c in row:
-                    out[g] -= c * w
-        return out
-
-
-def check_tightness(
-    scenario: Scenario, trials: int, seed: int, *, restarts: int | None = None
-) -> TightnessReport:
-    """Verify LP certificates and squeeze the interval from the inside.
+def check_tightness(scenario: Scenario, trials: int, seed: int) -> TightnessReport:
+    """Verify each trial's LP certificates: together they prove the interval sharp.
 
     Per trial, both bounds must carry a primal certificate that attains them
-    and a dual certificate that proves them optimal for every response type.
-    Then `restarts` random points are projected onto the trial's observables
-    and, where the projection leaves the simplex, pulled back towards the
-    generating model until feasible: none may escape the LP interval.  The
-    search runs in integers over one common scale.
+    and a dual certificate that proves them optimal for every unmerged
+    response type.  By weak duality no feasible model leaves the interval,
+    so these four checks are the whole audit.
     """
     if trials < 1:
         raise InputError("need at least one trial")
@@ -441,24 +388,8 @@ def check_tightness(
         raise InputError("scenario carries no estimand")
     system = build_constraint_system(scenario)
     solver = BoundsSolver(system)
-    merged = solver.merged
-    projector = _Projector(merged, system.n_rows)
-    n_groups = len(merged.columns)
-    if restarts is None:
-        restarts = max(6, min(24, 4000 // max(1, n_groups)))
-    group_of = {}
-    for g, js in enumerate(merged.members):
-        for j in js:
-            group_of[j] = g
-    # Observables and restart points share the scale L; projections and the
-    # generating model live over det * L.
-    L = lcm(SIMPLEX_DENOMINATOR, _RESTART_DENOMINATOR)
-    b_up, q0_up = L // SIMPLEX_DENOMINATOR, L // _RESTART_DENOMINATOR
-    q_scale = projector.det * L
 
-    n_cert = n_inner = 0
-    worst_lower_gap = Fraction(0)
-    worst_upper_gap = Fraction(0)
+    n_checked = n_failed = 0
     failures: list[dict] = []
 
     def fail(**detail) -> None:
@@ -476,57 +407,20 @@ def check_tightness(
             ("upper", -1, res.upper, res.upper_certificate),
         )
         for (side, sign, target, cert), (optimum, _) in zip(sides, res.lp_optima):
+            n_checked += 2
             if not _certificate_ok(system, cert, acc, target, SIMPLEX_DENOMINATOR):
-                n_cert += 1
+                n_failed += 1
                 fail(trial=t, side=side, kind="certificate", target=target)
             if not _dual_ok(system, optimum.dual, acc, SIMPLEX_DENOMINATOR, sign, target):
-                n_cert += 1
+                n_failed += 1
                 fail(trial=t, side=side, kind="dual-certificate", target=target)
-
-        # Inner approximation: feasible points can only tighten the record,
-        # never escape the interval.
-        q_true = [0] * n_groups
-        for j, pj in enumerate(parts):
-            if pj:
-                q_true[group_of[j]] += pj
-        q_true = [v * b_up * projector.det for v in q_true]
-        b = [v * b_up for v in acc]
-        true_min = sum(map(mul, q_true, merged.min_costs))
-        true_max = sum(map(mul, q_true, merged.max_costs))
-        best_min = best_max = None
-        for _ in range(restarts):
-            raw = _compose(rng, n_groups, _RESTART_DENOMINATOR)
-            q_proj = projector.project([v * q0_up for v in raw], b)
-            # Largest step tn / td <= 1 from q_true towards q_proj that stays
-            # nonnegative; a nonnegative projection is taken whole.
-            tn = td = 1
-            for qt, qp in zip(q_true, q_proj):
-                if qp < qt and qt * td < tn * (qt - qp):
-                    tn, td = qt, qt - qp
-            # The objective is linear along the step.
-            proj_min = sum(map(mul, q_proj, merged.min_costs))
-            proj_max = sum(map(mul, q_proj, merged.max_costs))
-            vmin = Fraction(true_min * td + tn * (proj_min - true_min), q_scale * td)
-            vmax = Fraction(true_max * td + tn * (proj_max - true_max), q_scale * td)
-            best_min = vmin if best_min is None else min(best_min, vmin)
-            best_max = vmax if best_max is None else max(best_max, vmax)
-        if best_min < res.lower or best_max > res.upper:
-            n_inner += 1
-            fail(trial=t, kind="inner-escape", best=(best_min, best_max),
-                 interval=(res.lower, res.upper))
-        else:
-            worst_lower_gap = max(worst_lower_gap, best_min - res.lower)
-            worst_upper_gap = max(worst_upper_gap, res.upper - best_max)
 
     return TightnessReport(
         scenario=scenario,
         trials=trials,
         seed=seed,
-        restarts=restarts,
-        n_certificate_failures=n_cert,
-        n_inner_violations=n_inner,
-        worst_lower_gap=worst_lower_gap,
-        worst_upper_gap=worst_upper_gap,
+        n_certificates=n_checked,
+        n_certificate_failures=n_failed,
         failures=tuple(failures),
     )
 

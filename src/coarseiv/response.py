@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .data import Estimand, InputError, ObservedDistribution, Scenario
 

@@ -396,6 +396,22 @@ def test_verify_collapse_suite(capsys):
     assert doc["results"]["passed"] is True
 
 
+def test_verify_tightness_suite_reports_certificate_counts(capsys):
+    doc = run_json(
+        capsys,
+        "verify", "--preset", "peanut-risk", "--suite", "tightness",
+        "--trials", "3", "--seed", "7",
+    )
+    tightness = doc["results"]["tightness"]
+    assert set(tightness) == {
+        "trials", "seed", "n_certificates", "n_certificate_failures",
+        "failures", "passed",
+    }
+    assert tightness["n_certificates"] == 12
+    assert tightness["n_certificate_failures"] == 0
+    assert tightness["passed"] is True
+
+
 # SHA-256 of stdout for commands whose warm re-solves miss the basis cache and
 # run the dual simplex: its start may change the pivots, never the document.
 WARM_MISS_SHA256 = {

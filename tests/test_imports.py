@@ -1,0 +1,58 @@
+"""Every name a `coarseiv` module imports is referenced in that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "coarseiv"
+# The package __init__ imports only to re-export.
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Bound name -> line of every import, `from __future__` excepted."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _referenced(tree: ast.Module) -> set[str]:
+    """Names loaded anywhere in the module, plus the strings in `__all__`."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_has_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    referenced = _referenced(tree)
+    unused = {
+        name: line for name, line in _imported(tree).items() if name not in referenced
+    }
+    assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_checker_flags_an_unused_import():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from typing import Sequence, Mapping as M\n"
+        "__all__ = ['exported']\n"
+        "from .x import exported\n"
+        "def f(a: M) -> None:\n"
+        "    return os.path.join(a)\n"
+    )
+    unused = set(_imported(tree)) - _referenced(tree)
+    assert unused == {"Sequence"}

@@ -171,9 +171,10 @@ class BoundsSolver:
     the first (cold) solve, each new right-hand side is answered by
     `ExactSimplex.resolve_b`: a recently optimal basis that is still primal
     feasible is reused as is, otherwise the dual simplex starts from the
-    least infeasible of the most recently used optimal bases.  Either way the result is a certified optimum, typically
-    an order of magnitude cheaper than a cold solve.  The right-hand side may
-    be given as rationals or, with ``scale=N``, as integers meaning b / N.
+    least infeasible of the most recently used optimal bases.  Either way the
+    result is a certified optimum, typically an order of magnitude cheaper
+    than a cold solve.  The right-hand side may be given as rationals or,
+    with ``scale=N``, as integers meaning b / N.
     """
 
     def __init__(

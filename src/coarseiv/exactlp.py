@@ -9,6 +9,15 @@ integer arithmetic with one exact division.  The right-hand side is held as
 integers too: b = b~ / N, either given that way (``scale=N``) or converted
 once by :func:`integer_rhs`.
 
+Pricing runs over every column at once.  The constructor stacks the columns
+and the cost row into one dense (m + 1) x n matrix [A; c], and one helper
+returns v . [A; c]_j for all j: reduced costs in the primal loop, the pivot
+row in the dual ratio test and in the eviction of artificials.  The product is
+exact either way: int64 when bit_length(max |v|) + bit_length(max column L1
+norm) <= 62, so no partial sum can overflow, and Python ints (dtype=object)
+otherwise.  The m-sized work (pivots, the pricing vector, the cache's
+feasibility test) stays in Python ints.
+
 Warm starts are first-class.  `resolve_b` handles a change of b only
 (bootstrap replicates, distribution sweeps).  It keeps the last
 ``_CACHE_SIZE`` optimal bases in most-recently-used order and accepts the
@@ -33,6 +42,8 @@ from math import lcm
 from operator import mul
 from typing import Sequence
 
+import numpy as np
+
 __all__ = [
     "Column",
     "ExactSimplex",
@@ -54,6 +65,9 @@ _MAX_PIVOTS = 200_000
 _CACHE_SIZE = 64
 # Most recently used bases from which `resolve_b` picks a dual simplex start.
 _NEAREST = 4
+# Bit budget of an exact int64 product: |v . a| <= max|v| * |a|_1 < 2**62
+# when bit_length(max |v|) + bit_length(|a|_1) <= 62.
+_INT64_BITS = 62
 
 
 class Infeasible(Exception):
@@ -220,10 +234,27 @@ class ExactSimplex:
     def __init__(self, n_rows: int, columns: Sequence[Column], costs: Sequence[int]):
         if len(columns) != len(costs):
             raise ValueError("one cost per column required")
+        if n_rows < 1:
+            raise ValueError("at least one row required")
         self.m = n_rows
         self.columns: list[Column] = [tuple(col) for col in columns]
         self.n = len(self.columns)
         self.costs: list[int] = [int(c) for c in costs]
+        # Dense [A; c] for `_price`; int64 when every column's L1 norm fits.
+        rows, cols, vals, norm = [], [], [], 0
+        for j, (col, c) in enumerate(zip(self.columns, self.costs)):
+            l1 = abs(c)
+            for r, coef in col:
+                rows.append(r)
+                cols.append(j)
+                vals.append(coef)
+                l1 += abs(coef)
+            norm = max(norm, l1)
+        self._norm_bits = norm.bit_length()
+        dtype = np.int64 if self._norm_bits <= _INT64_BITS else object
+        self._dense = np.zeros((n_rows + 1, self.n), dtype=dtype)
+        np.add.at(self._dense, (rows, cols), np.array(vals, dtype=dtype))
+        self._dense[n_rows] = self.costs
         # Solver state (populated by solve()).  Pivots update _basis and _M in
         # place, so a run that pivots first copies them (_thaw): the cached
         # vertices and the outcomes built on them share those lists.  _xt is
@@ -264,7 +295,7 @@ class ExactSimplex:
             raise RuntimeError("start basis is not primal feasible for b")
         self.phase1 = start
         self._thaw()
-        self._primal_loop(self.costs)
+        self._primal_loop()
         return self._remember()
 
     def resolve_b(
@@ -288,7 +319,7 @@ class ExactSimplex:
         vx, self._xt = self._nearest_vertex()
         self._basis, self._M, self._d = vx.basis, vx.M, vx.d
         self._thaw()
-        self._run_dual(self.costs)
+        self._run_dual()
         self._check_inert_rows()
         return self._remember()
 
@@ -380,6 +411,15 @@ class ExactSimplex:
             n=n,
         )
 
+    def _price(self, *vectors: list[int]) -> np.ndarray:
+        # Row k of the result is v_k . [A; c]_j for every column j, where v_k
+        # has m entries and then the weight of the cost row.  Exact: int64
+        # when the bit lengths allow it, Python ints otherwise.
+        bits = max(max(map(abs, v)) for v in vectors).bit_length()
+        if bits + self._norm_bits <= _INT64_BITS:
+            return np.array(vectors, dtype=np.int64) @ self._dense
+        return np.array(vectors, dtype=object) @ self._dense.astype(object, copy=False)
+
     def _col_times_M(self, col: Column) -> list[int]:
         # w = M . A_j, exploiting sparsity of the column.
         M = self._M
@@ -428,15 +468,14 @@ class ExactSimplex:
             raise RuntimeError("pivot limit exceeded")
 
     def _run_phase1(self) -> None:
-        phase1_costs = [0] * self.n
-        self._primal_loop(phase1_costs, artificial_cost=1)
+        self._primal_loop(phase1=True)
         # Optimal phase-1 value = sum of artificial levels.
         total = 0
         for i, var in enumerate(self._basis):
             if var >= self.n:
                 total += self._xt[i]
         if total:
-            y = _pricing_vector(self._basis, self._M, phase1_costs, self.n, artificial_cost=1)
+            y = _pricing_vector(self._basis, self._M, [0] * self.n, self.n, artificial_cost=1)
             pi = tuple(Fraction(y[k], self._d) for k in range(self.m))
             raise Infeasible(pi, Fraction(total, self._d * self._N))
         self._evict_artificials()
@@ -447,34 +486,26 @@ class ExactSimplex:
         for row in range(self.m):
             if self._basis[row] < self.n:
                 continue
-            Mr = self._M[row]
-            for j, col in enumerate(self.columns):
-                alpha = column_dot(col, Mr)
-                if alpha:
-                    self._pivot(row, j, self._col_times_M(col))
-                    break
+            (alpha,) = self._price(self._M[row] + [0])
+            nonzero = np.flatnonzero(alpha)
+            if nonzero.size:
+                j = int(nonzero[0])
+                self._pivot(row, j, self._col_times_M(self.columns[j]))
 
-    def _primal_loop(self, costs: Sequence[int], artificial_cost: int = 0) -> None:
+    def _primal_loop(self, phase1: bool = False) -> None:
+        # Phase 1 prices the artificials at 1 and every column at 0, so the
+        # reduced costs d*c - y.A are [-y, 0] . [A; c]; phase 2's are [-y, d].
+        costs = [0] * self.n if phase1 else self.costs
         bland = False
         degenerate_streak = 0
         while True:
-            y = _pricing_vector(self._basis, self._M, costs, self.n, artificial_cost)
-            d = self._d
-            enter = -1
-            best = 0
-            if bland:
-                for j in range(self.n):
-                    if d * costs[j] - column_dot(self.columns[j], y) < 0:
-                        enter = j
-                        break
-            else:
-                for j in range(self.n):
-                    num = d * costs[j] - column_dot(self.columns[j], y)
-                    if num < best:
-                        best = num
-                        enter = j
-            if enter < 0:
+            y = _pricing_vector(self._basis, self._M, costs, self.n, int(phase1))
+            (rc,) = self._price([-v for v in y] + [0 if phase1 else self._d])
+            negative = np.flatnonzero(rc < 0)
+            if not negative.size:
                 return
+            # Bland: the first improving column; Dantzig: the first most negative.
+            enter = int(negative[0]) if bland else int(rc.argmin())
             w = self._col_times_M(self.columns[enter])
             xt = self._xt
             row = -1
@@ -500,7 +531,7 @@ class ExactSimplex:
                 degenerate_streak = 0
                 bland = False
 
-    def _run_dual(self, costs: Sequence[int]) -> None:
+    def _run_dual(self) -> None:
         # The entering column always comes from the full dual ratio test —
         # anything else loses dual feasibility, after which termination no
         # longer implies optimality.  Bland mode only changes tie-breaking:
@@ -523,20 +554,18 @@ class ExactSimplex:
                         row = i
             if row < 0:
                 return
-            y = _pricing_vector(self._basis, self._M, costs, self.n)
-            d = self._d
+            y = _pricing_vector(self._basis, self._M, self.costs, self.n)
             Mr = self._M[row]
+            alpha, rc = self._price(Mr + [0], [-v for v in y] + [self._d])
+            candidates = np.flatnonzero(alpha < 0)
             enter = -1
             en = ea = 0  # reduced-cost numerator and |alpha| of current best
-            for j, col in enumerate(self.columns):
-                alpha = column_dot(col, Mr)
-                if alpha >= 0:
-                    continue
-                num = d * costs[j] - column_dot(col, y)
-                if enter < 0 or num * ea < en * (-alpha) or (
-                    num * ea == en * (-alpha) and j < enter
-                ):
-                    enter, en, ea = j, num, -alpha
+            # In ascending j, so the first of equal ratios is kept.
+            for j, a, num in zip(
+                candidates.tolist(), alpha[candidates].tolist(), rc[candidates].tolist()
+            ):
+                if enter < 0 or num * ea < en * -a:
+                    enter, en, ea = j, num, -a
             if enter < 0:
                 pi = tuple(Fraction(-Mr[k], self._d) for k in range(self.m))
                 raise Infeasible(pi, Fraction(-xt[row], self._d * self._N))

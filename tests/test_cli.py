@@ -193,6 +193,39 @@ def test_slack_flag_rescues_infeasible_summary(capsys, input_files):
     assert any("SLACK PROJECTION APPLIED" in n for n in notes)
 
 
+# SHA-256 of cold-path `bounds` documents.  They carry
+# `diagnostics.pivots_lower/pivots_upper`, so a faster pricing that moved a
+# pivot would fail here.
+COLD_BOUNDS_SHA256 = {
+    "homocysteine-4": "827e114c6870aae2d7b6eca5bcd8e35cfcc7994faee5e9fe7c437e2e7a3087a1",
+    "peanut-ternary": "5dd1f2a0f72db2178746c29012def3d1cdc7bb55c85ac42e45b4992555a7ef7c",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(COLD_BOUNDS_SHA256))
+def test_cold_bounds_documents_are_byte_identical(capsys, preset):
+    code, out, err = run_cli(capsys, "bounds", "--preset", preset)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == COLD_BOUNDS_SHA256[preset]
+
+
+def test_cold_slack_document_is_pinned(capsys, input_files):
+    # The config echo names the temporary input paths; everything else,
+    # results and pivot diagnostics included, is hashed.
+    doc = run_json(
+        capsys,
+        "bounds",
+        "--scenario",
+        input_files["scenario.yaml"],
+        "--summary",
+        input_files["bad_summary.yaml"],
+        "--slack",
+    )
+    del doc["config_echo"]
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == "6f374fa994a6b9ce2e97b038921c6ec57612f1b04efff8110b17e2dcf1e9b758"
+
+
 # -- exit codes ------------------------------------------------------------------------
 
 

@@ -3,15 +3,19 @@
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coarseiv import exactlp
 from coarseiv.exactlp import (
     _NEAREST,
     ExactSimplex,
     Infeasible,
+    _pricing_vector,
     _Vertex,
+    column_dot,
     independent_rows,
     integer_rhs,
     verify_farkas,
@@ -92,19 +96,20 @@ def _random_feasible_instance(rng_draw):
     return columns, rng_draw["costs"], b
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.builds(
-        dict,
-        m=st.just(3),
-        n=st.just(6),
-        coefs=st.lists(
-            st.lists(st.integers(0, 2), min_size=3, max_size=3), min_size=6, max_size=6
-        ),
-        costs=st.lists(st.integers(-3, 3), min_size=6, max_size=6),
-        x=st.lists(st.integers(0, 4), min_size=6, max_size=6),
-    )
+_RANDOM_LP = st.builds(
+    dict,
+    m=st.just(3),
+    n=st.just(6),
+    coefs=st.lists(
+        st.lists(st.integers(0, 2), min_size=3, max_size=3), min_size=6, max_size=6
+    ),
+    costs=st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+    x=st.lists(st.integers(0, 4), min_size=6, max_size=6),
 )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_RANDOM_LP)
 def test_random_lp_duality_and_warm_restart(draw):
     columns, costs, b = _random_feasible_instance(draw)
     lp = ExactSimplex(3, columns, costs)
@@ -301,9 +306,9 @@ def _record_dual_starts(monkeypatch):
     starts = []
     run_dual = ExactSimplex._run_dual
 
-    def recording(self, costs):
+    def recording(self):
         starts.append((tuple(self._basis), self._d))
-        return run_dual(self, costs)
+        return run_dual(self)
 
     monkeypatch.setattr(ExactSimplex, "_run_dual", recording)
     return starts
@@ -480,3 +485,199 @@ def test_independent_rows_greedy_and_right_inverse(rows):
         for b in range(len(kept)):
             assert sum(rows[i][k] * X[k][b] for k in range(n)) == (d if a == b else 0)
 
+
+
+# -- dense pricing kernel -------------------------------------------------------------
+
+
+class _ColumnLoopSimplex(ExactSimplex):
+    """Reference: the column-by-column pricing loops that `_price` replaced."""
+
+    def _evict_artificials(self):
+        for row in range(self.m):
+            if self._basis[row] < self.n:
+                continue
+            Mr = self._M[row]
+            for j, col in enumerate(self.columns):
+                if column_dot(col, Mr):
+                    self._pivot(row, j, self._col_times_M(col))
+                    break
+
+    def _primal_loop(self, phase1=False):
+        costs = [0] * self.n if phase1 else self.costs
+        bland = False
+        degenerate_streak = 0
+        while True:
+            y = _pricing_vector(self._basis, self._M, costs, self.n, int(phase1))
+            d = self._d
+            enter = -1
+            best = 0
+            for j in range(self.n):
+                num = d * costs[j] - column_dot(self.columns[j], y)
+                if num < best:
+                    best, enter = num, j
+                    if bland:
+                        break
+            if enter < 0:
+                return
+            w = self._col_times_M(self.columns[enter])
+            xt = self._xt
+            row = -1
+            rx = rw = 0
+            for i in range(self.m):
+                wi = w[i]
+                if wi <= 0:
+                    continue
+                xi = xt[i]
+                if row < 0 or xi * rw < rx * wi or (
+                    xi * rw == rx * wi and self._basis[i] < self._basis[row]
+                ):
+                    row, rx, rw = i, xi, wi
+            if row < 0:
+                raise RuntimeError("LP unbounded; not expected for bound polytopes")
+            degenerate = xt[row] == 0
+            self._pivot(row, enter, w)
+            if degenerate:
+                degenerate_streak += 1
+                if degenerate_streak >= exactlp._DEGENERATE_LIMIT:
+                    bland = True
+            else:
+                degenerate_streak = 0
+                bland = False
+
+    def _run_dual(self):
+        bland = False
+        stall = 0
+        while True:
+            xt = self._xt
+            row = -1
+            worst = 0
+            for i in range(self.m):
+                if bland:
+                    if xt[i] < 0 and (row < 0 or self._basis[i] < self._basis[row]):
+                        row = i
+                elif xt[i] < worst:
+                    worst, row = xt[i], i
+            if row < 0:
+                return
+            y = _pricing_vector(self._basis, self._M, self.costs, self.n)
+            d = self._d
+            Mr = self._M[row]
+            enter = -1
+            en = ea = 0
+            for j, col in enumerate(self.columns):
+                alpha = column_dot(col, Mr)
+                if alpha >= 0:
+                    continue
+                num = d * self.costs[j] - column_dot(col, y)
+                if enter < 0 or num * ea < en * (-alpha):
+                    enter, en, ea = j, num, -alpha
+            if enter < 0:
+                pi = tuple(Fraction(-Mr[k], self._d) for k in range(self.m))
+                raise Infeasible(pi, Fraction(-xt[row], self._d * self._N))
+            degenerate = en == 0
+            self._pivot(row, enter, self._col_times_M(self.columns[enter]))
+            if degenerate:
+                stall += 1
+                if stall >= exactlp._DEGENERATE_LIMIT:
+                    bland = True
+            else:
+                stall = 0
+                bland = False
+
+
+def _trace(lp, rhs_sequence):
+    """Per right-hand side: (basis, pivots, value), or the Farkas certificate.
+
+    The first b is solved cold and every later one warm, as in bootstrap loops.
+    """
+    out = []
+    for k, (b, scale) in enumerate(rhs_sequence):
+        run = lp.resolve_b if k else lp.solve
+        try:
+            res = run(b, scale=scale)
+        except Infeasible as exc:
+            out.append(("infeasible", exc.farkas))
+        except RuntimeError as exc:
+            out.append(("error", str(exc)))
+        else:
+            out.append((res.basis, res.pivots, res.value))
+    return out
+
+
+def _random_rhs_sequence(draw):
+    # b from the drawn feasible point, shifted by 1/3, then from the reversed
+    # point and the two swapped rows: warm hits, dual pivots and infeasibility.
+    _, _, b = _random_feasible_instance(draw)
+    _, _, b_rev = _random_feasible_instance(dict(draw, x=draw["x"][::-1]))
+    rhs = [b, [v + Fraction(1, 3) for v in b], b_rev, [b[1], b[0], b[2]], b]
+    return [integer_rhs(v) for v in rhs]
+
+
+@pytest.mark.parametrize("limit", [exactlp._DEGENERATE_LIMIT, 1])
+@settings(max_examples=80, deadline=None)
+@given(draw=_RANDOM_LP)
+def test_dense_pricing_takes_the_column_loops_pivots(limit, draw):
+    # limit 1 puts both loops into Bland's rule after any degenerate pivot.
+    columns, costs, _ = _random_feasible_instance(draw)
+    rhs = _random_rhs_sequence(draw)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactlp, "_DEGENERATE_LIMIT", limit)
+        got = _trace(ExactSimplex(3, columns, costs), rhs)
+        want = _trace(_ColumnLoopSimplex(3, columns, costs), rhs)
+    assert got == want
+
+
+@pytest.mark.parametrize("limit", [exactlp._DEGENERATE_LIMIT, 1])
+@pytest.mark.parametrize("side", ["min", "max"])
+def test_dense_pricing_takes_the_column_loops_pivots_on_homocysteine(
+    monkeypatch, limit, side
+):
+    system, dist, columns, costs = _homocysteine_lp(side)
+    rhs = _rhs_sequence(system, dist, seed=11, count=30)
+    monkeypatch.setattr(exactlp, "_DEGENERATE_LIMIT", limit)
+    got = _trace(ExactSimplex(system.n_rows, columns, costs), rhs)
+    assert got == _trace(_ColumnLoopSimplex(system.n_rows, columns, costs), rhs)
+    assert sum(isinstance(t[0], tuple) and t[1] > 0 for t in got[1:]) >= 5
+
+
+def _scaled_trace(trace, factor):
+    return [
+        (t[0], t[1], t[2] * factor) if isinstance(t[0], tuple) else t for t in trace
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(draw=_RANDOM_LP)
+def test_huge_costs_price_exactly_through_python_ints(draw):
+    columns, costs, _ = _random_feasible_instance(draw)
+    rhs = _random_rhs_sequence(draw)
+    big = ExactSimplex(3, columns, [c * 2**70 for c in costs])
+    assert (big._dense.dtype == object) == any(costs)
+    assert _trace(big, rhs) == _scaled_trace(_trace(ExactSimplex(3, columns, costs), rhs), 2**70)
+
+
+def test_huge_costs_on_homocysteine_keep_bases_and_pivots():
+    system, dist, columns, costs = _homocysteine_lp()
+    rhs = _rhs_sequence(system, dist, seed=11, count=12)
+    small = ExactSimplex(system.n_rows, columns, costs)
+    big = ExactSimplex(system.n_rows, columns, [c * 2**70 for c in costs])
+    assert small._dense.dtype == np.int64 and big._dense.dtype == object
+    want = _scaled_trace(_trace(small, rhs), 2**70)
+    assert _trace(big, rhs) == want
+    assert any(isinstance(t[0], tuple) and t[1] > 0 for t in want[1:])
+
+
+def test_zero_column_lp():
+    lp = ExactSimplex(2, [], [])
+    assert lp.solve([0, 0], scale=1).value == 0
+    assert lp.resolve_b([0, 0], scale=1).value == 0
+    for b in ([1, 0], [0, 3]):
+        with pytest.raises(Infeasible) as exc:
+            ExactSimplex(2, [], []).solve(b, scale=1)
+        assert verify_farkas([], b, exc.value.farkas)
+
+
+def test_no_rows_is_rejected():
+    with pytest.raises(ValueError, match="row"):
+        ExactSimplex(0, [], [])

@@ -9,10 +9,14 @@ import yaml
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _steps():
+def _jobs():
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
-    (job,) = workflow["jobs"].values()
-    return job, job["steps"]
+    return workflow["jobs"]
+
+
+def _install(job) -> list[str]:
+    (install,) = [step["run"] for step in job["steps"] if "pip install" in step.get("run", "")]
+    return shlex.split(install)
 
 
 def _toml_array(text: str, key: str) -> list[str]:
@@ -22,27 +26,46 @@ def _toml_array(text: str, key: str) -> list[str]:
     return re.findall(r'"([^"]*)"', match.group(1))
 
 
+def _python_floor(pyproject: str) -> str:
+    (floor,) = re.findall(r'^requires-python = ">=([0-9.]+)"', pyproject, re.M)
+    return floor
+
+
+def test_workflow_has_a_latest_and_a_floor_job():
+    assert set(_jobs()) == {"tier1", "floor"}
+
+
 def test_workflow_runs_the_tier1_command():
     roadmap = (ROOT / "ROADMAP.md").read_text()
     (command,) = re.findall(r"^\*\*Tier-1 verify:\*\* `([^`]+)`", roadmap, re.M)
-    _, steps = _steps()
-    runs = [step["run"].strip() for step in steps if "-m pytest" in step.get("run", "")]
-    assert runs == [command]
+    for job in _jobs().values():
+        runs = [step["run"].strip() for step in job["steps"] if "-m pytest" in step.get("run", "")]
+        assert runs == [command]
 
 
 def test_workflow_installs_every_declared_dependency():
     pyproject = (ROOT / "pyproject.toml").read_text()
     declared = _toml_array(pyproject, "dependencies") + _toml_array(pyproject, "test")
-    _, steps = _steps()
-    (install,) = [step["run"] for step in steps if "pip install" in step.get("run", "")]
-    assert set(declared) <= set(shlex.split(install))
+    assert set(declared) <= set(_install(_jobs()["tier1"]))
 
 
 def test_workflow_lowest_python_is_the_requires_python_floor():
     pyproject = (ROOT / "pyproject.toml").read_text()
-    (floor,) = re.findall(r'^requires-python = ">=([0-9.]+)"', pyproject, re.M)
-    job, _ = _steps()
-    versions = job["strategy"]["matrix"]["python-version"]
+    versions = _jobs()["tier1"]["strategy"]["matrix"]["python-version"]
     assert all(isinstance(v, str) for v in versions)  # unquoted 3.10 would load as 3.1
     lowest = min(versions, key=lambda v: tuple(map(int, v.split("."))))
-    assert lowest == floor
+    assert lowest == _python_floor(pyproject)
+
+
+def test_floor_job_pins_exactly_the_declared_floors():
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    job = _jobs()["floor"]
+    (setup,) = [s for s in job["steps"] if s.get("uses", "").startswith("actions/setup-python")]
+    assert setup["with"]["python-version"] == _python_floor(pyproject)
+    pinned = set()
+    for requirement in _toml_array(pyproject, "dependencies"):
+        name, floor = requirement.split(">=")
+        pinned.add(f"{name}=={floor}.*")
+    # Each runtime dependency only at its floor; the test tools as declared.
+    specs = {spec for spec in _install(job) if "=" in spec}
+    assert specs == pinned | set(_toml_array(pyproject, "test"))

@@ -21,7 +21,6 @@ outcomes.  It provides:
 from .bounds import (
     BoundResult,
     BoundsSolver,
-    CapExceeded,
     InfeasibleDistribution,
     classic_term_sets,
     closed_form_classic,
@@ -65,7 +64,7 @@ from .oracle import (
     sample_scm,
     contamination_collapse,
 )
-from .response import ConstraintSystem, build_constraint_system
+from .response import CapExceeded, ConstraintSystem, build_constraint_system
 from .symbolic import (
     SymbolicBoundSet,
     Term,

@@ -1,11 +1,8 @@
 """Exact LP bounds and transcribed closed-form bound evaluators.
 
 The numeric path minimizes/maximizes the estimand over the response-type
-polytope {q >= 0, A q = p} with exact rational arithmetic.  A presolve step
-merges response-type variables whose constraint columns are identical (they
-are interchangeable except for their objective coefficient, so only the
-extreme coefficient per group matters); this typically shrinks the variable
-count by an order of magnitude without changing the optimum.
+polytope {q >= 0, A q = p} with exact rational arithmetic, over the
+identical-column groups of `response.merge_columns`.
 
 The closed-form path evaluates transcribed published term sets: the ten-term
 contrast bounds for a two-level instrument with three interchangeable clean
@@ -29,7 +26,7 @@ from .data import (
     validate,
 )
 from .exactlp import ExactSimplex, Infeasible, LpOutcome, integer_rhs, verify_farkas
-from .response import ConstraintSystem
+from .response import CapExceeded, ConstraintSystem, merge_columns
 from .symbolic import SymbolicBoundSet, Term, _make_term
 
 __all__ = [
@@ -52,10 +49,6 @@ TRANSCRIPTION_NOTE = (
     "as cells of the third level and machine-checks that reading against "
     "the exact linear program."
 )
-
-
-class CapExceeded(RuntimeError):
-    """Problem size exceeds the configured enumeration/solve guard."""
 
 
 class InfeasibleDistribution(RuntimeError):
@@ -121,46 +114,6 @@ class BoundResult:
         return {reps[g]: v for g, v in out.solution.items() if v}
 
 
-# -- presolve ---------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class MergedSystem:
-    """Identical-column groups of a constraint system."""
-
-    columns: tuple[tuple[tuple[int, int], ...], ...]
-    members: tuple[tuple[int, ...], ...]
-    min_costs: tuple[int, ...]
-    max_costs: tuple[int, ...]
-    min_reps: tuple[int, ...]  # original index attaining the group's min cost
-    max_reps: tuple[int, ...]
-
-
-def merge_columns(system: ConstraintSystem) -> MergedSystem:
-    groups: dict[tuple, list[int]] = {}
-    for j, col in enumerate(system.columns):
-        groups.setdefault(col, []).append(j)
-    columns, members, cmin, cmax, rmin, rmax = [], [], [], [], [], []
-    for col, js in groups.items():
-        costs = [system.objective[j] for j in js]
-        kmin = min(range(len(js)), key=costs.__getitem__)
-        kmax = max(range(len(js)), key=costs.__getitem__)
-        columns.append(col)
-        members.append(tuple(js))
-        cmin.append(costs[kmin])
-        cmax.append(costs[kmax])
-        rmin.append(js[kmin])
-        rmax.append(js[kmax])
-    return MergedSystem(
-        columns=tuple(columns),
-        members=tuple(members),
-        min_costs=tuple(cmin),
-        max_costs=tuple(cmax),
-        min_reps=tuple(rmin),
-        max_reps=tuple(rmax),
-    )
-
-
 # -- solver -----------------------------------------------------------------------
 
 
@@ -177,19 +130,7 @@ class BoundsSolver:
     with ``scale=N``, as integers meaning b / N.
     """
 
-    def __init__(
-        self,
-        system: ConstraintSystem,
-        max_variables: int = 4096,
-        max_rows: int = 30,
-    ):
-        if system.n_variables > max_variables:
-            raise CapExceeded(
-                f"{system.n_variables} response-type variables exceed cap "
-                f"{max_variables}"
-            )
-        if system.n_rows > max_rows:
-            raise CapExceeded(f"{system.n_rows} rows exceed cap {max_rows}")
+    def __init__(self, system: ConstraintSystem):
         self.system = system
         self.merged = merge_columns(system)
         m = system.n_rows
@@ -293,12 +234,9 @@ def numeric_bounds(
     dist: ObservedDistribution,
     *,
     slack: bool = False,
-    max_variables: int = 4096,
-    max_rows: int = 30,
 ) -> BoundResult:
     """Exact tight bounds on the system's estimand at the observed distribution."""
-    solver = BoundsSolver(system, max_variables=max_variables, max_rows=max_rows)
-    return solver.solve(dist, slack=slack)
+    return BoundsSolver(system).solve(dist, slack=slack)
 
 
 # -- transcribed closed forms -----------------------------------------------------

@@ -19,7 +19,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from .bounds import (
-    CapExceeded,
     InfeasibleDistribution,
     closed_form_classic,
     closed_form_single_level,
@@ -65,7 +64,7 @@ from .oracle import (
     check_validity,
     contamination_collapse,
 )
-from .response import build_constraint_system
+from .response import MAX_ROWS, MAX_VARIABLES, CapExceeded, build_constraint_system
 from .symbolic import derive_symbolic, format_bound_set, format_term
 
 VERSION = "0.1.0"
@@ -161,6 +160,8 @@ def _hash_path(path: str) -> str:
 def _resolve_inputs(args, *, need_data: bool = True):
     """Return (dist | None, scenario, input echo dict)."""
     echo: dict = {}
+    if args.coarsening and not args.records:
+        raise InputError("--coarsening applies only to --records")
     if args.preset:
         if args.records or args.summary or args.scenario:
             raise InputError("--preset excludes --records/--summary/--scenario")
@@ -197,8 +198,6 @@ def _resolve_inputs(args, *, need_data: bool = True):
                 records, scenario.instrument_levels, scenario.level_labels()
             )
         elif args.summary:
-            if args.coarsening:
-                raise InputError("--coarsening applies to --records, not --summary")
             dist = load_summary(args.summary)
             echo["summary_file"] = {
                 "path": args.summary,
@@ -249,14 +248,10 @@ def _applicable_closed_form(dist: ObservedDistribution, scenario: Scenario):
 def cmd_bounds(args) -> tuple[dict, int]:
     dist, scenario, echo = _resolve_inputs(args)
     _require_estimand(scenario)
-    system = build_constraint_system(scenario)
-    result = numeric_bounds(
-        system,
-        dist,
-        slack=args.slack,
-        max_variables=args.max_variables,
-        max_rows=args.max_rows,
+    system = build_constraint_system(
+        scenario, max_variables=args.max_variables, max_rows=args.max_rows
     )
+    result = numeric_bounds(system, dist, slack=args.slack)
     closed = _applicable_closed_form(dist, scenario)
     results = {
         "estimand": _estimand_text(scenario.estimand),
@@ -381,10 +376,10 @@ def _term_doc(term) -> dict:
 def cmd_derive(args) -> tuple[dict | str, int]:
     _, scenario, echo = _resolve_inputs(args, need_data=False)
     _require_estimand(scenario)
-    system = build_constraint_system(scenario)
-    lower, upper = derive_symbolic(
-        system, max_variables=args.max_variables, max_dual_dim=args.max_dual_dim
+    system = build_constraint_system(
+        scenario, max_variables=args.max_variables, max_rows=args.max_rows
     )
+    lower, upper = derive_symbolic(system)
     if args.format in ("text", "latex"):
         text = (
             format_bound_set(lower, style=args.format)
@@ -690,8 +685,8 @@ def _add_input_arguments(sp: argparse.ArgumentParser) -> None:
 
 
 def _add_cap_arguments(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--max-variables", type=int, default=4096)
-    sp.add_argument("--max-rows", type=int, default=30)
+    sp.add_argument("--max-variables", type=int, default=MAX_VARIABLES)
+    sp.add_argument("--max-rows", type=int, default=MAX_ROWS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -737,9 +732,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("derive", help="derive symbolic bound term sets")
     _add_input_arguments(sp)
+    _add_cap_arguments(sp)
     sp.add_argument("--format", choices=("text", "latex", "json"), default="text")
-    sp.add_argument("--max-variables", type=int, default=4096)
-    sp.add_argument("--max-dual-dim", type=int, default=30)
     sp.set_defaults(func=cmd_derive)
 
     sp = sub.add_parser("verify", help="run the brute-force verification oracle")

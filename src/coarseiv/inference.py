@@ -14,7 +14,7 @@ Three resampling schemes share one engine:
 Every replicate recomputes the bounds through the exact LP solver (warm
 starts across replicates, right-hand sides fed as integer counts over one
 common scale), never through a shortcut estimator.  Replicates
-whose resampled table is incompatible with the scenario are retried under the
+whose resampled table is incompatible with the scenario are bounded at its
 L1-slack projection and counted; if more than ``max_infeasible_fraction`` of
 replicates need rescue the run aborts.
 
@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import BoundsSolver, InfeasibleDistribution
+from .bounds import BoundsSolver
 from .data import (
     InputError,
     ObservedDistribution,
@@ -196,13 +196,8 @@ class _Resampler:
         }
 
     def point_bounds(self) -> tuple[Fraction, Fraction, list[str]]:
-        warnings: list[str] = []
-        try:
-            res = self.solver.solve_b(self.system.rhs(self.dist))
-        except InfeasibleDistribution:
-            res = self.solver.solve_b(self.system.rhs(self.dist), slack=True)
-            warnings.extend(res.notes)
-        return res.lower, res.upper, warnings
+        res = self.solver.solve_b(self.system.rhs(self.dist), slack=True)
+        return res.lower, res.upper, list(res.notes)
 
     def replicate_endpoints(
         self,
@@ -226,11 +221,9 @@ class _Resampler:
                 f = factor[z]
                 for r, c in zip(rows[z], counts):
                     b[r] = c * f
-            try:
-                res = self.solver.solve_b(b, scale=scale)
-            except InfeasibleDistribution:
+            res = self.solver.solve_b(b, slack=True, scale=scale)
+            if "slack_total" in res.diagnostics:
                 n_infeasible += 1
-                res = self.solver.solve_b(b, slack=True, scale=scale)
             lowers.append(res.lower)
             uppers.append(res.upper)
         return lowers, uppers, n_infeasible

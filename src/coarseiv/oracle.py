@@ -132,19 +132,10 @@ def sample_scm(
     system = build_constraint_system(scenario)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     parts = _sample_parts(rng, system, denominator, point_mass)
-    acc = _push_forward(system, parts)
-    probs = {
-        key: Fraction(acc[i], denominator)
-        for i, key in enumerate(system.row_keys)
-        if key != "normalization"
-    }
-    dist = ObservedDistribution.from_probs(
-        scenario.instrument_levels, scenario.level_labels(), probs
-    )
     return RandomScm(
         scenario=scenario,
         q=tuple(Fraction(p, denominator) for p in parts),
-        dist=dist,
+        dist=system.distribution(_push_forward(system, parts), denominator),
         true_value=_true_value(system, parts, denominator),
     )
 
@@ -253,14 +244,7 @@ def check_validity(scenario: Scenario, trials: int, seed: int) -> ValidityReport
                      strong=(res.lower, res.upper), weak=(wres.lower, wres.upper))
 
         if ternary_audit or risk_audit:
-            probs = {
-                key: Fraction(v, SIMPLEX_DENOMINATOR)
-                for key, v in acc_of.items()
-                if key != "normalization"
-            }
-            dist = ObservedDistribution.from_probs(
-                scenario.instrument_levels, labels, probs
-            )
+            dist = system.distribution(acc, SIMPLEX_DENOMINATOR)
             if ternary_audit:
                 x, xp = est.x, est.x_prime
                 xo = next(l for l in labels if l not in (x, xp))
@@ -431,7 +415,6 @@ def check_tightness(scenario: Scenario, trials: int, seed: int) -> TightnessRepo
 @dataclass(frozen=True, eq=False)
 class FamilyReport:
     name: str
-    scenario_labels: tuple[str, ...]
     bit_identical: bool
     symbolic_equal: bool | None
     trials: int
@@ -573,15 +556,7 @@ def check_equivalences(trials: int, seed: int) -> EquivalenceReport:
                 fail(trial=t, kind="scramble", plain=(res.lower, res.upper),
                      scrambled=(res_scr.lower, res_scr.upper))
             if closed_form_eval is not None:
-                probs = {
-                    key: Fraction(acc[i], SIMPLEX_DENOMINATOR)
-                    for i, key in enumerate(ill_sys.row_keys)
-                    if key != "normalization"
-                }
-                dist = ObservedDistribution.from_probs(
-                    ill.instrument_levels, ill.level_labels(), probs
-                )
-                cf = closed_form_eval(dist)
+                cf = closed_form_eval(ill_sys.distribution(acc, SIMPLEX_DENOMINATOR))
                 if (cf.lower, cf.upper) != (res.lower, res.upper):
                     n_mismatch += 1
                     fail(trial=t, kind="closed-form", lp=(res.lower, res.upper),
@@ -600,11 +575,6 @@ def check_equivalences(trials: int, seed: int) -> EquivalenceReport:
 
         return FamilyReport(
             name=name,
-            scenario_labels=(
-                "no-extra-level",
-                "extra-ill-defining",
-                "extra-instrument-affected",
-            ),
             bit_identical=bit_identical,
             symbolic_equal=symbolic_equal,
             trials=trials,

@@ -6,6 +6,16 @@ fixed bit per clean exposure level plus, for each z-dependent level, a bit per
 instrument level.  The joint distribution q over pairs is tied to the observed
 cell probabilities by one equality row per (z, x, y) cell plus an explicit
 normalization row; both the rows and the estimand objective are linear in q.
+
+There are K_x^K_z * 2^#clean * 2^(K_z * #z-dependent) response types and
+2 * K_z * K_x + 1 rows; `build_constraint_system` refuses a system past its
+caps before it enumerates anything.
+
+Presolve: response types whose constraint columns are identical are
+interchangeable except for their objective coefficient, so only the extreme
+coefficient per group matters.  `merge_columns` keeps one column per group;
+this typically shrinks the variable count by an order of magnitude without
+changing any optimum or dual vertex.
 """
 
 from __future__ import annotations
@@ -13,17 +23,30 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .data import Estimand, InputError, ObservedDistribution, Scenario
 
 __all__ = [
+    "MAX_ROWS",
+    "MAX_VARIABLES",
+    "CapExceeded",
     "ConstraintSystem",
     "ExposureResponseType",
+    "MergedSystem",
     "OutcomeResponseType",
     "build_constraint_system",
     "enumerate_exposure_types",
     "enumerate_outcome_types",
+    "merge_columns",
 ]
+
+MAX_VARIABLES = 4096  # response types, before the merge
+MAX_ROWS = 30
+
+
+class CapExceeded(RuntimeError):
+    """Problem size exceeds the configured enumeration/solve guard."""
 
 
 @dataclass(frozen=True)
@@ -111,6 +134,17 @@ class ConstraintSystem:
                 b.append(dist.prob(z, x, y))
         return b
 
+    def distribution(self, b: Sequence, scale: int) -> ObservedDistribution:
+        """The distribution whose cells read b / scale: the inverse of `rhs`."""
+        probs = {
+            key: Fraction(v, scale)
+            for key, v in zip(self.row_keys, b)
+            if key != "normalization"
+        }
+        return ObservedDistribution.from_probs(
+            self.scenario.instrument_levels, self.scenario.level_labels(), probs
+        )
+
     def lp_payload(self) -> tuple:
         """The computationally meaningful content, for bit-identity checks.
 
@@ -141,13 +175,33 @@ class ConstraintSystem:
         }
 
 
-def build_constraint_system(scenario: Scenario, estimand: Estimand | None = None) -> ConstraintSystem:
-    """Assemble rows, columns, and objective for a scenario and estimand."""
+def build_constraint_system(
+    scenario: Scenario,
+    estimand: Estimand | None = None,
+    *,
+    max_variables: int = MAX_VARIABLES,
+    max_rows: int = MAX_ROWS,
+) -> ConstraintSystem:
+    """Assemble rows, columns, and objective for a scenario and estimand.
+
+    Raises `CapExceeded`, before any enumeration, when the system would have
+    more than ``max_variables`` response types or ``max_rows`` rows.
+    """
     if estimand is None:
         estimand = scenario.estimand
     if estimand is None:
         raise InputError("no estimand given and scenario carries none")
     scenario = scenario.with_estimand(estimand)  # re-runs reference validation
+    k_z, k_x = scenario.instrument_arity, len(scenario.levels)
+    n_clean = len(scenario.clean_labels())
+    n_variables = k_x**k_z * 2**n_clean * 2 ** (k_z * (k_x - n_clean))
+    n_rows = 2 * k_z * k_x + 1
+    if n_variables > max_variables:
+        raise CapExceeded(
+            f"{n_variables} response-type variables exceed cap {max_variables}"
+        )
+    if n_rows > max_rows:
+        raise CapExceeded(f"{n_rows} rows exceed cap {max_rows}")
 
     levels = scenario.levels
     labels = scenario.level_labels()
@@ -197,4 +251,45 @@ def build_constraint_system(scenario: Scenario, estimand: Estimand | None = None
         objective=tuple(objective),
         exposure_types=tuple(exposure_types),
         outcome_types=tuple(outcome_types),
+    )
+
+
+# -- presolve ---------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class MergedSystem:
+    """Identical-column groups of a constraint system."""
+
+    columns: tuple[tuple[tuple[int, int], ...], ...]
+    members: tuple[tuple[int, ...], ...]
+    min_costs: tuple[int, ...]
+    max_costs: tuple[int, ...]
+    min_reps: tuple[int, ...]  # original index attaining the group's min cost
+    max_reps: tuple[int, ...]
+
+
+def merge_columns(system: ConstraintSystem) -> MergedSystem:
+    """Group identical columns, keeping each group's extreme costs and their types."""
+    groups: dict[tuple, list[int]] = {}
+    for j, col in enumerate(system.columns):
+        groups.setdefault(col, []).append(j)
+    columns, members, cmin, cmax, rmin, rmax = [], [], [], [], [], []
+    for col, js in groups.items():
+        costs = [system.objective[j] for j in js]
+        kmin = min(range(len(js)), key=costs.__getitem__)
+        kmax = max(range(len(js)), key=costs.__getitem__)
+        columns.append(col)
+        members.append(tuple(js))
+        cmin.append(costs[kmin])
+        cmax.append(costs[kmax])
+        rmin.append(js[kmin])
+        rmax.append(js[kmax])
+    return MergedSystem(
+        columns=tuple(columns),
+        members=tuple(members),
+        min_costs=tuple(cmin),
+        max_costs=tuple(cmax),
+        min_reps=tuple(rmin),
+        max_reps=tuple(rmax),
     )

@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .data import Estimand, InputError, ObservedDistribution, Scenario
 from .exactlp import independent_rows
-from .response import ConstraintSystem
+from .response import ConstraintSystem, merge_columns
 
 __all__ = [
     "SymbolicBoundSet",
@@ -50,9 +50,6 @@ class Term:
         for (z, x, y), coef in self.coeffs:
             total += coef * dist.prob(z, x, y)
         return total
-
-    def coeff_dict(self) -> dict[Cell, Fraction]:
-        return dict(self.coeffs)
 
 
 def _make_term(
@@ -194,11 +191,7 @@ def _extreme_rays(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return rays
 
 
-def derive_symbolic(
-    system: ConstraintSystem,
-    max_variables: int = 4096,
-    max_dual_dim: int = 30,
-) -> tuple[SymbolicBoundSet, SymbolicBoundSet]:
+def derive_symbolic(system: ConstraintSystem) -> tuple[SymbolicBoundSet, SymbolicBoundSet]:
     """Enumerate dual vertices and return (lower, upper) canonical term sets.
 
     The dual lineality (one uniform shift per instrument block, compensated by
@@ -207,15 +200,6 @@ def derive_symbolic(
     the pinned polyhedron are returned as feasibility facts rather than bound
     terms.
     """
-    from .bounds import CapExceeded, merge_columns  # local import to avoid a cycle
-
-    if system.n_variables > max_variables:
-        raise CapExceeded(
-            f"{system.n_variables} response-type variables exceed cap {max_variables}"
-        )
-    if system.n_rows > max_dual_dim:
-        raise CapExceeded(f"dual dimension {system.n_rows} exceeds cap {max_dual_dim}")
-
     scenario: Scenario = system.scenario
     labels = scenario.level_labels()
     last = labels[-1]

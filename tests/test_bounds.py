@@ -63,7 +63,7 @@ def test_homocysteine_exact_value_all_coarsenings_and_variants():
             # The four-level variants demote two levels, which multiplies the
             # outcome-response enumeration past the default variable cap.
             res = numeric_bounds(
-                build_constraint_system(scn), dist, max_variables=20000
+                build_constraint_system(scn, max_variables=20000), dist
             )
             assert res.interval == HOMOCYSTEINE_INTERVAL
 
@@ -180,12 +180,11 @@ def test_crossed_closed_form_interval_is_flagged():
 
 
 def test_caps_raise_before_solving():
-    dist, scenario = scenario_preset("peanut-ternary")
-    system = build_constraint_system(scenario)
+    _, scenario = scenario_preset("peanut-ternary")
     with pytest.raises(CapExceeded):
-        numeric_bounds(system, dist, max_variables=10)
+        build_constraint_system(scenario, max_variables=10)
     with pytest.raises(CapExceeded):
-        numeric_bounds(system, dist, max_rows=5)
+        build_constraint_system(scenario, max_rows=5)
 
 
 # -- presolve -----------------------------------------------------------------------

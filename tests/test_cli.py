@@ -5,10 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from coarseiv import response
 from coarseiv.cli import main
 
 PEANUT_LOWER = "-5073/31720"
@@ -242,6 +244,26 @@ def test_conflicting_inputs_exit_2(capsys, input_files):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bounds", "--preset", "peanut-ternary"),
+        ("bounds", "--scenario", "scenario.yaml", "--summary", "bad_summary.yaml"),
+        ("ci", "--preset", "peanut-ternary", "--method", "percentile",
+         "--bootstrap", "10", "--seed", "1"),
+        ("derive", "--scenario", "scenario.yaml"),
+        ("verify", "--scenario", "scenario.yaml", "--suite", "collapse", "--seed", "1"),
+        ("dump-lp", "--scenario", "scenario.yaml"),
+    ],
+)
+def test_coarsening_without_records_exits_2(capsys, input_files, argv):
+    argv = [input_files.get(arg, arg) for arg in argv]
+    code, out, err = run_cli(capsys, *argv, "--coarsening", input_files["coarsen.yaml"])
+    assert code == 2
+    assert out == ""
+    assert "--coarsening applies only to --records" in err
+
+
 def test_missing_inputs_exit_2(capsys):
     code, _, err = run_cli(capsys, "bounds")
     assert code == 2
@@ -254,6 +276,33 @@ def test_cap_exit_4(capsys):
     )
     assert code == 4
     assert "exceed" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("derive",), ("dump-lp",), ("verify", "--seed", "1")]
+)
+def test_caps_refuse_a_huge_scenario_before_enumerating(capsys, monkeypatch, tmp_path, argv):
+    # An 8-level exposure under a 5-arm instrument has 8^5 * 2^8 = 8,388,608
+    # response types, too many to enumerate in memory.
+    def unreachable(scenario):
+        raise AssertionError("enumerated past a cap")
+
+    monkeypatch.setattr(response, "enumerate_exposure_types", unreachable)
+    monkeypatch.setattr(response, "enumerate_outcome_types", unreachable)
+    path = tmp_path / "scenario.yaml"
+    path.write_text(
+        "schema: coarseiv/scenario/1\n"
+        "instrument_levels: [z0, z1, z2, z3, z4]\n"
+        "levels: [" + ", ".join(f"{{label: x{i}}}" for i in range(8)) + "]\n"
+        "estimand: {kind: risk_difference, x: x0, x_prime: x7}\n",
+        encoding="utf-8",
+    )
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv[0], "--scenario", str(path), *argv[1:])
+    assert time.perf_counter() - start < 1
+    assert code == 4
+    assert out == ""
+    assert err == "error: 8388608 response-type variables exceed cap 4096\n"
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
-"""Every name a `coarseiv` module imports is referenced in that module."""
+"""Every name a `coarseiv` module imports is referenced in that module, and
+every import sits at module level, where an import cycle fails at once."""
 
 import ast
 from pathlib import Path
@@ -34,6 +35,27 @@ def _referenced(tree: ast.Module) -> set[str]:
     return names
 
 
+def _nested_imports(tree: ast.Module) -> list[int]:
+    """Lines of the imports inside a function body."""
+    return sorted(
+        {
+            inner.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for inner in ast.walk(node)
+            if isinstance(inner, (ast.Import, ast.ImportFrom))
+        }
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_only_at_module_level(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert not _nested_imports(tree), (
+        f"{path.name}: imports inside functions at lines {_nested_imports(tree)}"
+    )
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -56,3 +78,15 @@ def test_checker_flags_an_unused_import():
     )
     unused = set(_imported(tree)) - _referenced(tree)
     assert unused == {"Sequence"}
+
+
+def test_checker_flags_an_import_inside_a_function():
+    tree = ast.parse(
+        "import os\n"
+        "class C:\n"
+        "    def method(self):\n"
+        "        def inner():\n"
+        "            from .x import y\n"
+        "        return os, inner\n"
+    )
+    assert _nested_imports(tree) == [5]

@@ -21,6 +21,7 @@ from coarseiv.datasets import (
     peanut_risk_scenario,
     peanut_scenario,
 )
+from coarseiv.exactlp import ExactSimplex
 from coarseiv.inference import (
     BootstrapSpec,
     ExcessiveInfeasibility,
@@ -251,23 +252,45 @@ def test_symmetric_tails_contain_pointwise_tails():
 # -- infeasibility handling -----------------------------------------------------------
 
 
+# All z0 records sit at one cell and z1 places half its mass on the opposite
+# outcome of the same level, violating the instrument inequalities; nearly
+# every resample needs the slack rescue.
+INCOMPATIBLE_RECORDS = [RawRecord("z0", "a", 0)] * 8 + [
+    RawRecord("z1", "a", 1),
+    RawRecord("z1", "a", 1),
+    RawRecord("z1", "b", 0),
+    RawRecord("z1", "b", 0),
+]
+INCOMPATIBLE_SCENARIO = Scenario(
+    instrument_levels=("z0", "z1"),
+    levels=(ExposureLevel("a"), ExposureLevel("b")),
+    estimand=Estimand("risk_difference", x="a", x_prime="b"),
+)
+
+
 def test_excessive_infeasibility_aborts():
-    # All z0 records sit at one cell and z1 places half its mass on the
-    # opposite outcome of the same level, violating the instrument
-    # inequalities; nearly every resample needs the slack rescue.
-    records = [RawRecord("z0", "a", 0)] * 8 + [
-        RawRecord("z1", "a", 1),
-        RawRecord("z1", "a", 1),
-        RawRecord("z1", "b", 0),
-        RawRecord("z1", "b", 0),
-    ]
-    scn = Scenario(
-        instrument_levels=("z0", "z1"),
-        levels=(ExposureLevel("a"), ExposureLevel("b")),
-        estimand=Estimand("risk_difference", x="a", x_prime="b"),
-    )
     with pytest.raises(ExcessiveInfeasibility):
-        percentile_ci(records, scn, _spec(replicates=30))
+        percentile_ci(INCOMPATIBLE_RECORDS, INCOMPATIBLE_SCENARIO, _spec(replicates=30))
+
+
+def test_each_incompatible_table_is_solved_once_under_slack(monkeypatch):
+    calls = []
+    resolve_b = ExactSimplex.resolve_b
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return resolve_b(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExactSimplex, "resolve_b", counting)
+    spec = _spec(replicates=30, seed=7, max_infeasible_fraction=1.0)
+    res = percentile_ci(INCOMPATIBLE_RECORDS, INCOMPATIBLE_SCENARIO, spec)
+    assert res.n_infeasible == 25
+    assert (res.ci_lower, res.ci_upper) == (Fraction(-3, 4), 0)
+    assert any("SLACK PROJECTION APPLIED" in w for w in res.warnings)
+    # Every table costs a lower and an upper solve; the point table and the
+    # 25 incompatible replicates add one failed lower solve and one slack LP
+    # each, and no second failed lower solve: 2 * 31 + 2 * 26.
+    assert len(calls) == 114
 
 
 def test_crossed_interval_result_is_rejected():

@@ -1,9 +1,11 @@
 """Response-type enumeration and constraint-system construction."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from coarseiv import response
 from coarseiv.data import (
     Estimand,
     ExposureLevel,
@@ -12,6 +14,7 @@ from coarseiv.data import (
     Scenario,
 )
 from coarseiv.response import (
+    CapExceeded,
     build_constraint_system,
     enumerate_exposure_types,
     enumerate_outcome_types,
@@ -106,6 +109,75 @@ def test_rhs_alignment():
     assert b[0] == Fraction(1, 2)  # (z0, x, 0)
     assert b[1] == 0  # (z0, x, 1)
     assert b[-1] == 1
+
+
+def test_distribution_inverts_rhs():
+    scn = _scenario(ExposureLevel("m", well_defining=False, z_dependent=True))
+    probs = {
+        ("z0", "x", 0): Fraction(1, 3),
+        ("z0", "m", 1): Fraction(1, 6),
+        ("z0", "xp", 1): Fraction(1, 2),
+        ("z1", "m", 0): Fraction(3, 4),
+        ("z1", "xp", 0): Fraction(1, 4),
+    }
+    dist = ObservedDistribution.from_probs(("z0", "z1"), ("x", "xp", "m"), probs)
+    system = build_constraint_system(scn)
+    b = system.rhs(dist)
+    assert system.distribution(b, 1).probs == dist.probs
+    assert system.distribution([v * 12 for v in b], 12).probs == dist.probs
+    assert system.rhs(system.distribution(b, 1)) == b
+
+
+def _shape(k_z, k_x, n_zdep):
+    """Scenario with k_z instrument and k_x exposure levels, the last n_zdep z-dependent."""
+    return Scenario(
+        instrument_levels=tuple(f"z{i}" for i in range(k_z)),
+        levels=tuple(
+            ExposureLevel(f"x{i}", well_defining=False, z_dependent=True)
+            if i >= k_x - n_zdep
+            else ExposureLevel(f"x{i}")
+            for i in range(k_x)
+        ),
+        estimand=Estimand("counterfactual_risk", x="x0"),
+    )
+
+
+SHAPES = sorted(
+    {
+        (k_z, k_x, n_zdep)
+        for k_z, k_x in itertools.product((2, 3, 4), repeat=2)
+        for n_zdep in (0, 1, k_x - 1)
+        # Keep each enumeration small: at most 2^13 response types.
+        if k_x**k_z * 2 ** (k_x - n_zdep) * 2 ** (k_z * n_zdep) <= 2**13
+    }
+)
+
+
+@pytest.mark.parametrize("k_z, k_x, n_zdep", SHAPES)
+def test_caps_count_the_enumerated_variables_and_rows(k_z, k_x, n_zdep):
+    scn = _shape(k_z, k_x, n_zdep)
+    system = build_constraint_system(scn, max_variables=2**13, max_rows=100)
+    n, m = system.n_variables, system.n_rows
+    assert build_constraint_system(scn, max_variables=n, max_rows=m).lp_payload() == (
+        system.lp_payload()
+    )
+    with pytest.raises(CapExceeded, match=f"^{n} response-type variables exceed cap {n - 1}$"):
+        build_constraint_system(scn, max_variables=n - 1, max_rows=m)
+    with pytest.raises(CapExceeded, match=f"^{m} rows exceed cap {m - 1}$"):
+        build_constraint_system(scn, max_variables=n, max_rows=m - 1)
+
+
+def test_caps_raise_before_enumeration(monkeypatch):
+    def unreachable(scenario):
+        raise AssertionError("enumerated past a cap")
+
+    monkeypatch.setattr(response, "enumerate_exposure_types", unreachable)
+    monkeypatch.setattr(response, "enumerate_outcome_types", unreachable)
+    huge = _shape(6, 10, 0)  # 10^6 * 2^10 > 10^9 response types, 121 rows
+    with pytest.raises(CapExceeded, match="^1024000000 response-type variables exceed cap 4096$"):
+        build_constraint_system(huge)
+    with pytest.raises(CapExceeded, match="^121 rows exceed cap 30$"):
+        build_constraint_system(huge, max_variables=10**12)
 
 
 def test_ill_defining_and_contaminated_systems_bit_identical():

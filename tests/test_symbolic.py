@@ -108,7 +108,7 @@ def test_nonpointed_dual_is_rejected():
 
 def _block_extremes(term, instruments, levels):
     out = {}
-    coeffs = term.coeff_dict()
+    coeffs = dict(term.coeffs)
     for z in instruments:
         vals = [coeffs.get((z, x, y), Fraction(0)) for x in levels for y in (0, 1)]
         out[z] = (min(vals), max(vals))

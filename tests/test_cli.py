@@ -1,16 +1,19 @@
 """Command-line interface: output schema, exit codes, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from coarseiv import response
+from coarseiv import oracle, response
+from coarseiv.bounds import BoundsSolver
 from coarseiv.cli import main
 
 PEANUT_LOWER = "-5073/31720"
@@ -511,6 +514,69 @@ def test_warm_resolve_documents_are_byte_identical(capsys, command):
     code, out, err = run_cli(capsys, *command.split())
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == WARM_MISS_SHA256[command]
+
+
+# SHA-256 of stdout for `verify` runs over every suite: each trial's draw, and
+# so each document, depends only on the seed and the trial index.
+VERIFY_SHA256 = {
+    "verify --preset homocysteine-3 --suite all --trials 20 --seed 1":
+        "4d7999164ce7394e5cd8a4528454501a169213d9acf6e3413bafb50ed93235bc",
+    "verify --preset peanut-ternary --suite all --trials 30 --seed 5":
+        "eadf12402a791d16d3ad9331b765c46ba986099b6d9f00528388a9167287cd88",
+    "verify --preset peanut-risk --suite all --trials 30 --seed 6":
+        "92317fa7109446269ef38b2729e0248026d2aeafc117103ba857da57566105ba",
+    "verify --preset homocysteine-3 --suite tightness --trials 8 --seed 1":
+        "e81eb8bc07e00c6b2a18530151288f163335cd57e28cec23e2c8de13d7685ae6",
+}
+
+
+@pytest.mark.parametrize("command", sorted(VERIFY_SHA256))
+def test_verify_documents_are_byte_identical(capsys, command):
+    code, out, err = run_cli(capsys, *command.split())
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[command]
+
+
+def _shift_lower(monkeypatch, shift=Fraction(1, 720)):
+    solve_b = BoundsSolver.solve_b
+
+    def shifted(self, *args, **kwargs):
+        res = solve_b(self, *args, **kwargs)
+        return dataclasses.replace(res, lower=res.lower + shift)
+
+    monkeypatch.setattr(BoundsSolver, "solve_b", shifted)
+
+
+def test_verify_document_with_a_shifted_bound_is_pinned(capsys, monkeypatch):
+    # Its failure records carry the trial and the values drawn for it.
+    _shift_lower(monkeypatch)
+    code, out, err = run_cli(
+        capsys, *"verify --preset homocysteine-3 --suite all --trials 6 --seed 4".split()
+    )
+    assert code == 1, err
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "432a55a3998ab9653a46cbaa929cb98e959074ff46b3afc3723ff9960bcb6b01"
+    )
+
+
+def test_verify_failure_records_do_not_depend_on_the_trial_count(capsys, monkeypatch):
+    # Trial t draws the same model whatever the number of trials.
+    _shift_lower(monkeypatch)
+    monkeypatch.setattr(oracle, "_MAX_FAILURES", 100)
+
+    def failures(trials):
+        code, out, err = run_cli(
+            capsys, "verify", "--preset", "homocysteine-3", "--suite", "all",
+            "--trials", str(trials), "--seed", "4",
+        )
+        assert code == 1, err
+        res = json.loads(out)["results"]
+        sections = [res["validity"], res["tightness"], *res["equivalences"]["families"]]
+        return [[f for f in s["failures"] if f["trial"] < 5] for s in sections]
+
+    short = failures(5)
+    assert sum(map(len, short)) >= 10
+    assert failures(12) == short
 
 
 # -- dump-lp --------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .bounds import (
     InfeasibleDistribution,
     classic_term_sets,
     closed_form_classic,
+    closed_form_for,
     closed_form_single_level,
     closed_form_ternary_contrast,
     numeric_bounds,
@@ -102,6 +103,7 @@ __all__ = [
     "check_validity",
     "classic_term_sets",
     "closed_form_classic",
+    "closed_form_for",
     "closed_form_single_level",
     "closed_form_ternary_contrast",
     "coarsen",

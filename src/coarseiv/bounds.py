@@ -7,7 +7,8 @@ identical-column groups of `response.merge_columns`.
 The closed-form path evaluates transcribed published term sets: the ten-term
 contrast bounds for a two-level instrument with three interchangeable clean
 exposure levels, their classic eight-term restriction for two levels of
-interest, and the two-term single-level counterfactual-risk bounds.
+interest, and the two-term single-level counterfactual-risk bounds;
+`closed_form_for` picks the one that applies to a scenario.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "InfeasibleDistribution",
     "classic_term_sets",
     "closed_form_classic",
+    "closed_form_for",
     "closed_form_single_level",
     "closed_form_ternary_contrast",
     "numeric_bounds",
@@ -487,3 +489,30 @@ def closed_form_single_level(dist: ObservedDistribution, x: str) -> BoundResult:
         estimand=lower_set.estimand,
     )
     return _closed_form_result(dist, lower_set, upper_set, scenario)
+
+
+def closed_form_for(scenario: Scenario):
+    """The transcribed closed form that applies to the scenario, or None.
+
+    Returns ``(form, evaluate, expected_tight)``: the form's name, a function
+    from an observed distribution to the form's `BoundResult`, and whether
+    the form is sharp under the scenario, so that it must equal the LP
+    bounds.  A closed form needs a two-level instrument; the estimand's
+    levels are clean by construction of `Scenario`.
+    """
+    est = scenario.estimand
+    if scenario.instrument_arity != 2:
+        return None
+    labels = scenario.level_labels()
+    n_clean = len(scenario.clean_labels())
+    if est.kind == "risk_difference":
+        x, xp = est.x, est.x_prime
+        if len(labels) == 3 == n_clean:
+            xo = next(l for l in labels if l not in (x, xp))
+            return ("ten-term", lambda dist: closed_form_ternary_contrast(dist, x, xp, xo), True)
+        if len(labels) <= 3 and n_clean == 2:
+            return ("eight-term", lambda dist: closed_form_classic(dist, x, xp), True)
+    elif est.kind == "counterfactual_risk" and len(labels) == 2:
+        # The two-term form is sharp only with the companion level z-dependent.
+        return ("two-term", lambda dist: closed_form_single_level(dist, est.x), n_clean == 1)
+    return None

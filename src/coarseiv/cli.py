@@ -13,6 +13,7 @@ invariant.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -20,15 +21,12 @@ from pathlib import Path
 
 from .bounds import (
     InfeasibleDistribution,
-    closed_form_classic,
-    closed_form_single_level,
-    closed_form_ternary_contrast,
+    closed_form_for,
     numeric_bounds,
 )
 from .data import (
     Estimand,
     InputError,
-    ObservedDistribution,
     Scenario,
     coarsen,
     content_hash,
@@ -226,25 +224,6 @@ def _require_estimand(scenario: Scenario) -> None:
 # -- bounds ------------------------------------------------------------------------
 
 
-def _applicable_closed_form(dist: ObservedDistribution, scenario: Scenario):
-    """The closed form matching the scenario, with its tightness expectation."""
-    est = scenario.estimand
-    if scenario.instrument_arity != 2:
-        return None
-    labels = scenario.level_labels()
-    clean = set(scenario.clean_labels())
-    if est.kind == "risk_difference" and {est.x, est.x_prime} <= clean:
-        if len(labels) == 3 and len(clean) == 3:
-            xo = next(l for l in labels if l not in (est.x, est.x_prime))
-            return ("ten-term", closed_form_ternary_contrast(dist, est.x, est.x_prime, xo), True)
-        if len(labels) <= 3 and len(clean) == 2:
-            return ("eight-term", closed_form_classic(dist, est.x, est.x_prime), True)
-    if est.kind == "counterfactual_risk" and len(labels) == 2 and est.x in clean:
-        other_clean = len(clean) == 2
-        return ("two-term", closed_form_single_level(dist, est.x), not other_clean)
-    return None
-
-
 def cmd_bounds(args) -> tuple[dict, int]:
     dist, scenario, echo = _resolve_inputs(args)
     _require_estimand(scenario)
@@ -252,7 +231,7 @@ def cmd_bounds(args) -> tuple[dict, int]:
         scenario, max_variables=args.max_variables, max_rows=args.max_rows
     )
     result = numeric_bounds(system, dist, slack=args.slack)
-    closed = _applicable_closed_form(dist, scenario)
+    closed = closed_form_for(scenario)
     results = {
         "estimand": _estimand_text(scenario.estimand),
         "lp": {
@@ -264,7 +243,8 @@ def cmd_bounds(args) -> tuple[dict, int]:
         "agreement": None,
     }
     if closed is not None:
-        form, cf, expected_tight = closed
+        form, evaluate, expected_tight = closed
+        cf = evaluate(dist)
         results["closed_form"] = {
             "form": form,
             **_interval(cf.lower, cf.upper),
@@ -689,6 +669,7 @@ def _add_cap_arguments(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--max-rows", type=int, default=MAX_ROWS)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coarseiv",

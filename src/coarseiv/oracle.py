@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .bounds import (
     InfeasibleDistribution,
     classic_term_sets,
     closed_form_classic,
-    closed_form_single_level,
+    closed_form_for,
     closed_form_ternary_contrast,
     single_level_term_sets,
 )
@@ -81,6 +81,16 @@ class RandomScm:
     true_value: Fraction
 
 
+def _rng(seed: int, *key: int) -> np.random.Generator:
+    """Generator of the SeedSequence child ``key`` of ``seed``.
+
+    ``_rng(seed, t)`` is seeded as the t-th child that ``SeedSequence(seed)``
+    spawns, so trial t draws the same model whatever the number of trials.
+    """
+    seq = np.random.SeedSequence(seed, spawn_key=key)
+    return np.random.Generator(np.random.PCG64(seq))
+
+
 def _compose(rng: np.random.Generator, k: int, denominator: int) -> list[int]:
     """Uniform random composition: k nonnegative integers summing to denominator."""
     if k == 1:
@@ -90,57 +100,96 @@ def _compose(rng: np.random.Generator, k: int, denominator: int) -> list[int]:
     return [int(v) for v in parts]
 
 
-def _sample_parts(
-    rng: np.random.Generator,
-    system: ConstraintSystem,
-    denominator: int,
-    point_mass: bool,
-) -> list[int]:
+def _push_forward(
+    system: ConstraintSystem, weights: Iterable[tuple[int, Any]]
+) -> tuple[list, Any]:
+    """A q over the system's rows and c.q, for q given as (type, weight) pairs."""
+    columns, objective = system.columns, system.objective
+    acc = [0] * system.n_rows
+    value = 0
+    for j, w in weights:
+        if w:
+            for r, coef in columns[j]:
+                acc[r] += coef * w
+            value += objective[j] * w
+    return acc, value
+
+
+def _draw(
+    system: ConstraintSystem, rng: np.random.Generator, point_mass: bool = False
+) -> tuple[list[int], list[int], Fraction]:
+    """One model: its type weights and table A q, both integers over
+    `SIMPLEX_DENOMINATOR`, and its true estimand value.
+
+    Every column carries the normalization row, so the table is the integer
+    right-hand side over the denominator.
+    """
     k = system.n_variables
     if point_mass:
         parts = [0] * k
-        parts[int(rng.integers(k))] = denominator
-        return parts
-    return _compose(rng, k, denominator)
+        parts[int(rng.integers(k))] = SIMPLEX_DENOMINATOR
+    else:
+        parts = _compose(rng, k, SIMPLEX_DENOMINATOR)
+    acc, value = _push_forward(system, enumerate(parts))
+    return parts, acc, Fraction(value, SIMPLEX_DENOMINATOR)
 
 
-def _push_forward(system: ConstraintSystem, parts: Sequence[int]) -> list[int]:
-    """Integer numerators of A q over the system's rows (denominator implied)."""
-    acc = [0] * system.n_rows
-    for j, col in enumerate(system.columns):
-        pj = parts[j]
-        if pj:
-            for r, coef in col:
-                acc[r] += coef * pj
-    return acc
-
-
-def _true_value(system: ConstraintSystem, parts: Sequence[int], denominator: int) -> Fraction:
-    return Fraction(
-        sum(c * p for c, p in zip(system.objective, parts) if c), denominator
-    )
-
-
-def sample_scm(
-    scenario: Scenario,
-    seed: int,
-    *,
-    point_mass: bool = False,
-    denominator: int = SIMPLEX_DENOMINATOR,
-) -> RandomScm:
+def sample_scm(scenario: Scenario, seed: int, *, point_mass: bool = False) -> RandomScm:
     """Sample q uniformly on the response-type simplex; exact rationals."""
     system = build_constraint_system(scenario)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    parts = _sample_parts(rng, system, denominator, point_mass)
+    parts, acc, true = _draw(system, _rng(seed), point_mass)
     return RandomScm(
         scenario=scenario,
-        q=tuple(Fraction(p, denominator) for p in parts),
-        dist=system.distribution(_push_forward(system, parts), denominator),
-        true_value=_true_value(system, parts, denominator),
+        q=tuple(Fraction(p, SIMPLEX_DENOMINATOR) for p in parts),
+        dist=system.distribution(acc, SIMPLEX_DENOMINATOR),
+        true_value=true,
     )
+
+
+def _note(failures: list[dict], **detail) -> None:
+    """Record a failure; a report keeps the first `_MAX_FAILURES`."""
+    if len(failures) < _MAX_FAILURES:
+        failures.append(detail)
+
+
+def _trials(
+    scenario: Scenario, trials: int, seed: int
+) -> tuple[ConstraintSystem, Iterator[tuple]]:
+    """The scenario's system and, lazily, each trial solved under it.
+
+    Yields ``(t, parts, table, true value, result)`` per trial, where the
+    result is the matching LP's `BoundResult` or the `InfeasibleDistribution`
+    it raised.  A sampled table is feasible by construction, so the latter is
+    an engine fault that the caller records.
+    """
+    if trials < 1:
+        raise InputError("need at least one trial")
+    if scenario.estimand is None:
+        raise InputError("scenario carries no estimand")
+    system = build_constraint_system(scenario)
+    solver = BoundsSolver(system)
+
+    def solved():
+        for t in range(trials):
+            parts, acc, true = _draw(system, _rng(seed, t))
+            try:
+                res = solver.solve_b(acc, scale=SIMPLEX_DENOMINATOR)
+            except InfeasibleDistribution as exc:
+                res = exc
+            yield t, parts, acc, true, res
+
+    return system, solved()
 
 
 # -- validity --------------------------------------------------------------------
+
+
+# The closed-form audit of each form `closed_form_for` can pick.
+_CLOSED_FORM_AUDITS = {
+    "ten-term": "closed-form:classic-contains-ternary",
+    "eight-term": "closed-form:classic-equals-lp",
+    "two-term": "closed-form:single-level-contains-lp",
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,64 +214,38 @@ class ValidityReport:
 
 
 def check_validity(scenario: Scenario, trials: int, seed: int) -> ValidityReport:
-    """Ground-truth containment audit; every violation is an engine bug."""
-    if trials < 1:
-        raise InputError("need at least one trial")
-    if scenario.estimand is None:
-        raise InputError("scenario carries no estimand")
-    system = build_constraint_system(scenario)
-    solver = BoundsSolver(system)
-    referenced = set(scenario.estimand.referenced())
-    demotable = [
-        lv.label for lv in scenario.levels if lv.clean and lv.label not in referenced
-    ]
-    weaker = []
-    for label in demotable:
-        wsys = build_constraint_system(scenario.demote(label))
-        weaker.append((label, wsys, BoundsSolver(wsys)))
+    """Ground-truth containment audit; every violation is an engine bug.
 
-    two_iv = scenario.instrument_arity == 2
-    labels = scenario.level_labels()
+    The closed form that `bounds` reports for the scenario, if any, must
+    contain the LP interval and the true value, and must equal the LP when
+    it is expected to be tight.  The eight-term form must also contain the
+    ten-term one.
+    """
+    system, solved = _trials(scenario, trials, seed)
     est = scenario.estimand
-    ternary_audit = (
-        two_iv
-        and est.kind == "risk_difference"
-        and len(labels) == 3
-        and all(lv.clean for lv in scenario.levels)
-    )
-    risk_audit = two_iv and est.kind == "counterfactual_risk" and len(labels) == 2
+    referenced = set(est.referenced())
+    weaker = []
+    for lv in scenario.levels:
+        if lv.clean and lv.label not in referenced:
+            wsys = build_constraint_system(scenario.demote(lv.label))
+            weaker.append((lv.label, wsys, BoundsSolver(wsys)))
+    closed = closed_form_for(scenario)
 
     audits = ["matching"] + [f"demoted:{label}" for label, _, _ in weaker]
-    if ternary_audit:
-        audits.append("closed-form:classic-contains-ternary")
-    if risk_audit:
-        audits.append("closed-form:single-level-contains-lp")
+    if closed is not None:
+        audits.append(_CLOSED_FORM_AUDITS[closed[0]])
 
     n_validity = n_nesting = n_closed = 0
     failures: list[dict] = []
-
-    def fail(**detail) -> None:
-        if len(failures) < _MAX_FAILURES:
-            failures.append(detail)
-
-    children = np.random.SeedSequence(seed).spawn(trials)
-    for t, child in enumerate(children):
-        rng = np.random.Generator(np.random.PCG64(child))
-        parts = _sample_parts(rng, system, SIMPLEX_DENOMINATOR, point_mass=False)
-        # Every column carries the normalization row, so acc is A q scaled
-        # by the denominator: the integer right-hand side over it.
-        acc = _push_forward(system, parts)
-        true = _true_value(system, parts, SIMPLEX_DENOMINATOR)
-        try:
-            res = solver.solve_b(acc, scale=SIMPLEX_DENOMINATOR)
-        except InfeasibleDistribution as exc:
+    for t, parts, acc, true, res in solved:
+        if isinstance(res, InfeasibleDistribution):
             n_validity += 1
-            fail(trial=t, audit="matching", error=str(exc), q_parts=parts)
+            _note(failures, trial=t, audit="matching", error=str(res), q_parts=parts)
             continue
         if not res.lower <= true <= res.upper:
             n_validity += 1
-            fail(trial=t, audit="matching", lower=res.lower, upper=res.upper,
-                 true=true, q_parts=parts)
+            _note(failures, trial=t, audit="matching", lower=res.lower, upper=res.upper,
+                  true=true, q_parts=parts)
 
         acc_of = dict(zip(system.row_keys, acc))
         for label, wsys, wsolver in weaker:
@@ -232,57 +255,39 @@ def check_validity(scenario: Scenario, trials: int, seed: int) -> ValidityReport
                 )
             except InfeasibleDistribution as exc:
                 n_validity += 1
-                fail(trial=t, audit=f"demoted:{label}", error=str(exc), q_parts=parts)
+                _note(failures, trial=t, audit=f"demoted:{label}", error=str(exc),
+                      q_parts=parts)
                 continue
             if not wres.lower <= true <= wres.upper:
                 n_validity += 1
-                fail(trial=t, audit=f"demoted:{label}", lower=wres.lower,
-                     upper=wres.upper, true=true, q_parts=parts)
+                _note(failures, trial=t, audit=f"demoted:{label}", lower=wres.lower,
+                      upper=wres.upper, true=true, q_parts=parts)
             if wres.lower > res.lower or wres.upper < res.upper:
                 n_nesting += 1
-                fail(trial=t, audit=f"demoted:{label}", kind="nesting",
-                     strong=(res.lower, res.upper), weak=(wres.lower, wres.upper))
+                _note(failures, trial=t, audit=f"demoted:{label}", kind="nesting",
+                      strong=(res.lower, res.upper), weak=(wres.lower, wres.upper))
 
-        if ternary_audit or risk_audit:
+        if closed is not None:
+            form, evaluate, expected_tight = closed
             dist = system.distribution(acc, SIMPLEX_DENOMINATOR)
-            if ternary_audit:
-                x, xp = est.x, est.x_prime
-                xo = next(l for l in labels if l not in (x, xp))
-                tern = closed_form_ternary_contrast(dist, x, xp, xo)
-                classic = closed_form_classic(dist, x, xp)
-                # The ten-term closed form must equal the LP exactly; the
-                # eight-term form must contain it.
-                ok = (
-                    (tern.lower, tern.upper) == (res.lower, res.upper)
-                    and classic.lower <= tern.lower
-                    and tern.upper <= classic.upper
-                    and tern.lower <= true <= tern.upper
-                )
-                if not ok:
-                    n_closed += 1
-                    fail(trial=t, audit="closed-form", kind="classic-vs-ternary",
-                         ternary=(tern.lower, tern.upper),
-                         classic=(classic.lower, classic.upper),
-                         lp=(res.lower, res.upper), true=true)
-            if risk_audit:
-                wide = closed_form_single_level(dist, est.x)
-                other_clean = next(
-                    lv.clean for lv in scenario.levels if lv.label != est.x
-                )
-                ok = (
-                    wide.lower <= res.lower
-                    and res.upper <= wide.upper
-                    and wide.lower <= true <= wide.upper
-                )
-                if not other_clean:
-                    # With the companion level z-dependent the two-term form
-                    # is tight, so containment sharpens to exact equality.
-                    ok = ok and (wide.lower, wide.upper) == (res.lower, res.upper)
-                if not ok:
-                    n_closed += 1
-                    fail(trial=t, audit="closed-form", kind="single-level-vs-lp",
-                         single=(wide.lower, wide.upper),
-                         lp=(res.lower, res.upper), true=true)
+            cf = evaluate(dist)
+            ok = (
+                cf.lower <= res.lower
+                and res.upper <= cf.upper
+                and cf.lower <= true <= cf.upper
+            )
+            if expected_tight:
+                ok = ok and (cf.lower, cf.upper) == (res.lower, res.upper)
+            detail = {}
+            if form == "ten-term":
+                classic = closed_form_classic(dist, est.x, est.x_prime)
+                ok = ok and classic.lower <= cf.lower and cf.upper <= classic.upper
+                detail["classic"] = (classic.lower, classic.upper)
+            if not ok:
+                n_closed += 1
+                _note(failures, trial=t, audit="closed-form", kind=form,
+                      closed_form=(cf.lower, cf.upper), lp=(res.lower, res.upper),
+                      true=true, **detail)
 
     return ValidityReport(
         scenario=scenario,
@@ -323,14 +328,7 @@ def _certificate_ok(
     """Primal certificate: weights q >= 0 with A q == b / scale and c.q == target."""
     if any(v < 0 for v in certificate.values()):
         return False
-    acc = [Fraction(0)] * system.n_rows
-    value = Fraction(0)
-    for j, v in certificate.items():
-        for r, coef in system.columns[j]:
-            acc[r] += coef * v
-        c = system.objective[j]
-        if c:
-            value += c * v
+    acc, value = _push_forward(system, certificate.items())
     return [v * scale for v in acc] == list(b) and value == target
 
 
@@ -364,40 +362,29 @@ def check_tightness(scenario: Scenario, trials: int, seed: int) -> TightnessRepo
     Per trial, both bounds must carry a primal certificate that attains them
     and a dual certificate that proves them optimal for every unmerged
     response type.  By weak duality no feasible model leaves the interval,
-    so these four checks are the whole audit.
+    so these four checks are the whole audit.  A trial whose LP wrongly
+    reports its table infeasible has no certificates: all four fail.
     """
-    if trials < 1:
-        raise InputError("need at least one trial")
-    if scenario.estimand is None:
-        raise InputError("scenario carries no estimand")
-    system = build_constraint_system(scenario)
-    solver = BoundsSolver(system)
-
+    system, solved = _trials(scenario, trials, seed)
     n_checked = n_failed = 0
     failures: list[dict] = []
-
-    def fail(**detail) -> None:
-        if len(failures) < _MAX_FAILURES:
-            failures.append(detail)
-
-    children = np.random.SeedSequence(seed).spawn(trials)
-    for t, child in enumerate(children):
-        rng = np.random.Generator(np.random.PCG64(child))
-        parts = _sample_parts(rng, system, SIMPLEX_DENOMINATOR, point_mass=False)
-        acc = _push_forward(system, parts)
-        res = solver.solve_b(acc, scale=SIMPLEX_DENOMINATOR)
+    for t, parts, acc, _, res in solved:
+        n_checked += 4
+        if isinstance(res, InfeasibleDistribution):
+            n_failed += 4
+            _note(failures, trial=t, error=str(res), q_parts=parts)
+            continue
         sides = (
             ("lower", 1, res.lower, res.lower_certificate),
             ("upper", -1, res.upper, res.upper_certificate),
         )
         for (side, sign, target, cert), (optimum, _) in zip(sides, res.lp_optima):
-            n_checked += 2
             if not _certificate_ok(system, cert, acc, target, SIMPLEX_DENOMINATOR):
                 n_failed += 1
-                fail(trial=t, side=side, kind="certificate", target=target)
+                _note(failures, trial=t, side=side, kind="certificate", target=target)
             if not _dual_ok(system, optimum.dual, acc, SIMPLEX_DENOMINATOR, sign, target):
                 n_failed += 1
-                fail(trial=t, side=side, kind="dual-certificate", target=target)
+                _note(failures, trial=t, side=side, kind="dual-certificate", target=target)
 
     return TightnessReport(
         scenario=scenario,
@@ -441,25 +428,14 @@ class EquivalenceReport:
         return all(f.passed for f in self.families)
 
 
-def _two_level_scenario(instruments, estimand=None) -> Scenario:
-    return Scenario(
-        instrument_levels=instruments,
-        levels=(ExposureLevel("x"), ExposureLevel("xp")),
-        estimand=estimand or Estimand(kind="risk_difference", x="x", x_prime="xp"),
-    )
+def _clean_scenario(instruments, labels, estimand) -> Scenario:
+    return Scenario(instruments, tuple(ExposureLevel(l) for l in labels), estimand)
 
 
-def _with_extra(base: Scenario, variant: str, label: str = "m") -> Scenario:
-    extra = (
-        ExposureLevel(label, well_defining=False, z_dependent=True)
-        if variant == "ill"
-        else ExposureLevel(label, well_defining=True, z_dependent=True)
-    )
-    return Scenario(
-        instrument_levels=base.instrument_levels,
-        levels=base.levels + (extra,),
-        estimand=base.estimand,
-    )
+def _with_extra(base: Scenario, well_defining: bool) -> Scenario:
+    """The base plus a z-dependent level: instrument-affected or ill-defining."""
+    extra = ExposureLevel("m", well_defining=well_defining, z_dependent=True)
+    return Scenario(base.instrument_levels, base.levels + (extra,), base.estimand)
 
 
 def _scrambled_rhs(
@@ -482,176 +458,120 @@ def _scrambled_rhs(
     return out
 
 
+def _run_family(
+    name: str,
+    base: Scenario,
+    transcribed,  # (lower, upper) SymbolicBoundSets or None
+    trials: int,
+    seed: int,
+    index: int,
+) -> FamilyReport:
+    """One family's audit; its trial t draws from the child (index, t) of seed."""
+    ill, con = _with_extra(base, False), _with_extra(base, True)
+    base_sys = build_constraint_system(base)
+    ill_sys = build_constraint_system(ill)
+    con_sys = build_constraint_system(con)
+    bit_identical = ill_sys.lp_payload() == con_sys.lp_payload()
+
+    symbolic_equal: bool | None = None
+    if base.instrument_arity == 2:
+        i_lo, i_hi = derive_symbolic(ill_sys)
+        symbolic_equal = True
+        if len(base.levels) > 1:
+            # A degenerate single-level base has a non-pointed dual
+            # polyhedron, so derivation only runs on two-plus-level bases.
+            b_lo, b_hi = derive_symbolic(base_sys)
+            symbolic_equal = term_sets_equal(b_lo, i_lo) and term_sets_equal(
+                b_hi, i_hi
+            )
+        if transcribed is not None:
+            t_lo, t_hi = transcribed
+            symbolic_equal = (
+                symbolic_equal
+                and term_sets_equal(i_lo, t_lo)
+                and term_sets_equal(i_hi, t_hi)
+            )
+
+    base_solver = BoundsSolver(base_sys)
+    ill_solver = BoundsSolver(ill_sys)
+    extra_label = ill.level_labels()[-1]
+    closed = closed_form_for(ill)
+    n_mismatch = 0
+    failures: list[dict] = []
+    for t in range(trials):
+        rng = _rng(seed, index, t)
+        # (a) weakest-scenario sample: scramble invariance + closed form.
+        _, acc, _ = _draw(ill_sys, rng)
+        res = ill_solver.solve_b(acc, scale=SIMPLEX_DENOMINATOR)
+        b_scr = _scrambled_rhs(ill_sys, acc, extra_label, rng)
+        res_scr = ill_solver.solve_b(b_scr, scale=SIMPLEX_DENOMINATOR * 720)
+        if (res.lower, res.upper) != (res_scr.lower, res_scr.upper):
+            n_mismatch += 1
+            _note(failures, trial=t, kind="scramble", plain=(res.lower, res.upper),
+                  scrambled=(res_scr.lower, res_scr.upper))
+        if closed is not None:
+            # Every family's closed form is sharp under its weakest scenario.
+            cf = closed[1](ill_sys.distribution(acc, SIMPLEX_DENOMINATOR))
+            if (cf.lower, cf.upper) != (res.lower, res.upper):
+                n_mismatch += 1
+                _note(failures, trial=t, kind="closed-form", lp=(res.lower, res.upper),
+                      cf=(cf.lower, cf.upper))
+        # (b) without-extra-level sample, zero-padded.
+        _, acc2, _ = _draw(base_sys, rng)
+        res2 = base_solver.solve_b(acc2, scale=SIMPLEX_DENOMINATOR)
+        acc2_of = dict(zip(base_sys.row_keys, acc2))
+        b_pad = [acc2_of.get(key, 0) for key in ill_sys.row_keys]
+        res_pad = ill_solver.solve_b(b_pad, scale=SIMPLEX_DENOMINATOR)
+        if (res2.lower, res2.upper) != (res_pad.lower, res_pad.upper):
+            n_mismatch += 1
+            _note(failures, trial=t, kind="zero-pad", base=(res2.lower, res2.upper),
+                  padded=(res_pad.lower, res_pad.upper))
+
+    return FamilyReport(
+        name=name,
+        bit_identical=bit_identical,
+        symbolic_equal=symbolic_equal,
+        trials=trials,
+        n_mismatches=n_mismatch,
+        failures=tuple(failures),
+    )
+
+
 def check_equivalences(trials: int, seed: int) -> EquivalenceReport:
     """Audit the scenario-family equivalences with exact comparisons.
 
     For each family: the ill-defining and instrument-affected variants must
     be bit-identical; random distributions generated under the weakest
     scenario must give identical bounds whether or not the extra level's
-    within-stratum outcome split is scrambled; zero-padding a distribution
-    from the without-extra-level scenario must reproduce its bounds; under a
+    within-stratum outcome split is scrambled, and must equal the closed form
+    that applies, if any; zero-padding a distribution from the
+    without-extra-level scenario must reproduce its bounds; under a
     two-level instrument the derived term sets must also equal the
     transcribed closed forms, term by term.
     """
     if trials < 1:
         raise InputError("need at least one trial")
-    families: list[FamilyReport] = []
-    master = np.random.SeedSequence(seed)
-
-    def run_family(
-        name: str,
-        base: Scenario,
-        ill: Scenario,
-        con: Scenario,
-        transcribed,  # (lower, upper) SymbolicBoundSets or None
-        closed_form_eval,  # callable(dist) -> BoundResult or None
-        family_seed,
-        derive_base: bool = True,
-    ) -> FamilyReport:
-        base_sys = build_constraint_system(base)
-        ill_sys = build_constraint_system(ill)
-        con_sys = build_constraint_system(con)
-        bit_identical = ill_sys.lp_payload() == con_sys.lp_payload()
-
-        symbolic_equal: bool | None = None
-        if base.instrument_arity == 2:
-            i_lo, i_hi = derive_symbolic(ill_sys)
-            symbolic_equal = True
-            if derive_base:
-                # A degenerate single-level base has a non-pointed dual
-                # polyhedron, so derivation only runs on two-plus-level bases.
-                b_lo, b_hi = derive_symbolic(base_sys)
-                symbolic_equal = term_sets_equal(b_lo, i_lo) and term_sets_equal(
-                    b_hi, i_hi
-                )
-            if transcribed is not None:
-                t_lo, t_hi = transcribed
-                symbolic_equal = (
-                    symbolic_equal
-                    and term_sets_equal(i_lo, t_lo)
-                    and term_sets_equal(i_hi, t_hi)
-                )
-
-        base_solver = BoundsSolver(base_sys)
-        ill_solver = BoundsSolver(ill_sys)
-        extra_label = ill.level_labels()[-1]
-        n_mismatch = 0
-        failures: list[dict] = []
-
-        def fail(**detail) -> None:
-            if len(failures) < _MAX_FAILURES:
-                failures.append(detail)
-
-        children = family_seed.spawn(trials)
-        for t, child in enumerate(children):
-            rng = np.random.Generator(np.random.PCG64(child))
-            # (a) weakest-scenario sample: scramble invariance + closed form.
-            parts = _sample_parts(rng, ill_sys, SIMPLEX_DENOMINATOR, point_mass=False)
-            acc = _push_forward(ill_sys, parts)
-            res = ill_solver.solve_b(acc, scale=SIMPLEX_DENOMINATOR)
-            b_scr = _scrambled_rhs(ill_sys, acc, extra_label, rng)
-            res_scr = ill_solver.solve_b(b_scr, scale=SIMPLEX_DENOMINATOR * 720)
-            if (res.lower, res.upper) != (res_scr.lower, res_scr.upper):
-                n_mismatch += 1
-                fail(trial=t, kind="scramble", plain=(res.lower, res.upper),
-                     scrambled=(res_scr.lower, res_scr.upper))
-            if closed_form_eval is not None:
-                cf = closed_form_eval(ill_sys.distribution(acc, SIMPLEX_DENOMINATOR))
-                if (cf.lower, cf.upper) != (res.lower, res.upper):
-                    n_mismatch += 1
-                    fail(trial=t, kind="closed-form", lp=(res.lower, res.upper),
-                         cf=(cf.lower, cf.upper))
-            # (b) without-extra-level sample, zero-padded.
-            parts2 = _sample_parts(rng, base_sys, SIMPLEX_DENOMINATOR, point_mass=False)
-            acc2 = _push_forward(base_sys, parts2)
-            res2 = base_solver.solve_b(acc2, scale=SIMPLEX_DENOMINATOR)
-            acc2_of = dict(zip(base_sys.row_keys, acc2))
-            b_pad = [acc2_of.get(key, 0) for key in ill_sys.row_keys]
-            res_pad = ill_solver.solve_b(b_pad, scale=SIMPLEX_DENOMINATOR)
-            if (res2.lower, res2.upper) != (res_pad.lower, res_pad.upper):
-                n_mismatch += 1
-                fail(trial=t, kind="zero-pad", base=(res2.lower, res2.upper),
-                     padded=(res_pad.lower, res_pad.upper))
-
-        return FamilyReport(
-            name=name,
-            bit_identical=bit_identical,
-            symbolic_equal=symbolic_equal,
-            trials=trials,
-            n_mismatches=n_mismatch,
-            failures=tuple(failures),
-        )
-
-    seeds = master.spawn(4)
-
-    # Family 1: two-level instrument, contrast between two clean levels.
     z2 = ("z0", "z1")
-    base1 = _two_level_scenario(z2)
-    families.append(
-        run_family(
-            "two-level-IV contrast",
-            base1,
-            _with_extra(base1, "ill"),
-            _with_extra(base1, "con"),
-            classic_term_sets(z2, "x", "xp"),
-            lambda dist: closed_form_classic(dist, "x", "xp"),
-            seeds[0],
-        )
-    )
-
-    # Family 2: two-level instrument, single-level counterfactual risk.
-    base2 = Scenario(
-        instrument_levels=z2,
-        levels=(ExposureLevel("x"),),
-        estimand=Estimand(kind="counterfactual_risk", x="x"),
-    )
-    families.append(
-        run_family(
-            "two-level-IV single risk",
-            base2,
-            _with_extra(base2, "ill"),
-            _with_extra(base2, "con"),
-            single_level_term_sets(z2, "x"),
-            lambda dist: closed_form_single_level(dist, "x"),
-            seeds[1],
-            derive_base=False,
-        )
-    )
-
-    # Family 3: three-level instrument, two clean levels.
     z3 = ("z0", "z1", "z2")
-    base3 = _two_level_scenario(z3)
-    families.append(
-        run_family(
-            "three-level-IV two clean levels",
-            base3,
-            _with_extra(base3, "ill"),
-            _with_extra(base3, "con"),
-            None,
-            None,
-            seeds[2],
-        )
+    contrast = Estimand(kind="risk_difference", x="x", x_prime="xp")
+    risk = Estimand(kind="counterfactual_risk", x="x")
+    families = (
+        ("two-level-IV contrast", _clean_scenario(z2, ("x", "xp"), contrast),
+         classic_term_sets(z2, "x", "xp")),
+        ("two-level-IV single risk", _clean_scenario(z2, ("x",), risk),
+         single_level_term_sets(z2, "x")),
+        ("three-level-IV two clean levels", _clean_scenario(z3, ("x", "xp"), contrast), None),
+        ("three-level-IV three clean levels",
+         _clean_scenario(z3, ("x", "xp", "xpp"), contrast), None),
     )
-
-    # Family 4: three-level instrument, three clean levels.
-    base4 = Scenario(
-        instrument_levels=z3,
-        levels=(ExposureLevel("x"), ExposureLevel("xp"), ExposureLevel("xpp")),
-        estimand=Estimand(kind="risk_difference", x="x", x_prime="xp"),
+    return EquivalenceReport(
+        trials=trials,
+        seed=seed,
+        families=tuple(
+            _run_family(name, base, transcribed, trials, seed, i)
+            for i, (name, base, transcribed) in enumerate(families)
+        ),
     )
-    families.append(
-        run_family(
-            "three-level-IV three clean levels",
-            base4,
-            _with_extra(base4, "ill"),
-            _with_extra(base4, "con"),
-            None,
-            None,
-            seeds[3],
-        )
-    )
-
-    return EquivalenceReport(trials=trials, seed=seed, families=tuple(families))
 
 
 # -- the identification-by-assumption construction ---------------------------------

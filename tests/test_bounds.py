@@ -12,6 +12,7 @@ from coarseiv.bounds import (
     CapExceeded,
     InfeasibleDistribution,
     closed_form_classic,
+    closed_form_for,
     closed_form_single_level,
     closed_form_ternary_contrast,
     merge_columns,
@@ -100,6 +101,61 @@ def test_single_level_closed_form_matches_lp_on_peanut_risk():
     dist = peanut_risk_distribution()
     cf = closed_form_single_level(dist, x="<0.2g")
     assert cf.interval == PEANUT_RISK_INTERVAL
+
+
+def _scenario(instruments, levels, estimand):
+    return Scenario(
+        instrument_levels=instruments,
+        levels=tuple(
+            ExposureLevel(l.rstrip("*"), well_defining=False, z_dependent=True)
+            if l.endswith("*")
+            else ExposureLevel(l)
+            for l in levels
+        ),
+        estimand=estimand,
+    )
+
+
+CONTRAST = Estimand(kind="risk_difference", x="x", x_prime="xp")
+RISK = Estimand(kind="counterfactual_risk", x="x")
+
+
+@pytest.mark.parametrize(
+    "instruments, levels, estimand, expected",
+    [
+        (("z0", "z1"), ("x", "xp", "xo"), CONTRAST, ("ten-term", True)),
+        (("z0", "z1"), ("x", "xp"), CONTRAST, ("eight-term", True)),
+        (("z0", "z1"), ("x", "xp", "m*"), CONTRAST, ("eight-term", True)),
+        (("z0", "z1"), ("x", "m*"), RISK, ("two-term", True)),
+        (("z0", "z1"), ("x", "xp"), RISK, ("two-term", False)),
+        (("z0", "z1"), ("x", "xp", "xo", "xq"), CONTRAST, None),
+        (("z0", "z1"), ("x", "xp", "m*", "n*"), CONTRAST, None),
+        (("z0", "z1"), ("x", "xp", "xo"), RISK, None),
+        (("z0", "z1", "z2"), ("x", "xp"), CONTRAST, None),
+        (("z0", "z1", "z2"), ("x", "m*"), RISK, None),
+    ],
+)
+def test_closed_form_for_picks_the_form_and_its_tightness(
+    instruments, levels, estimand, expected
+):
+    closed = closed_form_for(_scenario(instruments, levels, estimand))
+    assert (closed if closed is None else (closed[0], closed[2])) == expected
+
+
+@pytest.mark.parametrize("preset", ["peanut-ternary", "peanut-risk"])
+def test_closed_form_for_evaluates_the_transcribed_form(preset):
+    dist, scenario = scenario_preset(preset)
+    form, evaluate, expected_tight = closed_form_for(scenario)
+    assert expected_tight
+    cf = evaluate(dist)
+    direct = (
+        closed_form_ternary_contrast(dist, x=">=6g", x_prime="<0.2g", x_other="0.2-6g")
+        if form == "ten-term"
+        else closed_form_single_level(dist, x="<0.2g")
+    )
+    assert cf.interval == direct.interval == numeric_bounds(
+        build_constraint_system(scenario), dist
+    ).interval
 
 
 # -- certificates -------------------------------------------------------------------

@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 
 from coarseiv import oracle, response
-from coarseiv.bounds import BoundsSolver
-from coarseiv.cli import main
+from coarseiv.bounds import BoundsSolver, InfeasibleDistribution
+from coarseiv.cli import build_parser, main
 
 PEANUT_LOWER = "-5073/31720"
 PEANUT_UPPER = "10/61"
@@ -577,6 +577,32 @@ def test_verify_failure_records_do_not_depend_on_the_trial_count(capsys, monkeyp
     short = failures(5)
     assert sum(map(len, short)) >= 10
     assert failures(12) == short
+
+
+def test_verify_tightness_fails_on_an_engine_infeasibility(capsys, monkeypatch):
+    # A sampled table is feasible by construction: an infeasibility verdict
+    # on it is a failed audit (exit 1), not infeasible data (exit 3).
+    solve_b = BoundsSolver.solve_b
+
+    def faulty(self, b, *args, **kwargs):
+        if b[0] % 2:
+            raise InfeasibleDistribution({"normalization": Fraction(1)}, Fraction(1))
+        return solve_b(self, b, *args, **kwargs)
+
+    monkeypatch.setattr(BoundsSolver, "solve_b", faulty)
+    for suite in ("validity", "tightness"):
+        code, out, err = run_cli(
+            capsys, "verify", "--preset", "homocysteine-3", "--suite", suite,
+            "--trials", "6", "--seed", "1",
+        )
+        assert code == 1, err
+        section = json.loads(out)["results"][suite]
+        assert section["passed"] is False
+        assert {"trial", "error", "q_parts"} <= set(section["failures"][0])
+
+
+def test_the_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 # -- dump-lp --------------------------------------------------------------------------

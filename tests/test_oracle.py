@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from coarseiv.bounds import BoundsSolver, numeric_bounds
+from coarseiv.bounds import BoundsSolver, InfeasibleDistribution, numeric_bounds
 from coarseiv.data import Estimand, ExposureLevel, InputError, Scenario
 from coarseiv.datasets import (
     homocysteine_scenario,
@@ -76,6 +76,71 @@ def test_check_validity_runs_the_single_risk_audit():
     assert "closed-form:single-level-contains-lp" in report.audits
 
 
+EIGHT_TERM_LEVEL_SETS = {
+    "two levels": (ExposureLevel("x"), ExposureLevel("xp")),
+    "ill-defining m": (
+        ExposureLevel("x"),
+        ExposureLevel("xp"),
+        ExposureLevel("m", well_defining=False, z_dependent=True),
+    ),
+    "instrument-affected m": (
+        ExposureLevel("x"),
+        ExposureLevel("xp"),
+        ExposureLevel("m", well_defining=True, z_dependent=True),
+    ),
+}
+
+
+def _eight_term_scenario(levels) -> Scenario:
+    return Scenario(
+        instrument_levels=("z0", "z1"),
+        levels=levels,
+        estimand=Estimand(kind="risk_difference", x="x", x_prime="xp"),
+    )
+
+
+@pytest.mark.parametrize("levels", sorted(EIGHT_TERM_LEVEL_SETS))
+def test_check_validity_runs_the_eight_term_audit(levels):
+    report = check_validity(_eight_term_scenario(EIGHT_TERM_LEVEL_SETS[levels]), 200, seed=44)
+    assert "closed-form:classic-equals-lp" in report.audits
+    assert report.passed
+    assert report.n_closed_form_violations == 0
+
+
+def _shift_bound(monkeypatch, side, shift=Fraction(1, 720)):
+    solve_b = BoundsSolver.solve_b
+
+    def shifted(self, *args, **kwargs):
+        res = solve_b(self, *args, **kwargs)
+        return dataclasses.replace(res, **{side: getattr(res, side) + shift})
+
+    monkeypatch.setattr(BoundsSolver, "solve_b", shifted)
+
+
+@pytest.mark.parametrize("levels", sorted(EIGHT_TERM_LEVEL_SETS))
+def test_the_eight_term_audit_fails_a_shifted_bound(monkeypatch, levels):
+    # The form is sharp here, so an LP bound 1/720 off it is a violation.
+    _shift_bound(monkeypatch, "upper", -Fraction(1, 720))
+    report = check_validity(_eight_term_scenario(EIGHT_TERM_LEVEL_SETS[levels]), 6, seed=44)
+    assert report.passed is False
+    assert report.n_closed_form_violations == 6
+    record = next(f for f in report.failures if f["audit"] == "closed-form")
+    assert set(record) == {"trial", "audit", "kind", "closed_form", "lp", "true"}
+    assert record["kind"] == "eight-term"
+    assert record["lp"][1] == record["closed_form"][1] - Fraction(1, 720)
+
+
+def test_the_ten_term_failure_record_carries_the_classic_interval(monkeypatch):
+    _shift_bound(monkeypatch, "lower")
+    report = check_validity(peanut_scenario("clean"), 3, seed=42)
+    assert report.n_closed_form_violations == 3
+    record = next(f for f in report.failures if f["audit"] == "closed-form")
+    assert record["kind"] == "ten-term"
+    assert set(record) == {"trial", "audit", "kind", "closed_form", "lp", "true", "classic"}
+    classic = record["classic"]
+    assert classic[0] <= record["closed_form"][0] <= record["closed_form"][1] <= classic[1]
+
+
 def test_check_validity_input_errors():
     with pytest.raises(InputError):
         check_validity(peanut_scenario("clean"), trials=0, seed=1)
@@ -103,18 +168,45 @@ def test_check_tightness_verifies_four_certificates_per_trial():
 def test_check_tightness_fails_a_bound_off_the_optimum(monkeypatch, side, shift):
     # A bound moved off the LP optimum breaks both its primal certificate
     # (which no longer attains it) and its dual one (y.b no longer equals it).
-    solve_b = BoundsSolver.solve_b
-
-    def shifted(self, *args, **kwargs):
-        res = solve_b(self, *args, **kwargs)
-        return dataclasses.replace(res, **{side: getattr(res, side) + shift})
-
-    monkeypatch.setattr(BoundsSolver, "solve_b", shifted)
+    _shift_bound(monkeypatch, side, shift)
     report = check_tightness(homocysteine_scenario(3), trials=8, seed=1)
     assert report.passed is False
     assert report.n_certificates == 32
     assert report.n_certificate_failures == 2 * report.trials
     assert {f["side"] for f in report.failures} == {side}
+
+
+def _infeasible_on_odd_tables(monkeypatch):
+    # Every sampled table is feasible, so an infeasibility verdict is an
+    # engine fault.  It fires on tables whose first cell count is odd.
+    solve_b = BoundsSolver.solve_b
+
+    def faulty(self, b, *args, **kwargs):
+        if b[0] % 2:
+            raise InfeasibleDistribution({"normalization": Fraction(1)}, Fraction(1))
+        return solve_b(self, b, *args, **kwargs)
+
+    monkeypatch.setattr(BoundsSolver, "solve_b", faulty)
+
+
+def test_check_tightness_records_an_engine_infeasibility(monkeypatch):
+    _infeasible_on_odd_tables(monkeypatch)
+    report = check_tightness(homocysteine_scenario(3), trials=6, seed=1)
+    assert report.passed is False
+    assert report.n_certificates == 24
+    assert [f["trial"] for f in report.failures] == [1, 2, 3, 5]
+    for f in report.failures:
+        assert set(f) == {"trial", "error", "q_parts"}
+        assert "incompatible" in f["error"]
+        assert sum(f["q_parts"]) == SIMPLEX_DENOMINATOR
+    # A faulty trial has no certificates, so all four fail; the rest pass.
+    assert report.n_certificate_failures == 16
+    # Validity solves the same tables and records the same faults.
+    validity = check_validity(homocysteine_scenario(3), trials=6, seed=1)
+    matching = [f for f in validity.failures if f["audit"] == "matching"]
+    assert [(f["trial"], f["q_parts"]) for f in matching] == [
+        (f["trial"], f["q_parts"]) for f in report.failures
+    ]
 
 
 def test_certificate_checker_rejects_tampering():

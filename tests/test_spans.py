@@ -1,0 +1,67 @@
+"""The benchmark's tracer finds every name it wraps and restores each one.
+
+`perfbench/spans.py` looks its functions up by name, so a rename in
+`coarseiv` would break a traced benchmark run while the rest of the suite
+still passed.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from coarseiv import cli
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+spans = _load_spans()
+OWNERS = spans._MODULES + tuple({cls for cls, *_ in spans._METHODS})
+
+
+def test_install_wraps_every_name_and_uninstall_restores_it():
+    before = [dict(vars(owner)) for owner in OWNERS]
+    originals = [getattr(owner, attr) for owner, attr, *_ in spans._FUNCTIONS]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for (owner, attr, *_), original in zip(spans._FUNCTIONS, originals):
+            assert getattr(owner, attr).__wrapped__ is original, attr
+        for cls, attr, *_ in spans._METHODS:
+            assert hasattr(vars(cls)[attr], "__wrapped__"), attr
+    finally:
+        tracer.uninstall()
+    assert [dict(vars(owner)) for owner in OWNERS] == before
+
+
+def test_oracle_and_closed_form_spans_fire_through_the_cli(capsys):
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        codes = [
+            cli.main(["verify", "--preset", "peanut-ternary", "--suite", "validity",
+                      "--trials", "2", "--seed", "1"]),
+            cli.main(["verify", "--preset", "peanut-risk", "--suite", "tightness",
+                      "--trials", "2", "--seed", "1"]),
+            cli.main(["bounds", "--preset", "peanut-risk"]),
+        ]
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert codes == [0, 0, 0]
+    names = {span[spans.NAME] for span in tracer.take()}
+    assert {
+        "cli.main",
+        "oracle.check_validity",
+        "oracle.check_tightness",
+        "bounds.closed_form_ternary_contrast",
+        "bounds.closed_form_classic",
+        "bounds.closed_form_single_level",
+        "bounds.solve_b",
+        "exactlp.resolve_b",
+    } <= names

@@ -16,7 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import gt
 from typing import Sequence
+
+import numpy as np
 
 from .data import (
     Estimand,
@@ -122,14 +125,21 @@ class BoundResult:
 class BoundsSolver:
     """Reusable exact bound solver with warm starts across right-hand sides.
 
-    Bootstrap and simulation loops call :meth:`solve_b` repeatedly.  After
-    the first (cold) solve, each new right-hand side is answered by
+    Simulation loops call :meth:`solve_b` repeatedly.  After the first
+    (cold) solve, each new right-hand side is answered by
     `ExactSimplex.resolve_b`: a recently optimal basis that is still primal
     feasible is reused as is, otherwise the dual simplex starts from the
     least infeasible of the most recently used optimal bases.  Either way the
     result is a certified optimum, typically an order of magnitude cheaper
     than a cold solve.  The right-hand side may be given as rationals or,
     with ``scale=N``, as integers meaning b / N.
+
+    The bootstrap knows all its right-hand sides up front and calls
+    :meth:`solve_batch` once.  A bound's value is the unique LP optimum
+    whatever basis attains it, so each optimal basis found is screened
+    against every pending right-hand side in one integer product, and
+    answers all those it is primal feasible for; only the rest are solved.
+    The upper side's dense [A; c] copies the lower side's A rows.
     """
 
     def __init__(self, system: ConstraintSystem):
@@ -137,7 +147,7 @@ class BoundsSolver:
         self.merged = merge_columns(system)
         m = system.n_rows
         self._lo = ExactSimplex(m, self.merged.columns, self.merged.min_costs)
-        self._hi = ExactSimplex(m, self.merged.columns, [-c for c in self.merged.max_costs])
+        self._hi = self._lo._with_costs([-c for c in self.merged.max_costs])
         self._slack_lp: ExactSimplex | None = None
         self._norm_idx = system.row_keys.index("normalization")
         self._cell_rows = [i for i in range(m) if i != self._norm_idx]
@@ -176,6 +186,57 @@ class BoundsSolver:
                 projected[row] += v if sign else -v
         return projected, out.value
 
+    def _rescue(self, b: Sequence[int], scale: int, exc: Infeasible, slack: bool) -> BoundResult:
+        # Finish a solve whose lower LP raised `exc` on b~ / scale: raise the
+        # checked certificate, or with `slack` bound at the slack projection.
+        wrapped = self._wrap_infeasible(exc)
+        if not verify_farkas(self.merged.columns, b, exc.farkas):
+            raise AssertionError("invalid infeasibility certificate") from exc
+        if not slack:
+            raise wrapped from None
+        projected, total = self.project_slack([Fraction(v, scale) for v in b])
+        b, scale = integer_rhs(projected)
+        note = (
+            "SLACK PROJECTION APPLIED: the observed distribution violates "
+            "the scenario's implied constraints (total L1 adjustment "
+            f"{total}); bounds are computed at the nearest compatible "
+            "distribution and are not bounds for the raw data."
+        )
+        lo = self._lo.resolve_b(b, scale)
+        slack_diagnostics = {"slack_total": total, "slack_certificate": wrapped.certificate}
+        return self._result(b, scale, lo, slack_diagnostics, (note,))
+
+    def _result(
+        self,
+        b: Sequence[int],
+        scale: int,
+        lo: LpOutcome,
+        slack_diagnostics: dict | None = None,
+        notes: tuple[str, ...] = (),
+    ) -> BoundResult:
+        # A cold upper solve starts from the phase-1 basis the lower side has
+        # just found for this b: phase 1 ignores the costs.
+        hi = self._hi.resolve_b(b, scale, start=self._lo.phase1)
+        lower, upper = lo.value, -hi.value
+        if lower > upper:
+            raise AssertionError("LP returned crossed bounds")
+        return BoundResult(
+            lower=lower,
+            upper=upper,
+            method="lp",
+            scenario=self.system.scenario,
+            estimand=self.system.estimand,
+            diagnostics={
+                "n_variables": self.system.n_variables,
+                "n_merged_columns": len(self.merged.columns),
+                **(slack_diagnostics or {}),
+                "pivots_lower": lo.pivots,
+                "pivots_upper": hi.pivots,
+            },
+            notes=notes,
+            lp_optima=((lo, self.merged.min_reps), (hi, self.merged.max_reps)),
+        )
+
     # - public API -
 
     def solve_b(
@@ -183,48 +244,67 @@ class BoundsSolver:
     ) -> BoundResult:
         if scale is None:
             b, scale = integer_rhs(b)
-        notes: list[str] = []
-        diagnostics: dict = {
-            "n_variables": self.system.n_variables,
-            "n_merged_columns": len(self.merged.columns),
-        }
         try:
             lo = self._lo.resolve_b(b, scale)
         except Infeasible as exc:
-            wrapped = self._wrap_infeasible(exc)
-            if not verify_farkas(self.merged.columns, b, exc.farkas):
-                raise AssertionError("invalid infeasibility certificate") from exc
-            if not slack:
-                raise wrapped from None
-            projected, total = self.project_slack([Fraction(v, scale) for v in b])
-            b, scale = integer_rhs(projected)
-            diagnostics["slack_total"] = total
-            diagnostics["slack_certificate"] = wrapped.certificate
-            notes.append(
-                "SLACK PROJECTION APPLIED: the observed distribution violates "
-                "the scenario's implied constraints (total L1 adjustment "
-                f"{total}); bounds are computed at the nearest compatible "
-                "distribution and are not bounds for the raw data."
-            )
-            lo = self._lo.resolve_b(b, scale)
-        # A cold upper solve starts from the phase-1 basis the lower side has
-        # just found for this b: phase 1 ignores the costs.
-        hi = self._hi.resolve_b(b, scale, start=self._lo.phase1)
-        lower, upper = lo.value, -hi.value
-        if lower > upper:
+            return self._rescue(b, scale, exc, slack)
+        return self._result(b, scale, lo)
+
+    def solve_batch(
+        self, B: np.ndarray, scale: int
+    ) -> tuple[list[Fraction], list[Fraction], list[bool]]:
+        """Bounds at many right-hand sides: each row of B, as integers over `scale`.
+
+        Returns (lowers, uppers, rescued), one entry per row: the bounds
+        ``solve_b(row, slack=True, scale=scale)`` gives, and whether it
+        applied the slack projection.  Row 0 goes through `solve_b`.  Then,
+        one side at a time, the optimal basis of each solve is screened
+        against every pending row at once (`ExactSimplex.screen`), which
+        answers each row it is primal feasible for, and the first row still
+        pending is resolved warm.  A row whose lower LP is infeasible takes
+        the slack path once and leaves both sides.
+        """
+        R = len(B)
+        if (B < 0).any():
+            raise ValueError("b must be nonnegative")
+        b_bits = int(B.sum(axis=1, dtype=object).max()).bit_length()
+        sides = (self._lo, self._hi)
+        values: tuple[list, list] = ([None] * R, [None] * R)
+        rescued = [False] * R
+        pending = [np.arange(1, R), np.arange(1, R)]
+
+        def settle(side: int, i: int, value: Fraction, vx) -> None:
+            # Row i is solved; answer every pending row the basis fits.
+            values[side][i] = value
+            todo = pending[side]
+            fits, nums = sides[side].screen(vx, B[todo], b_bits)
+            denom = (vx.d if side == 0 else -vx.d) * scale
+            for j, num in zip(todo[fits].tolist(), nums.tolist()):
+                values[side][j] = Fraction(num, denom)
+            pending[side] = todo[~fits]
+
+        first = self.solve_b(B[0].tolist(), slack=True, scale=scale)
+        rescued[0] = "slack_total" in first.diagnostics
+        for side, value in enumerate(first.interval):
+            settle(side, 0, value, first.lp_optima[side][0].vertex)
+        for side, lp in enumerate(sides):
+            while pending[side].size:
+                i = int(pending[side][0])
+                pending[side] = pending[side][1:]
+                b = B[i].tolist()
+                try:
+                    out = lp.resolve_b(b, scale)
+                except Infeasible as exc:
+                    res = self._rescue(b, scale, exc, slack=True)
+                    values[0][i], values[1][i], rescued[i] = res.lower, res.upper, True
+                    other = pending[1 - side]
+                    pending[1 - side] = other[other != i]
+                    continue
+                settle(side, i, out.value if side == 0 else -out.value, out.vertex)
+        lowers, uppers = values
+        if any(map(gt, lowers, uppers)):
             raise AssertionError("LP returned crossed bounds")
-        diagnostics["pivots_lower"] = lo.pivots
-        diagnostics["pivots_upper"] = hi.pivots
-        return BoundResult(
-            lower=lower,
-            upper=upper,
-            method="lp",
-            scenario=self.system.scenario,
-            estimand=self.system.estimand,
-            diagnostics=diagnostics,
-            notes=tuple(notes),
-            lp_optima=((lo, self.merged.min_reps), (hi, self.merged.max_reps)),
-        )
+        return lowers, uppers, rescued
 
     def solve(self, dist: ObservedDistribution, *, slack: bool = False) -> BoundResult:
         validate(self.system.scenario, dist)

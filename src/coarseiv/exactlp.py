@@ -29,12 +29,18 @@ used bases (least sum of negative levels).  Phase 1 ignores c, so a cold solve
 keeps its post-phase-1 basis (`phase1`) and a solver with other costs over
 the same columns can start phase 2 from it (lower/upper bound pairs).
 
+`screen` serves many right-hand sides known up front (a bootstrap batch): it
+tests one optimal basis against all of them in one product [M; c_B.M].B^T,
+exact under the same int64 bit-length guard as the pricing, and returns
+the ones the basis is optimal for with their values.
+
 An `LpOutcome` carries the optimal value as one Fraction; the primal solution
 and the dual vector are built from the optimal basis on first access.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -232,29 +238,42 @@ class ExactSimplex:
     """
 
     def __init__(self, n_rows: int, columns: Sequence[Column], costs: Sequence[int]):
-        if len(columns) != len(costs):
-            raise ValueError("one cost per column required")
         if n_rows < 1:
             raise ValueError("at least one row required")
         self.m = n_rows
         self.columns: list[Column] = [tuple(col) for col in columns]
         self.n = len(self.columns)
-        self.costs: list[int] = [int(c) for c in costs]
-        # Dense [A; c] for `_price`; int64 when every column's L1 norm fits.
-        rows, cols, vals, norm = [], [], [], 0
-        for j, (col, c) in enumerate(zip(self.columns, self.costs)):
-            l1 = abs(c)
+        # Dense A and its column L1 norms; `_start` stacks the cost row on it.
+        rows, cols, vals, self._l1 = [], [], [], []
+        for j, col in enumerate(self.columns):
+            l1 = 0
             for r, coef in col:
                 rows.append(r)
                 cols.append(j)
                 vals.append(coef)
                 l1 += abs(coef)
-            norm = max(norm, l1)
+            self._l1.append(l1)
+        dtype = np.int64 if max(self._l1, default=0).bit_length() <= _INT64_BITS else object
+        self._A = np.zeros((n_rows, self.n), dtype=dtype)
+        np.add.at(self._A, (rows, cols), np.array(vals, dtype=dtype))
+        self._start(costs)
+
+    def _with_costs(self, costs: Sequence[int]) -> ExactSimplex:
+        """A fresh solver over the same columns with other costs, built from this one's A."""
+        twin = copy.copy(self)
+        twin._start(costs)
+        return twin
+
+    def _start(self, costs: Sequence[int]) -> None:
+        # Dense [A; c] for `_price`, int64 when every column's L1 norm fits,
+        # and an empty solver state.
+        if len(costs) != self.n:
+            raise ValueError("one cost per column required")
+        self.costs: list[int] = [int(c) for c in costs]
+        norm = max((l1 + abs(c) for l1, c in zip(self._l1, self.costs)), default=0)
         self._norm_bits = norm.bit_length()
         dtype = np.int64 if self._norm_bits <= _INT64_BITS else object
-        self._dense = np.zeros((n_rows + 1, self.n), dtype=dtype)
-        np.add.at(self._dense, (rows, cols), np.array(vals, dtype=dtype))
-        self._dense[n_rows] = self.costs
+        self._dense = np.vstack([self._A.astype(dtype), np.array([self.costs], dtype=dtype)])
         # Solver state (populated by solve()).  Pivots update _basis and _M in
         # place, so a run that pivots first copies them (_thaw): the cached
         # vertices and the outcomes built on them share those lists.  _xt is
@@ -419,6 +438,31 @@ class ExactSimplex:
         if bits + self._norm_bits <= _INT64_BITS:
             return np.array(vectors, dtype=np.int64) @ self._dense
         return np.array(vectors, dtype=object) @ self._dense.astype(object, copy=False)
+
+    def screen(
+        self, vx: _Vertex, B: np.ndarray, b_bits: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of B at which the optimal basis `vx` is optimal as it stands.
+
+        Each row of B is a right-hand side b~ >= 0, and `b_bits` is at least
+        the bit length of every row's L1 norm.  The costs have not changed
+        since `vx` was optimal, so it is optimal for every b~ it is primal
+        feasible for: M.b~ >= 0 with every inert row at zero.  Returns that
+        mask over the rows and, for the rows it selects, y.b~ with
+        y = c_B.M, the optimal value times d * N.  One product computes
+        [M; y].B^T: int64 when the bit lengths allow it, as in `_price`,
+        Python ints otherwise.
+        """
+        V = vx.M + [_pricing_vector(vx.basis, vx.M, self.costs, self.n)]
+        bits = max(max(map(abs, row)) for row in V).bit_length()
+        if bits + b_bits <= _INT64_BITS:
+            P = np.array(V, dtype=np.int64) @ B.T.astype(np.int64, copy=False)
+        else:
+            P = np.array(V, dtype=object) @ B.T.astype(object)
+        levels = P[:-1]
+        inert = [i for i, var in enumerate(vx.basis) if var >= self.n]
+        fits = (levels >= 0).all(axis=0) & (levels[inert] == 0).all(axis=0)
+        return fits, P[-1, fits]
 
     def _col_times_M(self, col: Column) -> list[int]:
         # w = M . A_j, exploiting sparsity of the column.

@@ -11,12 +11,15 @@ Three resampling schemes share one engine:
   drawing cell counts from per-stratum multinomials at the observed
   probabilities.
 
-Every replicate recomputes the bounds through the exact LP solver (warm
-starts across replicates, right-hand sides fed as integer counts over one
-common scale), never through a shortcut estimator.  Replicates
-whose resampled table is incompatible with the scenario are bounded at its
-L1-slack projection and counted; if more than ``max_infeasible_fraction`` of
-replicates need rescue the run aborts.
+Every replicate recomputes the bounds through the exact LP solver, never
+through a shortcut estimator.  A run draws all its replicate tables first,
+as integer counts over one common scale, and solves them as one batch
+(`BoundsSolver.solve_batch`): each optimal basis the solver finds is
+screened against every table still pending, and answers at once each table
+it is primal feasible for, so only the remaining tables need a warm dual
+simplex.  Replicates whose resampled table is incompatible with the scenario
+are bounded at its L1-slack projection and counted; if more than
+``max_infeasible_fraction`` of replicates need rescue the run aborts.
 
 Stratified resampling of records is realized by drawing per-stratum
 multinomial counts at the exact empirical cell probabilities — the two
@@ -137,7 +140,10 @@ class IntervalResult:
 
 def _exact_quantile(values: list[Fraction], q: Fraction) -> Fraction:
     """Linear-interpolation quantile, exact over rationals."""
-    v = sorted(values)
+    # The float sort only orders the list; the exact sort then fixes the
+    # order of values closer than float precision, in about linear time on
+    # input this nearly sorted.
+    v = sorted(sorted(values, key=float))
     if len(v) == 1:
         return v[0]
     h = q * (len(v) - 1)
@@ -199,34 +205,37 @@ class _Resampler:
         res = self.solver.solve_b(self.system.rhs(self.dist), slack=True)
         return res.lower, res.upper, list(res.notes)
 
+    def tables(
+        self, seeds: Sequence[np.random.SeedSequence], sizes: dict[str, int]
+    ) -> tuple[np.ndarray, int]:
+        """One resampled table per seed, as the rows of B over a common scale.
+
+        Cell (z, x, y) reads count * (scale // n_z) and normalization reads
+        scale, so every row is an integer right-hand side b~ = scale * b.
+        """
+        scale = lcm(*sizes.values())
+        draws = {
+            z: np.empty((len(seeds), len(self.cells)), dtype=np.int64)
+            for z in self.scenario.instrument_levels
+        }
+        for k, child in enumerate(seeds):
+            rng = np.random.Generator(np.random.PCG64(child))
+            for z, counts in draws.items():
+                counts[k] = rng.multinomial(sizes[z], self.pvals[z])
+        dtype = np.int64 if scale <= np.iinfo(np.int64).max else object
+        B = np.zeros((len(seeds), self.system.n_rows), dtype=dtype)
+        B[:, self.system.row_keys.index("normalization")] = scale
+        for z, counts in draws.items():
+            B[:, self.cell_rows[z]] = counts.astype(dtype) * (scale // sizes[z])
+        return B, scale
+
     def replicate_endpoints(
         self,
         seeds: Sequence[np.random.SeedSequence],
         sizes: dict[str, int],
     ) -> tuple[list[Fraction], list[Fraction], int]:
-        lowers: list[Fraction] = []
-        uppers: list[Fraction] = []
-        n_infeasible = 0
-        # Each replicate's right-hand side as integers over one common scale:
-        # cell (z, x, y) reads count * (scale // n_z), normalization reads scale.
-        scale = lcm(*sizes.values())
-        factor = {z: scale // n for z, n in sizes.items()}
-        rows = self.cell_rows
-        b = [0] * self.system.n_rows
-        b[self.system.row_keys.index("normalization")] = scale
-        for child in seeds:
-            rng = np.random.Generator(np.random.PCG64(child))
-            for z in self.scenario.instrument_levels:
-                counts = rng.multinomial(sizes[z], self.pvals[z]).tolist()
-                f = factor[z]
-                for r, c in zip(rows[z], counts):
-                    b[r] = c * f
-            res = self.solver.solve_b(b, slack=True, scale=scale)
-            if "slack_total" in res.diagnostics:
-                n_infeasible += 1
-            lowers.append(res.lower)
-            uppers.append(res.upper)
-        return lowers, uppers, n_infeasible
+        lowers, uppers, rescued = self.solver.solve_batch(*self.tables(seeds, sizes))
+        return lowers, uppers, sum(rescued)
 
 
 def _check_infeasible(n_infeasible: int, total: int, spec: BootstrapSpec) -> None:

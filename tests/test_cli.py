@@ -1,6 +1,7 @@
 """Command-line interface: output schema, exit codes, determinism."""
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -12,9 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from coarseiv import oracle, response
+from coarseiv import cli, oracle, response
 from coarseiv.bounds import BoundsSolver, InfeasibleDistribution
 from coarseiv.cli import build_parser, main
+from coarseiv.inference import BootstrapSpec
 
 PEANUT_LOWER = "-5073/31720"
 PEANUT_UPPER = "10/61"
@@ -355,6 +357,26 @@ def test_exit_5_diagnostic_names_the_seed(capsys, monkeypatch, argv):
     )
 
 
+def test_exit_5_from_inside_the_batch_names_the_seed(capsys, monkeypatch):
+    # The point bounds solve first; the replicate batch's screen then fails.
+    from coarseiv.exactlp import ExactSimplex
+
+    def broken(self, *args):
+        raise RuntimeError("zero pivot")
+
+    monkeypatch.setattr(ExactSimplex, "screen", broken)
+    code, out, err = run_cli(
+        capsys, "ci", "--preset", "homocysteine-3", "--method", "multinomial",
+        "--bootstrap", "20", "--seed", "17",
+    )
+    assert code == 5
+    assert out == ""
+    assert err == (
+        "internal error in ci (preset homocysteine-3, seed 17): "
+        "RuntimeError: zero pivot\n"
+    )
+
+
 def test_ci_requires_seed_via_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ci", "--preset", "peanut-ternary", "--method", "percentile"])
@@ -514,6 +536,53 @@ def test_warm_resolve_documents_are_byte_identical(capsys, command):
     code, out, err = run_cli(capsys, *command.split())
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == WARM_MISS_SHA256[command]
+
+
+# SHA-256 of `ci` stdout for every bootstrap method: the order in which the
+# replicate tables are solved may change, never the document.
+CI_SHA256 = {
+    "ci --preset peanut-ternary --method percentile --bootstrap 300 --seed 3":
+        "01d7030af15ff4a4aac990515d5dcca0dcdae96e6c6c37f9f47744c190146394",
+    "ci --preset peanut-risk --method mn --bootstrap 300 --seed 4":
+        "6eb1b03130e3cdba7fe2c8d85091d548446ed2b66a36f6baad6079c637f1d89e",
+    "ci --preset peanut-risk --method mn --m-rule grid --bootstrap 300 --seed 5":
+        "ac9c18cd41b40dd9857f52d47887e1c94adf50d7681a12cf3affcaa055bb1fc8",
+    "ci --preset homocysteine-4 --method multinomial --bootstrap 300 --seed 2":
+        "11a71844d81e9d5786c2641c620ceb85cfc125aa6d6a879b6e4c0c53dccb74fe",
+}
+
+
+@pytest.mark.parametrize("command", sorted(CI_SHA256))
+def test_ci_documents_are_byte_identical(capsys, command):
+    code, out, err = run_cli(capsys, *command.split())
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == CI_SHA256[command]
+
+
+# Records whose every resample nearly always violates the instrument
+# inequalities (as INCOMPATIBLE_RECORDS in test_inference.py).
+INCOMPATIBLE_CSV = "z,x_star,y\n" + "z0,a,0\n" * 8 + "z1,a,1\nz1,a,1\nz1,b,0\nz1,b,0\n"
+SCENARIO_A_B = SCENARIO_AB.replace("lo", "a").replace("hi", "b")
+
+
+def test_ci_document_with_slack_rescues_is_pinned(capsys, monkeypatch, tmp_path):
+    # The CLI aborts past 10% rescued replicates; lift the threshold so the
+    # document, its rescue count and its slack warning are all hashed.
+    monkeypatch.setattr(
+        cli, "BootstrapSpec", functools.partial(BootstrapSpec, max_infeasible_fraction=1.0)
+    )
+    records, scenario = tmp_path / "records.csv", tmp_path / "scenario.yaml"
+    records.write_text(INCOMPATIBLE_CSV, encoding="utf-8")
+    scenario.write_text(SCENARIO_A_B, encoding="utf-8")
+    doc = run_json(
+        capsys, "ci", "--records", str(records), "--scenario", str(scenario),
+        "--method", "percentile", "--bootstrap", "300", "--seed", "7",
+    )
+    assert doc["results"]["n_infeasible"] == 276
+    assert any("SLACK PROJECTION APPLIED" in w for w in doc["results"]["warnings"])
+    del doc["config_echo"]
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == "ccce712a07a68623695c836e8d10a1713119e86fb813357b137cb8e8dc288b05"
 
 
 # SHA-256 of stdout for `verify` runs over every suite: each trial's draw, and

@@ -1,7 +1,9 @@
 """Bootstrap confidence intervals: configuration validation, determinism, m rules, tails."""
 
 from fractions import Fraction
+from operator import mul
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,19 +17,24 @@ from coarseiv.data import (
     Scenario,
 )
 from coarseiv.datasets import (
+    PRESET_NAMES,
     peanut_distribution,
     peanut_records,
     peanut_risk_records,
     peanut_risk_scenario,
     peanut_scenario,
+    scenario_preset,
 )
-from coarseiv.exactlp import ExactSimplex
+from coarseiv.bounds import BoundsSolver
+from coarseiv.exactlp import ExactSimplex, Infeasible
 from coarseiv.inference import (
     BootstrapSpec,
     ExcessiveInfeasibility,
     IntervalResult,
     _exact_quantile,
     _proportional_allocation,
+    _records_distribution,
+    _Resampler,
     m_out_of_n_ci,
     parametric_multinomial_ci,
     percentile_ci,
@@ -94,6 +101,21 @@ def test_exact_quantile_is_monotone_and_bracketed(vals, q):
     assert min(vals) <= out <= max(vals)
     assert _exact_quantile(vals, Fraction(0)) == min(vals)
     assert _exact_quantile(vals, Fraction(1)) == max(vals)
+
+
+def test_exact_quantile_orders_values_closer_than_float_precision():
+    # The pairs differ below float resolution, so a float key alone ties
+    # them and keeps their input order.
+    eps = Fraction(1, 10**20)
+    vals = [1 + eps, Fraction(1), 2 + 3 * eps, 2 + eps, Fraction(2), 1 + 2 * eps]
+    assert float(1 + eps) == 1.0
+    exact = sorted(vals)
+    for q in (Fraction(k, 10) for k in range(11)):
+        h = q * (len(exact) - 1)
+        lo = int(h)
+        want = exact[lo] if h == lo else exact[lo] + (h - lo) * (exact[lo + 1] - exact[lo])
+        assert _exact_quantile(vals, q) == want
+    assert _exact_quantile(vals, Fraction(1, 5)) == 1 + eps
 
 
 def test_proportional_allocation_matches_stratum_shares():
@@ -274,23 +296,114 @@ def test_excessive_infeasibility_aborts():
 
 
 def test_each_incompatible_table_is_solved_once_under_slack(monkeypatch):
-    calls = []
-    resolve_b = ExactSimplex.resolve_b
+    solvers, calls = [], []
+    init, resolve_b = BoundsSolver.__init__, ExactSimplex.resolve_b
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        solvers.append(self)
 
     def counting(self, *args, **kwargs):
-        calls.append(args)
-        return resolve_b(self, *args, **kwargs)
+        try:
+            out = resolve_b(self, *args, **kwargs)
+        except Infeasible:
+            calls.append((self, "infeasible"))
+            raise
+        calls.append((self, "solved"))
+        return out
 
+    monkeypatch.setattr(BoundsSolver, "__init__", recording)
     monkeypatch.setattr(ExactSimplex, "resolve_b", counting)
     spec = _spec(replicates=30, seed=7, max_infeasible_fraction=1.0)
     res = percentile_ci(INCOMPATIBLE_RECORDS, INCOMPATIBLE_SCENARIO, spec)
     assert res.n_infeasible == 25
     assert (res.ci_lower, res.ci_upper) == (Fraction(-3, 4), 0)
     assert any("SLACK PROJECTION APPLIED" in w for w in res.warnings)
-    # Every table costs a lower and an upper solve; the point table and the
-    # 25 incompatible replicates add one failed lower solve and one slack LP
-    # each, and no second failed lower solve: 2 * 31 + 2 * 26.
-    assert len(calls) == 114
+    # The point table and the 25 incompatible replicates each fail the raw
+    # lower LP once and solve the slack LP once; no table fails twice.  The
+    # batch screen answers most feasible tables without a resolve, so at
+    # most the per-table total 2 * 31 + 2 * 26 remains.
+    (solver,) = solvers
+    assert calls.count((solver._lo, "infeasible")) == 26
+    assert [lp for lp, _ in calls].count(solver._slack_lp) == 26
+    assert len(calls) <= 114
+
+
+# -- batched right-hand sides --------------------------------------------------------
+
+
+def _engine(name):
+    if name == "incompatible":
+        dist = _records_distribution(INCOMPATIBLE_RECORDS, INCOMPATIBLE_SCENARIO)
+        return _Resampler(INCOMPATIBLE_SCENARIO, dist)
+    dist, scenario = scenario_preset(name)
+    return _Resampler(scenario, dist)
+
+
+def _per_table(system, B, scale):
+    solver = BoundsSolver(system)
+    out = []
+    for row in B.tolist():
+        res = solver.solve_b(row, slack=True, scale=scale)
+        out.append((res.lower, res.upper, "slack_total" in res.diagnostics))
+    return out
+
+
+def _batched(system, B, scale):
+    return list(zip(*BoundsSolver(system).solve_batch(B, scale)))
+
+
+@pytest.mark.parametrize("name", [*PRESET_NAMES, "incompatible"])
+def test_batch_equals_per_table_solves(name):
+    # At the data's own stratum sizes, and at six draws a stratum, where
+    # empty cells make degenerate and incompatible tables common.
+    engine = _engine(name)
+    n_per_z = dict(engine.dist.n_per_z)
+    rescued = 0
+    for sizes in (n_per_z, dict.fromkeys(n_per_z, 6)):
+        B, scale = engine.tables(np.random.SeedSequence(3).spawn(40), sizes)
+        expected = _per_table(engine.system, B, scale)
+        assert _batched(engine.system, B, scale) == expected
+        rescued += sum(r for _, _, r in expected)
+    assert rescued
+
+
+@pytest.mark.parametrize("name", ["peanut-ternary", "homocysteine-3", "incompatible"])
+def test_batch_fallback_to_python_ints_gives_the_same_values(name):
+    # Scaled by 2**40 the screen's int64 product would overflow: row L1
+    # norms reach 2**59 on peanut, and the homocysteine tables no longer
+    # fit int64 at all.
+    engine = _engine(name)
+    B, scale = engine.tables(np.random.SeedSequence(5).spawn(40), dict(engine.dist.n_per_z))
+    wide, wide_scale = B.astype(object) * 2**40, scale * 2**40
+    if wide_scale < 2**63:
+        wide = wide.astype(np.int64)
+    expected = _per_table(engine.system, B, scale)
+    assert _batched(engine.system, wide, wide_scale) == expected
+
+
+def test_the_screen_never_answers_a_table_with_a_nonzero_inert_row():
+    engine = _engine("homocysteine-3")
+    B, scale = engine.tables(np.random.SeedSequence(9).spawn(1), dict(engine.dist.n_per_z))
+    probe = BoundsSolver(engine.system)
+    vx = probe.solve_b(B[0].tolist(), slack=True, scale=scale).lp_optima[0][0].vertex
+    columns = probe.merged.columns
+    n = len(columns)
+    # The sum of the basic columns, artificial ones (unit vectors) included:
+    # every level is d, so the basis is primal feasible but for its inert
+    # rows, which a consistent b would hold at zero.
+    crafted = [0] * engine.system.n_rows
+    for var in vx.basis:
+        for r, coef in columns[var] if var < n else ((var - n, 1),):
+            crafted[r] += coef
+    assert [sum(map(mul, row, crafted)) for row in vx.M] == [vx.d] * len(vx.M)
+    assert any(var >= n for var in vx.basis)
+    fits, _ = probe._lo.screen(vx, np.array([crafted]), sum(crafted).bit_length())
+    assert not fits.any()
+    tables = np.array([B[0].tolist(), crafted], dtype=np.int64)
+    batched = _batched(engine.system, tables, scale)
+    assert batched == _per_table(engine.system, tables, scale)
+    assert batched[1][2] is True
 
 
 def test_crossed_interval_result_is_rejected():

@@ -6,21 +6,23 @@ still passed.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 from coarseiv import cli
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
 
-spans = _load_spans()
+spans = _load("spans")
 OWNERS = spans._MODULES + tuple({cls for cls, *_ in spans._METHODS})
 
 
@@ -65,3 +67,25 @@ def test_oracle_and_closed_form_spans_fire_through_the_cli(capsys):
         "bounds.solve_b",
         "exactlp.resolve_b",
     } <= names
+
+
+def test_every_resample_span_fires_through_the_cli(capsys, monkeypatch):
+    # The `resample` workload's commands at few replicates: a bootstrap that
+    # bypassed a wrapped entry point would fail its traced benchmark run.
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads imports point_inputs
+    workloads = _load("workloads")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        codes = [
+            cli.main(["ci", "--preset", preset, "--method", method,
+                      "--bootstrap", "30", "--seed", "1"])
+            for method, preset, *_ in workloads.CI_RUNS
+        ]
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert codes == [0, 0, 0]
+    assert "multinomial" in [method for method, *_ in workloads.CI_RUNS]
+    names = {span[spans.NAME] for span in tracer.take()}
+    assert set(workloads.EXPECTED_SPANS["resample"]) <= names

@@ -31,7 +31,7 @@ from .data import (
 )
 from .exactlp import ExactSimplex, Infeasible, LpOutcome, integer_rhs, verify_farkas
 from .response import CapExceeded, ConstraintSystem, merge_columns
-from .symbolic import SymbolicBoundSet, Term, _make_term
+from .symbolic import SymbolicBoundSet, Term, _Gauge
 
 __all__ = [
     "BoundResult",
@@ -338,8 +338,11 @@ def _universe(instruments: Sequence[str], levels: Sequence[str]):
 
 
 def _terms(raw, direction: str, universe) -> tuple[Term, ...]:
+    if any(v for _, cells in raw for c, v in cells.items() if c not in universe):
+        raise InputError("term references cells outside the declared universe")
+    gauge = _Gauge.over(universe, direction)
     return tuple(
-        _make_term(Fraction(const), {c: Fraction(v) for c, v in cells.items()}, direction, universe)
+        gauge.term(Fraction(const), [Fraction(cells.get(c, 0)) for c in gauge.cells])
         for const, cells in raw
     )
 

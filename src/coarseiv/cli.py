@@ -15,8 +15,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 from .bounds import (
@@ -67,6 +69,7 @@ from .symbolic import derive_symbolic, format_bound_set, format_term
 
 VERSION = "0.1.0"
 RUN_SCHEMA = "coarseiv/run/1"
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process killed by it
 
 __all__ = ["main"]
 
@@ -76,12 +79,11 @@ __all__ = ["main"]
 
 def _display2(f: Fraction) -> str:
     """Exact two-decimal rounding, ties away from zero."""
-    sign = "-" if f < 0 else ""
-    scaled = abs(f) * 100
-    n = scaled.numerator // scaled.denominator
-    if (scaled - n) * 2 >= 1:
-        n += 1
-    return f"{sign}{n // 100}.{n % 100:02d}"
+    n, d = f.numerator, f.denominator
+    cents, rest = divmod(abs(n) * 100, d)
+    if 2 * rest >= d:
+        cents += 1
+    return f"{'-' if n < 0 else ''}{cents // 100}.{cents % 100:02d}"
 
 
 def _num(f: Fraction) -> dict:
@@ -144,8 +146,20 @@ def _document(subcommand: str, config: dict, results: dict, diagnostics: dict) -
     }
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
+_EMIT_BATCH = 4096  # encoder chunks per write
+
+
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    """Print `doc` as sorted JSON with a 2-space indent, as json.dumps would.
+
+    The encoder's chunks are written in batches instead of being joined
+    first, so a large document is never held whole as chunks and as text.
+    """
+    chunks = _ENCODER.iterencode(doc)
+    for batch in iter(lambda: list(islice(chunks, _EMIT_BATCH)), []):
+        sys.stdout.write("".join(batch))
+    sys.stdout.write("\n")
 
 
 # -- input resolution --------------------------------------------------------------
@@ -342,11 +356,11 @@ def cmd_ci(args) -> tuple[dict, int]:
 # -- symbolic derivation --------------------------------------------------------------
 
 
-def _term_doc(term) -> dict:
+def _term_doc(term, num) -> dict:
     return {
-        "constant": _num(term.constant),
+        "constant": num(term.constant),
         "cells": [
-            {"z": z, "x": x, "y": y, "coefficient": _num(c)}
+            {"z": z, "x": x, "y": y, "coefficient": num(c)}
             for (z, x, y), c in term.coeffs
         ],
         "rendered": format_term(term, "text"),
@@ -367,15 +381,17 @@ def cmd_derive(args) -> tuple[dict | str, int]:
             + format_bound_set(upper, style=args.format)
         )
         return text, 0
+    # A derivation repeats few distinct numbers; equal ones share one dict.
+    num = functools.cache(_num)
     results = {
         "estimand": _estimand_text(scenario.estimand),
         "lower": {
-            "terms": [_term_doc(t) for t in lower.terms],
-            "feasibility_facts": [_term_doc(t) for t in lower.feasibility],
+            "terms": [_term_doc(t, num) for t in lower.terms],
+            "feasibility_facts": [_term_doc(t, num) for t in lower.feasibility],
         },
         "upper": {
-            "terms": [_term_doc(t) for t in upper.terms],
-            "feasibility_facts": [_term_doc(t) for t in upper.feasibility],
+            "terms": [_term_doc(t, num) for t in upper.terms],
+            "feasibility_facts": [_term_doc(t, num) for t in upper.feasibility],
         },
     }
     doc = _document("derive", echo, results, {"n_lower_terms": len(lower.terms),
@@ -787,10 +803,17 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 5
-    if isinstance(payload, str):
-        print(payload)
-    else:
-        _emit(payload)
+    try:
+        if isinstance(payload, str):
+            print(payload)
+        else:
+            _emit(payload)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (`coarseiv ... | head`).  Point stdout at
+        # devnull so that the flush at interpreter exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     return code
 
 

@@ -22,7 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 from typing import Sequence
+
+import numpy as np
 
 from .data import Estimand, InputError, ObservedDistribution, Scenario
 from .exactlp import independent_rows
@@ -36,6 +39,9 @@ __all__ = [
 ]
 
 Cell = tuple[str, str, int]  # (z, x, y)
+
+# Candidate pairs per containment product in _adjacent_pairs.
+_PAIR_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -52,29 +58,38 @@ class Term:
         return total
 
 
-def _make_term(
-    constant: Fraction,
-    coeffs: dict[Cell, Fraction],
-    direction: str,
-    universe: Sequence[Cell],
-) -> Term:
-    """Canonicalize by per-z-block gauge shift (see module docstring)."""
-    blocks: dict[str, list[Cell]] = {}
-    for cell in universe:
-        blocks.setdefault(cell[0], []).append(cell)
-    const = Fraction(constant)
-    out: dict[Cell, Fraction] = {}
-    for z, cells in blocks.items():
-        values = [Fraction(coeffs.get(c, 0)) for c in cells]
-        shift = min(values) if direction == "lower" else max(values)
-        const += shift
-        for c, v in zip(cells, values):
-            if v != shift:
-                out[c] = v - shift
-    leftovers = set(coeffs) - set(universe)
-    if any(coeffs[c] != 0 for c in leftovers):
-        raise InputError("term references cells outside the declared universe")
-    return Term(constant=const, coeffs=tuple(sorted(out.items())))
+@dataclass(frozen=True)
+class _Gauge:
+    """Per-z-block gauge shift over a fixed cell universe (see module docstring).
+
+    `cells` is the universe sorted by key, so each z-block is one contiguous
+    run of it and a term's cells come out sorted.
+    """
+
+    cells: tuple[Cell, ...]
+    blocks: tuple[tuple[int, int], ...]  # (start, stop) of each z-block in cells
+    direction: str
+
+    @classmethod
+    def over(cls, universe: Sequence[Cell], direction: str) -> _Gauge:
+        cells = tuple(sorted(universe))
+        starts = [k for k, c in enumerate(cells) if k == 0 or c[0] != cells[k - 1][0]]
+        return cls(cells, tuple(zip(starts, starts[1:] + [len(cells)])), direction)
+
+    def term(self, constant, values: Sequence, denom: int = 1) -> Term:
+        """The canonical term (constant + sum values[k] * cells[k]) / denom."""
+        pick = min if self.direction == "lower" else max
+        coeffs = []
+        for lo, hi in self.blocks:
+            block = values[lo:hi]
+            shift = pick(block)
+            constant += shift
+            coeffs += [
+                (c, Fraction(v - shift, denom))
+                for c, v in zip(self.cells[lo:hi], block)
+                if v != shift
+            ]
+        return Term(constant=Fraction(constant, denom), coeffs=tuple(coeffs))
 
 
 @dataclass(frozen=True)
@@ -132,63 +147,113 @@ def _primitive(vec: list[int]) -> tuple[int, ...]:
     return tuple(vec)
 
 
+def _adjacent_pairs(tight: np.ndarray, pos: list[int], neg: list[int], min_meet: int):
+    """The adjacent (positive, negative) ray pairs and the tight rows they share.
+
+    `tight` is the 0/1 matrix of rays x inserted rows.  Returns (kp, kn, meets):
+    indices into `pos` and `neg`, in (kp, kn) order, and each pair's meet row.
+    Two rays of a pointed cone are adjacent iff they share at least
+    dim - 2 tight rows and no third ray is tight on all of those.
+    """
+    tp, tn = tight[pos], tight[neg]
+    shared = tp @ tn.T  # each pair's meet size
+    kp, kn = np.nonzero(shared >= min_meet)
+    adjacent = np.empty(len(kp), dtype=bool)
+    for s in range(0, len(kp), _PAIR_CHUNK):  # bounds the (pairs x rays) counts
+        p, n = kp[s:s + _PAIR_CHUNK], kn[s:s + _PAIR_CHUNK]
+        # A ray contains the meet iff it is tight on as many meet rows as the
+        # meet has; the pair itself always does.
+        contain = (tp[p] * tn[n]) @ tight.T == shared[p, n][:, None]
+        adjacent[s:s + _PAIR_CHUNK] = np.count_nonzero(contain, axis=1) == 2
+    kp, kn = kp[adjacent], kn[adjacent]
+    return kp, kn, tp[kp] * tn[kn]
+
+
 def _extreme_rays(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Extreme rays of the pointed cone {v : row . v <= 0 for all rows}.
 
     Double description (Fukuda & Prodon 1996): rows are inserted one at a
-    time into a simplicial start cone.  Each ray carries a bit mask of the
-    inserted rows it satisfies with equality (bit p for the p-th inserted row).
+    time into a simplicial start cone.  Rays and row values are Python ints.
+    Beside the rays, a float32 matrix `tight` (rays x inserted rows) holds 1
+    where a ray satisfies an inserted row with equality and 0 elsewhere, so
+    the adjacency test for a new row is a few matrix products
+    (_adjacent_pairs).  They are exact: every entry is 0 or 1, so every
+    partial sum is an integer no larger than the number of rows, and
+    float32 holds every integer up to 2^24 exactly, whatever the summation
+    order.  New rays follow the pairs in (positive, negative) order, so the
+    rays come out in the order of a pairwise scan.
     """
     dim = len(rows[0])
     # The first dim independent rows span a simplicial start cone whose rays
     # are the negated columns of their inverse X / d (d > 0): ray k is tight on
-    # every start row but the k-th.
+    # every start row but the k-th.  They are the first rows inserted.
     basis_idx, X, _ = independent_rows(rows)
     if len(basis_idx) < dim:
         raise InputError("dual cone is not pointed; cannot enumerate vertices")
     rays = [_primitive([-X[r][k] for r in range(dim)]) for k in range(dim)]
-    full = (1 << dim) - 1
-    masks = [full ^ (1 << k) for k in range(dim)]
+    tight = 1 - np.eye(dim, dtype=np.float32)
     # Adjacent extreme rays of a pointed cone share at least dim - 2 tight rows.
     min_meet = dim - 2
 
     in_basis = set(basis_idx)
-    bit = 1 << dim
     for i, row in enumerate(rows):
         if i in in_basis:
             continue
         sparse = [(j, a) for j, a in enumerate(row) if a]
         vals = [sum(a * ray[j] for j, a in sparse) for ray in rays]
-        neg = [(kn, masks[kn]) for kn, s in enumerate(vals) if s < 0]
-        new_rays: list[tuple[int, ...]] = []
-        new_masks: list[int] = []
-        for kp in [k for k, s in enumerate(vals) if s > 0]:
-            vp, rp, mp = vals[kp], rays[kp], masks[kp]
-            for kn, mn in neg:
-                meet = mp & mn
-                if meet.bit_count() < min_meet:
-                    continue
-                # Combinatorial test: kp and kn are adjacent iff no third ray
-                # is tight on every row that both are tight on.
-                count = 0
-                for m in masks:
-                    if m & meet == meet:
-                        count += 1
-                        if count > 2:
-                            break
-                if count > 2:
-                    continue
-                vn = vals[kn]
-                new_rays.append(_primitive([vp * b - vn * a for a, b in zip(rp, rays[kn])]))
-                # On an inserted row h, h.new = vp (h.r-) + |vn| (h.r+) with both
-                # terms <= 0, so it is 0 iff both are: the new ray is tight where
-                # both parents are, and on the row just added.
-                new_masks.append(meet | bit)
+        pos = [k for k, s in enumerate(vals) if s > 0]
+        neg = [k for k, s in enumerate(vals) if s < 0]
         keep = [k for k, s in enumerate(vals) if s <= 0]
+        kp, kn, meets = _adjacent_pairs(tight, pos, neg, min_meet)
+        new_rays = []
+        for a, b in zip(kp.tolist(), kn.tolist()):
+            vp, vn = vals[pos[a]], vals[neg[b]]
+            rp, rn = rays[pos[a]], rays[neg[b]]
+            new_rays.append(_primitive([vp * y - vn * x for x, y in zip(rp, rn)]))
+        # On an inserted row h, h.new = vp (h.r-) + |vn| (h.r+) with both terms
+        # <= 0, so it is 0 iff both are: the new ray is tight where both parents
+        # are, and on the row just added.
+        grown = np.empty((len(keep) + len(new_rays), tight.shape[1] + 1), dtype=np.float32)
+        grown[:len(keep), :-1] = tight[keep]
+        grown[len(keep):, :-1] = meets
+        grown[:, -1] = [vals[k] == 0 for k in keep] + [True] * len(new_rays)
         rays = [rays[k] for k in keep] + new_rays
-        masks = [masks[k] | (bit if vals[k] == 0 else 0) for k in keep] + new_masks
-        bit <<= 1
+        tight = grown
     return rays
+
+
+def _dual_cones(system: ConstraintSystem) -> tuple[list, dict[str, list[tuple[int, ...]]]]:
+    """The homogenized dual cone of each direction: (coordinates, rows by direction).
+
+    Coordinates are the system's row keys except the pinned cells (see
+    derive_symbolic), then the homogenizing t.  Each direction has one row per
+    group of identical columns, at the group's extreme cost (min for the lower
+    direction, max for the upper), and the row -t <= 0.
+    """
+    scenario: Scenario = system.scenario
+    last = scenario.level_labels()[-1]
+    pinned = {(z, last, 1) for z in scenario.instrument_levels}
+    coords = [key for key in system.row_keys if key not in pinned]
+    coord_of = {key: i for i, key in enumerate(coords)}
+    dim = len(coords) + 1
+    merged = merge_columns(system)
+    cones = {}
+    for direction, sign, costs in (
+        ("lower", 1, merged.min_costs),
+        ("upper", -1, merged.max_costs),
+    ):
+        rows: list[tuple[int, ...]] = []
+        for col, c in zip(merged.columns, costs):
+            row = [0] * dim
+            for r, coef in col:
+                key = system.row_keys[r]
+                if key not in pinned:
+                    row[coord_of[key]] += sign * coef
+            row[-1] -= sign * c
+            rows.append(tuple(row))
+        rows.append((0,) * (dim - 1) + (-1,))
+        cones[direction] = rows
+    return coords, cones
 
 
 def derive_symbolic(system: ConstraintSystem) -> tuple[SymbolicBoundSet, SymbolicBoundSet]:
@@ -201,73 +266,33 @@ def derive_symbolic(system: ConstraintSystem) -> tuple[SymbolicBoundSet, Symboli
     terms.
     """
     scenario: Scenario = system.scenario
-    labels = scenario.level_labels()
-    last = labels[-1]
-    pinned = {(z, last, 1) for z in scenario.instrument_levels}
-    coord_keys = [key for key in system.row_keys if key not in pinned]
-    coord_of = {key: i for i, key in enumerate(coord_keys)}
-    dim = len(coord_keys) + 1  # + homogenization coordinate t
-    t_idx = len(coord_keys)
+    coords, cones = _dual_cones(system)
+    universe = [key for key in system.row_keys if key != "normalization"]
+    index = {key: i for i, key in enumerate(coords)}
+    norm = index["normalization"]
 
-    # One dual constraint per group of identical columns, at the group's
-    # extreme cost (min for the lower direction, max for the upper).
-    merged = merge_columns(system)
-
-    universe: list[Cell] = [key for key in system.row_keys if key != "normalization"]
-
-    def run(direction: str) -> tuple[list[Term], list[Term]]:
-        rows: list[tuple[int, ...]] = []
-        sign = 1 if direction == "lower" else -1
-        costs = merged.min_costs if direction == "lower" else merged.max_costs
-        for col, c in zip(merged.columns, costs):
-            row = [0] * dim
-            for r, coef in col:
-                key = system.row_keys[r]
-                if key in pinned:
-                    continue
-                row[coord_of[key]] += sign * coef
-            row[t_idx] -= sign * c
-            rows.append(tuple(row))
-        t_row = [0] * dim
-        t_row[t_idx] = -1
-        rows.append(tuple(t_row))
-
-        terms: list[Term] = []
-        facts: list[Term] = []
-        for ray in _extreme_rays(rows):
-            t = ray[t_idx]
-            coeffs: dict[Cell, Fraction] = {}
-            constant = Fraction(0)
-            denom = t if t else 1
-            for i, key in enumerate(coord_keys):
-                if ray[i] == 0:
-                    continue
-                if key == "normalization":
-                    constant = Fraction(ray[i], denom)
-                else:
-                    coeffs[key] = Fraction(ray[i], denom)
-            term = _make_term(constant, coeffs, direction, universe)
-            if t > 0:
-                terms.append(term)
-            else:
-                facts.append(term)
-        return terms, facts
-
-    lower_terms, lower_facts = run("lower")
-    upper_terms, upper_facts = run("upper")
-
-    def build(direction: str, terms: list[Term], facts: list[Term]) -> SymbolicBoundSet:
+    def build(direction: str) -> SymbolicBoundSet:
+        gauge = _Gauge.over(universe, direction)
+        # A ray's entry for each gauge cell; a pinned cell reads the 0
+        # appended after t.
+        entries = itemgetter(*[index.get(c, len(coords) + 1) for c in gauge.cells])
+        terms: set[Term] = set()
+        facts: set[Term] = set()
+        for ray in _extreme_rays(cones[direction]):
+            t = ray[-1]
+            term = gauge.term(ray[norm], entries(ray + (0,)), t or 1)
+            (terms if t > 0 else facts).add(term)
         return SymbolicBoundSet(
             direction=direction,
-            terms=tuple(sorted(set(terms), key=lambda t: (t.constant, t.coeffs))),
+            terms=tuple(sorted(terms, key=lambda t: (t.constant, t.coeffs))),
             provenance="derived",
             instrument_levels=scenario.instrument_levels,
-            exposure_levels=labels,
+            exposure_levels=scenario.level_labels(),
             estimand=system.estimand,
-            feasibility=tuple(sorted(set(facts), key=lambda t: (t.constant, t.coeffs))),
+            feasibility=tuple(sorted(facts, key=lambda t: (t.constant, t.coeffs))),
         )
 
-    return build("lower", lower_terms, lower_facts), build("upper", upper_terms, upper_facts)
+    return build("lower"), build("upper")
 
 
 # -- rendering -------------------------------------------------------------------

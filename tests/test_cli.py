@@ -377,6 +377,53 @@ def test_exit_5_from_inside_the_batch_names_the_seed(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_closed_pipe_exits_quietly(capsys, monkeypatch, tmp_path, fmt):
+    # Like `coarseiv derive ... | head -c 100`: a write into a pipe whose
+    # reader has gone raises BrokenPipeError.
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return fd
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    try:
+        code = main(["derive", "--preset", "peanut-risk", "--format", fmt])
+    finally:
+        os.close(fd)
+    assert code == cli.EXIT_BROKEN_PIPE == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_end_to_end():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # About 1 MB of JSON, far more than a pipe buffer holds.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "coarseiv", "derive", "--preset", "homocysteine-3",
+         "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()  # a no-op once it has exited
+    assert proc.returncode == 141
+    assert err == b""
+
+
 def test_ci_requires_seed_via_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ci", "--preset", "peanut-ternary", "--method", "percentile"])

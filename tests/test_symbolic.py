@@ -3,6 +3,7 @@
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -16,11 +17,13 @@ from coarseiv.bounds import (
     ternary_term_sets,
 )
 from coarseiv.data import Estimand, ExposureLevel, InputError, Scenario
-from coarseiv.datasets import peanut_distribution, peanut_scenario
+from coarseiv.datasets import peanut_distribution, peanut_scenario, scenario_preset
+from coarseiv.exactlp import independent_rows
 from coarseiv.oracle import sample_scm
 from coarseiv.response import build_constraint_system
 from coarseiv.symbolic import (
     SymbolicBoundSet,
+    _dual_cones,
     _extreme_rays,
     derive_symbolic,
     format_bound_set,
@@ -222,6 +225,28 @@ def test_extreme_rays_match_brute_force(cone):
     rays = _extreme_rays(rows)
     assert len(set(rays)) == len(rays)
     assert set(rays) == _brute_force_rays(rows, dim)
+
+
+# Extreme rays a direction of each preset's dual cone has.
+DUAL_CONE_RAYS = {"homocysteine-3": 273, "homocysteine-4": 507}
+
+
+@pytest.mark.parametrize("direction", ["lower", "upper"])
+@pytest.mark.parametrize("preset", sorted(DUAL_CONE_RAYS))
+def test_extreme_rays_of_the_homocysteine_cones(preset, direction):
+    # Cones far past the brute-force sizes, with hundreds of candidate pairs
+    # per inserted row, so the adjacency test crosses its chunk boundaries.
+    system = build_constraint_system(scenario_preset(preset)[1])
+    rows = _dual_cones(system)[1][direction]
+    dim = len(rows[0])
+    rays = _extreme_rays(rows)
+    assert len(rays) == DUAL_CONE_RAYS[preset]
+    assert len(set(rays)) == len(rays)
+    for ray in rays:
+        values = [sum(map(mul, row, ray)) for row in rows]
+        assert max(values) <= 0
+        tight = [row for row, v in zip(rows, values) if v == 0]
+        assert len(independent_rows(tight)[0]) == dim - 1
 
 
 # -- rendering -----------------------------------------------------------------------

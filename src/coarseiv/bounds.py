@@ -127,11 +127,10 @@ class BoundsSolver:
 
     Simulation loops call :meth:`solve_b` repeatedly.  After the first
     (cold) solve, each new right-hand side is answered by
-    `ExactSimplex.resolve_b`: a recently optimal basis that is still primal
-    feasible is reused as is, otherwise the dual simplex starts from the
-    least infeasible of the most recently used optimal bases.  Either way the
-    result is a certified optimum, typically an order of magnitude cheaper
-    than a cold solve.  The right-hand side may be given as rationals or,
+    `ExactSimplex.resolve_b`, the dual simplex from the least infeasible of
+    the most recent optimal bases (zero pivots when one still fits): a
+    certified optimum, typically an order of magnitude cheaper than a cold
+    solve.  The right-hand side may be given as rationals or,
     with ``scale=N``, as integers meaning b / N.
 
     The bootstrap knows all its right-hand sides up front and calls

@@ -15,24 +15,23 @@ returns v . [A; c]_j for all j: reduced costs in the primal loop, the pivot
 row in the dual ratio test and in the eviction of artificials.  The product is
 exact either way: int64 when bit_length(max |v|) + bit_length(max column L1
 norm) <= 62, so no partial sum can overflow, and Python ints (dtype=object)
-otherwise.  The m-sized work (pivots, the pricing vector, the cache's
-feasibility test) stays in Python ints.
+otherwise.  The m-sized work (pivots, the pricing vector, the levels M.b~)
+stays in Python ints.
 
 Warm starts are first-class.  `resolve_b` handles a change of b only
-(bootstrap replicates, distribution sweeps).  It keeps the last
-``_CACHE_SIZE`` optimal bases in most-recently-used order and accepts the
-first one that is primal feasible for the new b (M.b~ >= 0, inert rows at
-zero): the costs have not changed since it was optimal, so it is still dual
-feasible and hence optimal.  Only when no cached basis fits does it run the
-dual simplex, from the least infeasible of the ``_NEAREST`` most recently
-used bases (least sum of negative levels).  Phase 1 ignores c, so a cold solve
-keeps its post-phase-1 basis (`phase1`) and a solver with other costs over
-the same columns can start phase 2 from it (lower/upper bound pairs).
+(bootstrap replicates, distribution sweeps).  It keeps the ``_NEAREST`` most
+recent optimal bases and runs the dual simplex from the least infeasible of
+them for the new b (least sum of negative levels, ties to the more recent).
+The costs have not changed, so every such basis is still dual feasible, and
+one that is primal feasible for b (M.b~ >= 0, inert rows at zero) is
+optimal after zero pivots.  Phase 1 ignores c, so a cold solve keeps its
+post-phase-1 basis (`phase1`) and a solver with other costs over the same
+columns can start phase 2 from it (lower/upper bound pairs).
 
 `screen` serves many right-hand sides known up front (a bootstrap batch): it
 tests one optimal basis against all of them in one product [M; c_B.M].B^T,
-exact under the same int64 bit-length guard as the pricing, and returns
-the ones the basis is optimal for with their values.
+exact by the same `_exact_product` as the pricing, and returns the ones the
+basis is optimal for with their values.
 
 An `LpOutcome` carries the optimal value as one Fraction; the primal solution
 and the dual vector are built from the optimal basis on first access.
@@ -67,9 +66,7 @@ Column = tuple[tuple[int, int], ...]
 # Consecutive degenerate pivots tolerated before switching to Bland's rule.
 _DEGENERATE_LIMIT = 30
 _MAX_PIVOTS = 200_000
-# Optimal bases kept for `resolve_b`.
-_CACHE_SIZE = 64
-# Most recently used bases from which `resolve_b` picks a dual simplex start.
+# Most recent optimal bases from which `resolve_b` picks a dual simplex start.
 _NEAREST = 4
 # Bit budget of an exact int64 product: |v . a| <= max|v| * |a|_1 < 2**62
 # when bit_length(max |v|) + bit_length(|a|_1) <= 62.
@@ -96,7 +93,6 @@ class _Vertex:
     basis: tuple[int, ...]
     M: list[list[int]]
     d: int
-    fail: int = 0  # row that last made this basis infeasible; tested first
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,6 +220,16 @@ def _pricing_vector(
     return y
 
 
+def _exact_product(left: Sequence[list[int]], right: np.ndarray, right_bits: int) -> np.ndarray:
+    # left @ right, exact: int64 when bit_length(max |left|) + right_bits
+    # <= _INT64_BITS, where right_bits bounds the bit length of the L1 norm
+    # of every column of `right`; Python ints (dtype=object) otherwise.
+    bits = max(max(map(abs, row)) for row in left).bit_length()
+    if bits + right_bits <= _INT64_BITS:
+        return np.array(left, dtype=np.int64) @ right.astype(np.int64, copy=False)
+    return np.array(left, dtype=object) @ right.astype(object, copy=False)
+
+
 class ExactSimplex:
     """Two-phase exact simplex over a fixed column set.
 
@@ -275,9 +281,9 @@ class ExactSimplex:
         dtype = np.int64 if self._norm_bits <= _INT64_BITS else object
         self._dense = np.vstack([self._A.astype(dtype), np.array([self.costs], dtype=dtype)])
         # Solver state (populated by solve()).  Pivots update _basis and _M in
-        # place, so a run that pivots first copies them (_thaw): the cached
+        # place, so a run that pivots first copies them (_thaw): the recent
         # vertices and the outcomes built on them share those lists.  _xt is
-        # always a fresh list from the feasibility test or the start choice.
+        # never shared: each solve computes it afresh.
         self._basis: Sequence[int] | None = None  # variable id per row
         self._M: list[list[int]] | None = None  # d * inverse of basis matrix
         self._d: int = 1  # det of basis matrix, kept > 0
@@ -286,7 +292,7 @@ class ExactSimplex:
         self._xt: list[int] | None = None  # M . btilde, >= 0 when feasible
         self._pivots = 0
         self._inert: tuple[int, ...] = ()  # rows of inert artificials
-        self._cache: list[_Vertex] = []  # optimal bases, most recently used first
+        self._recent: list[_Vertex] = []  # optimal bases, most recent first
         self.phase1: _Vertex | None = None  # feasible basis of the last cold solve
 
     # -- public API ----------------------------------------------------------
@@ -300,7 +306,7 @@ class ExactSimplex:
         b, replaces phase 1; a start not primal feasible for b is an error.
         """
         self._load_b(b, scale)
-        self._cache.clear()
+        self._recent.clear()
         self._pivots = 0
         if start is None:
             m = self.m
@@ -309,8 +315,12 @@ class ExactSimplex:
             self._d, self._xt = 1, list(self._btilde)
             self._run_phase1()
             start = _Vertex(tuple(self._basis), self._M, self._d)
+        else:
+            bt = self._btilde
+            self._basis, self._M, self._d = start.basis, start.M, start.d
+            self._xt = [sum(map(mul, row, bt)) for row in start.M]
         self._inert = tuple(i for i, var in enumerate(start.basis) if var >= self.n)
-        if self._feasible_vertex([start]) is None:
+        if any(v < 0 for v in self._xt) or any(self._xt[i] for i in self._inert):
             raise RuntimeError("start basis is not primal feasible for b")
         self.phase1 = start
         self._thaw()
@@ -320,27 +330,23 @@ class ExactSimplex:
     def resolve_b(
         self, b: Sequence, scale: int | None = None, start: _Vertex | None = None
     ) -> LpOutcome:
-        """Warm solve after a change of b only: a cached basis, else dual simplex.
+        """Warm solve after a change of b only, by the dual simplex.
 
-        The first cached basis, in most-recently-used order, that is primal
-        feasible for b is optimal as it stands.  When none is, the dual
-        simplex starts from the least infeasible of the ``_NEAREST`` most
-        recently used bases.  With no optimal basis yet this is
-        `solve(b, scale, start)`.
+        It starts from the least infeasible of the ``_NEAREST`` most recent
+        optimal bases, so a basis that still fits b is optimal after zero
+        pivots and becomes the most recent again.  With no optimal basis yet
+        this is `solve(b, scale, start)`.
         """
-        if not self._cache:
+        if not self._recent:
             return self.solve(b, scale, start)
         self._load_b(b, scale)
         self._pivots = 0
-        vx = self._feasible_vertex(self._cache)
-        if vx is not None:
-            return self._outcome(vx)
         vx, self._xt = self._nearest_vertex()
         self._basis, self._M, self._d = vx.basis, vx.M, vx.d
         self._thaw()
         self._run_dual()
         self._check_inert_rows()
-        return self._remember()
+        return self._remember(vx)
 
     # -- internals -----------------------------------------------------------
 
@@ -356,39 +362,14 @@ class ExactSimplex:
         self._btilde = list(b)
         self._N = scale
 
-    def _feasible_vertex(self, vertices: list[_Vertex]) -> _Vertex | None:
-        # Make the first basis in `vertices` that is primal feasible for b~
-        # (M.b~ >= 0, every inert row at zero) current, and move it to the
-        # front.  Each basis's last failing row is tested first.
-        bt, inert = self._btilde, self._inert
-        for k, vx in enumerate(vertices):
-            rows = vx.M
-            fail = vx.fail
-            level = sum(map(mul, rows[fail], bt))
-            if level < 0 or (level and fail in inert):
-                continue
-            xt = []
-            for i, row in enumerate(rows):
-                level = sum(map(mul, row, bt))
-                if level < 0 or (level and i in inert):
-                    vx.fail = i
-                    break
-                xt.append(level)
-            else:
-                if k:
-                    vertices.insert(0, vertices.pop(k))
-                self._basis, self._M, self._d, self._xt = vx.basis, rows, vx.d, xt
-                return vx
-        return None
-
     def _nearest_vertex(self) -> tuple[_Vertex, list[int]]:
-        # The least infeasible of the _NEAREST most recently used bases and
-        # its levels M.b~: least sum of negative levels over d, compared
-        # exactly by cross-multiplication.  A candidate is dropped once its
-        # partial sum reaches the best so far, so ties go to the more recent.
+        # The least infeasible of the recent bases and its levels M.b~: least
+        # sum of negative levels over d, compared exactly by cross-
+        # multiplication.  A candidate is dropped once its partial sum
+        # reaches the best so far, so ties go to the more recent.
         bt = self._btilde
         best, best_xt, best_s, best_d = None, None, 0, 1
-        for vx in self._cache[:_NEAREST]:
+        for vx in self._recent:
             d = vx.d
             bound = best_s * d  # the candidate loses once s * best_d reaches it
             s = 0
@@ -405,12 +386,17 @@ class ExactSimplex:
                     best, best_xt, best_s, best_d = vx, xt, s, d
         return best, best_xt
 
-    def _remember(self) -> LpOutcome:
-        # Cache the current (optimal) basis as the most recently used one.
-        vx = _Vertex(tuple(self._basis), self._M, self._d)
+    def _remember(self, start: _Vertex | None = None) -> LpOutcome:
+        # Make the current (optimal) basis the most recent one.  A recent
+        # `start` that the run did not pivot away from moves to the front.
+        if start is not None and not self._pivots:
+            self._recent.remove(start)
+            vx = start
+        else:
+            vx = _Vertex(tuple(self._basis), self._M, self._d)
         self._basis = vx.basis
-        self._cache.insert(0, vx)
-        del self._cache[_CACHE_SIZE:]
+        self._recent.insert(0, vx)
+        del self._recent[_NEAREST:]
         return self._outcome(vx)
 
     def _thaw(self) -> None:
@@ -432,12 +418,8 @@ class ExactSimplex:
 
     def _price(self, *vectors: list[int]) -> np.ndarray:
         # Row k of the result is v_k . [A; c]_j for every column j, where v_k
-        # has m entries and then the weight of the cost row.  Exact: int64
-        # when the bit lengths allow it, Python ints otherwise.
-        bits = max(max(map(abs, v)) for v in vectors).bit_length()
-        if bits + self._norm_bits <= _INT64_BITS:
-            return np.array(vectors, dtype=np.int64) @ self._dense
-        return np.array(vectors, dtype=object) @ self._dense.astype(object, copy=False)
+        # has m entries and then the weight of the cost row.
+        return _exact_product(vectors, self._dense, self._norm_bits)
 
     def screen(
         self, vx: _Vertex, B: np.ndarray, b_bits: int
@@ -450,15 +432,10 @@ class ExactSimplex:
         feasible for: M.b~ >= 0 with every inert row at zero.  Returns that
         mask over the rows and, for the rows it selects, y.b~ with
         y = c_B.M, the optimal value times d * N.  One product computes
-        [M; y].B^T: int64 when the bit lengths allow it, as in `_price`,
-        Python ints otherwise.
+        [M; y].B^T, exact by `_exact_product` as in `_price`.
         """
         V = vx.M + [_pricing_vector(vx.basis, vx.M, self.costs, self.n)]
-        bits = max(max(map(abs, row)) for row in V).bit_length()
-        if bits + b_bits <= _INT64_BITS:
-            P = np.array(V, dtype=np.int64) @ B.T.astype(np.int64, copy=False)
-        else:
-            P = np.array(V, dtype=object) @ B.T.astype(object)
+        P = _exact_product(V, B.T, b_bits)
         levels = P[:-1]
         inert = [i for i, var in enumerate(vx.basis) if var >= self.n]
         fits = (levels >= 0).all(axis=0) & (levels[inert] == 0).all(axis=0)

@@ -110,7 +110,12 @@ class BootstrapSpec:
 
     def _level_fraction(self) -> Fraction:
         lv = self.level
-        return lv if isinstance(lv, Fraction) else Fraction(str(lv))
+        if isinstance(lv, Fraction):
+            return lv
+        try:
+            return Fraction(str(lv))
+        except ValueError:  # nan or inf
+            raise InputError(f"confidence level must be in (0,1), got {lv}") from None
 
 
 @dataclass(frozen=True)

@@ -275,6 +275,17 @@ def test_missing_inputs_exit_2(capsys):
     assert "need --preset or --scenario" in err
 
 
+@pytest.mark.parametrize("level", ["nan", "inf", "1e400"])
+def test_non_finite_level_exits_2(capsys, level):
+    code, out, err = run_cli(
+        capsys, "ci", "--preset", "peanut-ternary", "--method", "percentile",
+        "--bootstrap", "5", "--seed", "1", "--level", level,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: confidence level must be in (0,1), got {float(level)}"]
+
+
 def test_cap_exit_4(capsys):
     code, _, err = run_cli(
         capsys, "bounds", "--preset", "peanut-ternary", "--max-variables", "1"

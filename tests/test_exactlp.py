@@ -193,7 +193,7 @@ def test_degenerate_rhs_then_warm_restart_regression():
     assert (warm.lower, warm.upper) == (cold.lower, cold.upper)
 
 
-# -- certified basis cache and integer right-hand sides ------------------------------
+# -- warm starts from recent bases and integer right-hand sides ----------------------
 
 
 def _homocysteine_lp(costs="min"):
@@ -259,7 +259,7 @@ def _check_certificates(columns, costs, b, scale, out):
 
 
 @pytest.mark.parametrize("side", ["min", "max"])
-def test_cached_warm_resolves_match_cold_solves(side):
+def test_warm_resolves_from_recent_bases_match_cold_solves(side):
     system, dist, columns, costs = _homocysteine_lp(side)
     lp = ExactSimplex(system.n_rows, columns, costs)
     n_feasible = n_infeasible = 0
@@ -322,7 +322,7 @@ def _infeasibility(vx, bt):
 
 def _least_infeasible(lp, bt):
     # min keeps the first of equal keys: ties go to the more recent basis.
-    return min(lp._cache[:_NEAREST], key=lambda vx: _infeasibility(vx, bt))
+    return min(lp._recent, key=lambda vx: _infeasibility(vx, bt))
 
 
 def _oracle_rhs_sequence(system, seed, count):
@@ -353,13 +353,13 @@ def test_miss_starts_from_least_infeasible_recent_basis(monkeypatch):
     for b, scale in rest[:-1]:
         lp.resolve_b(b, scale=scale)
     b, scale = rest[-1]
-    ranked = sorted(lp._cache, key=lambda vx: _infeasibility(vx, b))
+    ranked = sorted(lp._recent, key=lambda vx: _infeasibility(vx, b))
     best, worst = ranked[0], ranked[-1]
     assert 0 < _infeasibility(best, b) < _infeasibility(worst, b)
     # The most recent basis is the worst; the best comes next, then an equally
     # infeasible copy of it with M and d doubled, which the tie must not pick.
     twin = _Vertex(best.basis, [[2 * v for v in row] for row in best.M], 2 * best.d)
-    lp._cache[:] = [worst, best, twin]
+    lp._recent[:] = [worst, best, twin]
     starts = _record_dual_starts(monkeypatch)
     out = lp.resolve_b(b, scale=scale)
     assert starts == [(best.basis, best.d)]
@@ -374,25 +374,54 @@ def test_far_apart_resolves_start_from_least_infeasible_basis(monkeypatch, side)
     m = system.n_rows
     lp = ExactSimplex(m, columns, costs)
     starts = _record_dual_starts(monkeypatch)
-    n_misses = n_not_front = 0
-    for b, scale in _oracle_rhs_sequence(system, seed=13, count=60):
-        expected = _least_infeasible(lp, b) if lp._cache else None
+    n_pivoted = n_not_front = 0
+    for k, (b, scale) in enumerate(_oracle_rhs_sequence(system, seed=13, count=60)):
         n_starts = len(starts)
+        if k:
+            # Every warm resolve runs the dual simplex once, from the least
+            # infeasible recent basis.
+            expected = _least_infeasible(lp, b)
+            n_not_front += expected is not lp._recent[0]
         out = lp.resolve_b(b, scale=scale)
-        if expected is not None and len(starts) > n_starts:
-            assert starts[-1] == (expected.basis, expected.d)
-            n_misses += 1
-            n_not_front += expected is not lp._cache[1]  # _cache[0] is the new optimum
+        if k:
+            assert starts[n_starts:] == [(expected.basis, expected.d)]
+            n_pivoted += out.pivots > 0
+        else:
+            assert not starts  # the first solve is cold
         cold = ExactSimplex(m, columns, costs).solve(b, scale=scale)
         assert out.value == cold.value
         _check_certificates(columns, costs, b, scale, out)
-    assert n_misses >= 20 and n_not_front >= 5
+    assert n_pivoted >= 20 and n_not_front >= 5
+
+
+def test_repeated_rhs_moves_its_basis_to_the_front_without_a_copy():
+    system, dist, columns, costs = _homocysteine_lp()
+    lp = ExactSimplex(system.n_rows, columns, costs)
+    rhs = _oracle_rhs_sequence(system, seed=4, count=10)
+    values = {0: lp.solve(*rhs[0]).value}
+    n_repeats = 0
+    # b1, b0, b2, b1, b3, b2, ...: each b is asked again one solve later.
+    for k in range(1, len(rhs)):
+        for i in (k, k - 1):
+            before = list(lp._recent)
+            out = lp.resolve_b(*rhs[i])
+            if i in values:
+                assert out.pivots == 0 and out.value == values[i]
+                assert out.vertex in before
+                assert lp._recent == [out.vertex] + [v for v in before if v is not out.vertex]
+                n_repeats += 1
+            values[i] = out.value
+            assert len(lp._recent) <= _NEAREST
+            assert len({vx.basis for vx in lp._recent}) == len(lp._recent)
+    assert n_repeats == len(rhs) - 1 and len(lp._recent) == _NEAREST
 
 
 @pytest.mark.parametrize("b2", [3, 1])
-def test_redundant_row_inconsistency_raises_with_cached_bases(monkeypatch, b2):
+def test_redundant_row_inconsistency_raises_on_a_warm_resolve(monkeypatch, b2):
     # Row 2 is the sum of rows 0 and 1, so its artificial stays basic (inert)
-    # and b is feasible only if b2 == b0 + b1.
+    # and b is feasible only if b2 == b0 + b1.  At b2 = 3 a recent basis fits
+    # every other row and the inert-row check raises after zero pivots; at
+    # b2 = 1 the inert row's level is negative and the dual ratio test raises.
     columns = [((0, 1), (2, 1)), ((0, 1), (2, 1)), ((1, 1), (2, 1)), ((1, 1), (2, 1))]
     lp = ExactSimplex(3, columns, [1, 2, 3, 1])
     for b in ([1, 1, 2], [0, 2, 2], [2, 0, 2], [1, 1, 2]):
@@ -401,7 +430,7 @@ def test_redundant_row_inconsistency_raises_with_cached_bases(monkeypatch, b2):
     b = [Fraction(1), Fraction(1), Fraction(b2)]
     with pytest.raises(Infeasible) as exc:
         lp.resolve_b(b)
-    assert len(starts) == 1  # no cached basis fits, so the dual simplex ran
+    assert len(starts) == 1
     assert verify_farkas(columns, b, exc.value.farkas)
     # The solver still answers feasible right-hand sides afterwards.
     assert lp.resolve_b([3, 1, 4], scale=2).value == Fraction(3 + 1, 2)

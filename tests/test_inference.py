@@ -58,6 +58,8 @@ def _spec(**kw):
         {"replicates": 0},
         {"level": 0.0},
         {"level": 1.0},
+        {"level": float("nan")},
+        {"level": float("inf")},
         {"seed": None},
         {"rho": 1.0},
         {"grid": 1},

@@ -278,13 +278,6 @@ def cmd_bounds(args) -> tuple[dict, int]:
 # -- confidence intervals ------------------------------------------------------------
 
 
-_METHOD_MAP = {
-    "percentile": "percentile",
-    "mn": "m-out-of-n",
-    "multinomial": "parametric-multinomial",
-}
-
-
 def _interval_result_doc(res: IntervalResult) -> dict:
     out = {
         "method": res.method,
@@ -311,7 +304,6 @@ def cmd_ci(args) -> tuple[dict, int]:
     dist, scenario, echo = _resolve_inputs(args)
     _require_estimand(scenario)
     spec = BootstrapSpec(
-        method=_METHOD_MAP[args.method],
         replicates=args.bootstrap,
         level=args.level,
         seed=args.seed,
@@ -322,22 +314,14 @@ def cmd_ci(args) -> tuple[dict, int]:
         tail_mode=args.tails,
     )
     if args.method == "multinomial":
-        if not dist.has_counts:
-            raise InputError(
-                "parametric multinomial bootstrap needs counts (summary or preset)"
-            )
         res = parametric_multinomial_ci(dist, scenario, spec)
+    elif args.method == "percentile":
+        res = percentile_ci(expand_records(dist), scenario, spec)
     else:
-        if not dist.has_counts:
-            raise InputError("resampling bootstrap needs unit records or counts")
-        records = expand_records(dist)
-        if args.method == "percentile":
-            res = percentile_ci(records, scenario, spec)
-        else:
-            res = m_out_of_n_ci(records, scenario, spec, force=args.force)
+        res = m_out_of_n_ci(expand_records(dist), scenario, spec, force=args.force)
     config = {
         **echo,
-        "method": spec.method,
+        "method": res.method,
         "replicates": spec.replicates,
         "level": spec.level,
         "seed": spec.seed,
@@ -496,6 +480,10 @@ def cmd_verify(args) -> tuple[dict, int]:
 # -- reproduction of the embedded examples -----------------------------------------------
 
 
+# Every bootstrap CI in the paper: 2000 replicates at the 95% level.
+_REPRODUCE_SPEC = BootstrapSpec(replicates=2000, level=0.95, seed=REPRODUCE_SEED)
+
+
 def _reproduce_row(
     analysis: str,
     published: tuple[Fraction, Fraction],
@@ -533,10 +521,7 @@ def _reproduce_peanut() -> dict:
         )
     )
 
-    spec = BootstrapSpec(
-        method="percentile", replicates=2000, level=0.95, seed=REPRODUCE_SEED
-    )
-    ci = percentile_ci(peanut_records(), peanut_scenario("clean"), spec)
+    ci = percentile_ci(peanut_records(), peanut_scenario("clean"), _REPRODUCE_SPEC)
     rows.append(
         _reproduce_row(
             "percentile bootstrap CI for the risk difference",
@@ -558,10 +543,9 @@ def _reproduce_peanut() -> dict:
         )
     )
 
-    spec_mn = BootstrapSpec(
-        method="m-out-of-n", replicates=2000, level=0.95, seed=REPRODUCE_SEED
+    ci_mn = m_out_of_n_ci(
+        peanut_risk_records(), peanut_risk_scenario(), _REPRODUCE_SPEC
     )
-    ci_mn = m_out_of_n_ci(peanut_risk_records(), peanut_risk_scenario(), spec_mn)
     rows.append(
         _reproduce_row(
             "m-out-of-n bootstrap CI for the counterfactual risk",
@@ -604,13 +588,7 @@ def _reproduce_homocysteine() -> dict:
         )
     )
 
-    spec = BootstrapSpec(
-        method="parametric-multinomial",
-        replicates=2000,
-        level=0.95,
-        seed=REPRODUCE_SEED,
-    )
-    ci = parametric_multinomial_ci(dist3, scen3, spec)
+    ci = parametric_multinomial_ci(dist3, scen3, _REPRODUCE_SPEC)
     rows.append(
         _reproduce_row(
             "parametric multinomial bootstrap CI for the risk difference",
@@ -635,7 +613,7 @@ def cmd_reproduce(args) -> tuple[dict, int]:
         {
             "example": args.example,
             "seed": REPRODUCE_SEED,
-            "bootstrap_replicates": 2000,
+            "bootstrap_replicates": _REPRODUCE_SPEC.replicates,
         },
         results,
         {},

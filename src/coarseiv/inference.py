@@ -1,6 +1,6 @@
 """Bootstrap confidence intervals for bound endpoints.
 
-Three resampling schemes share one engine:
+Three entry points:
 
 * ``percentile_ci`` — nonparametric bootstrap for contrast estimands,
   resampling records with replacement within each instrument stratum.
@@ -11,25 +11,26 @@ Three resampling schemes share one engine:
   drawing cell counts from per-stratum multinomials at the observed
   probabilities.
 
+All three run one loop, `_bootstrap`: per-stratum multinomial draws at the
+observed cell probabilities, at a total size m split over the strata in
+proportion; m = n, which keeps every stratum's size, except under m-out-of-n.
+Drawing records with replacement within strata induces the same distribution
+on the tables, and all analyses depend on data only through the tables.
+
 Every replicate recomputes the bounds through the exact LP solver, never
-through a shortcut estimator.  A run draws all its replicate tables first,
-as integer counts over one common scale, and solves them as one batch
+through a shortcut estimator.  Each size's replicate tables are drawn
+first, as integer counts over one common scale, and solved as one batch
 (`BoundsSolver.solve_batch`): each optimal basis the solver finds is
 screened against every table still pending, and answers at once each table
 it is primal feasible for, so only the remaining tables need a warm dual
 simplex.  Replicates whose resampled table is incompatible with the scenario
 are bounded at its L1-slack projection and counted; if more than
 ``max_infeasible_fraction`` of replicates need rescue the run aborts.
-
-Stratified resampling of records is realized by drawing per-stratum
-multinomial counts at the exact empirical cell probabilities — the two
-procedures induce identical distributions on the resampled tables, and all
-analyses depend on data only through the tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, lcm
 from typing import Sequence
@@ -75,7 +76,6 @@ class ExcessiveInfeasibility(RuntimeError):
 class BootstrapSpec:
     """Resampling configuration shared by all bootstrap methods."""
 
-    method: str  # "percentile" | "m-out-of-n" | "parametric-multinomial"
     replicates: int = 2000
     level: float | Fraction = 0.95
     seed: int | None = None
@@ -87,14 +87,14 @@ class BootstrapSpec:
     max_infeasible_fraction: float = 0.10
 
     def __post_init__(self):
-        if self.method not in ("percentile", "m-out-of-n", "parametric-multinomial"):
-            raise InputError(f"unknown bootstrap method {self.method!r}")
         if self.replicates < 1:
             raise InputError("bootstrap needs at least one replicate")
         if not 0 < self._level_fraction() < 1:
             raise InputError(f"confidence level must be in (0,1), got {self.level}")
         if self.seed is None:
             raise InputError("bootstrap requires an explicit seed")
+        if self.seed < 0:
+            raise InputError(f"seed must be non-negative, got {self.seed}")
         if not 0 < self.rho < 1:
             raise InputError(f"grid ratio rho must be in (0,1), got {self.rho}")
         if self.grid < 2:
@@ -183,7 +183,7 @@ def _proportional_allocation(n_per_z: dict[str, int], m: int) -> dict[str, int]:
 
 
 class _Resampler:
-    """Shared engine: draw per-stratum tables, solve bounds, collect endpoints."""
+    """Per-stratum cell probabilities and the LP that every replicate solves."""
 
     def __init__(self, scenario: Scenario, dist: ObservedDistribution):
         scenario, dist = validate(scenario, dist)
@@ -205,10 +205,6 @@ class _Resampler:
             )
             for z in scenario.instrument_levels
         }
-
-    def point_bounds(self) -> tuple[Fraction, Fraction, list[str]]:
-        res = self.solver.solve_b(self.system.rhs(self.dist), slack=True)
-        return res.lower, res.upper, list(res.notes)
 
     def tables(
         self, seeds: Sequence[np.random.SeedSequence], sizes: dict[str, int]
@@ -234,26 +230,73 @@ class _Resampler:
             B[:, self.cell_rows[z]] = counts.astype(dtype) * (scale // sizes[z])
         return B, scale
 
-    def replicate_endpoints(
-        self,
-        seeds: Sequence[np.random.SeedSequence],
-        sizes: dict[str, int],
-    ) -> tuple[list[Fraction], list[Fraction], int]:
-        lowers, uppers, rescued = self.solver.solve_batch(*self.tables(seeds, sizes))
-        return lowers, uppers, sum(rescued)
 
+def _bootstrap(
+    method: str,
+    dist: ObservedDistribution,
+    scenario: Scenario,
+    spec: BootstrapSpec,
+    m_grid: Sequence[int] | None = None,
+    warnings: Sequence[str] = (),
+) -> IntervalResult:
+    """Resample at each total size in ``m_grid`` (default: just n).
 
-def _check_infeasible(n_infeasible: int, total: int, spec: BootstrapSpec) -> None:
-    threshold = Fraction(str(spec.max_infeasible_fraction))
-    if total and Fraction(n_infeasible, total) > threshold:
-        raise ExcessiveInfeasibility(n_infeasible, total, threshold)
-
-
-def _ci_from_endpoints(
-    lowers: list[Fraction], uppers: list[Fraction], spec: BootstrapSpec
-) -> tuple[Fraction, Fraction]:
+    Size j solves, as one batch, the R = ``spec.replicates`` tables drawn
+    from children j*R .. (j+1)*R - 1 of ``SeedSequence(spec.seed)``.  The
+    interval reported is the one closest (max endpoint difference) to its
+    successor's.  Only an m grid, the m-out-of-n bootstrap, reports ``m``.
+    """
+    engine = _Resampler(scenario, dist)
+    point = engine.solver.solve_b(engine.system.rhs(engine.dist), slack=True)
+    n_per_z = dict(engine.dist.n_per_z)
+    grid = m_grid or [sum(n_per_z.values())]
+    R = spec.replicates
+    seeds = np.random.SeedSequence(spec.seed).spawn(R * len(grid))
     q_lo, q_hi = _tails(spec)
-    return _exact_quantile(lowers, q_lo), _exact_quantile(uppers, q_hi)
+    intervals: list[tuple[Fraction, Fraction]] = []
+    sizes: list[dict[str, int]] = []
+    n_infeasible = 0
+    for j, m in enumerate(grid):
+        sizes.append(_proportional_allocation(n_per_z, m))
+        lowers, uppers, rescued = engine.solver.solve_batch(
+            *engine.tables(seeds[j * R : (j + 1) * R], sizes[j])
+        )
+        intervals.append((_exact_quantile(lowers, q_lo), _exact_quantile(uppers, q_hi)))
+        n_infeasible += sum(rescued)
+    threshold = Fraction(str(spec.max_infeasible_fraction))
+    if Fraction(n_infeasible, R * len(grid)) > threshold:
+        raise ExcessiveInfeasibility(n_infeasible, R * len(grid), threshold)
+    best = min(
+        range(len(grid) - 1),
+        key=lambda j: max(abs(a - b) for a, b in zip(intervals[j], intervals[j + 1])),
+        default=0,
+    )
+    m_out_of_n = m_grid is not None
+    return IntervalResult(
+        method=method,
+        point_lower=point.lower,
+        point_upper=point.upper,
+        ci_lower=intervals[best][0],
+        ci_upper=intervals[best][1],
+        level=spec._level_fraction(),
+        replicates=R,
+        seed=spec.seed,
+        tail_mode=spec.tail_mode,
+        m=grid[best] if m_out_of_n else None,
+        m_per_stratum=sizes[best] if m_out_of_n else None,
+        grid_intervals=(
+            tuple((m, lo, hi) for m, (lo, hi) in zip(grid, intervals))
+            if m_out_of_n and spec.m_rule == "grid"
+            else None
+        ),
+        n_infeasible=n_infeasible,
+        warnings=(*point.notes, *warnings),
+        diagnostics=(
+            {"n_per_stratum": n_per_z, "m_rule": spec.m_rule}
+            if m_out_of_n
+            else {"n_per_stratum": n_per_z}
+        ),
+    )
 
 
 def _records_distribution(
@@ -275,28 +318,8 @@ def percentile_ci(
             "percentile bootstrap is intended for contrast estimands; use the "
             "m-out-of-n bootstrap for single counterfactual risks"
         )
-    spec = replace(spec, method="percentile")
-    engine = _Resampler(scenario, _records_distribution(records, scenario))
-    point_lower, point_upper, warnings = engine.point_bounds()
-    seeds = np.random.SeedSequence(spec.seed).spawn(spec.replicates)
-    lowers, uppers, n_infeasible = engine.replicate_endpoints(
-        seeds, dict(engine.dist.n_per_z)
-    )
-    _check_infeasible(n_infeasible, spec.replicates, spec)
-    ci_lower, ci_upper = _ci_from_endpoints(lowers, uppers, spec)
-    return IntervalResult(
-        method="percentile",
-        point_lower=point_lower,
-        point_upper=point_upper,
-        ci_lower=ci_lower,
-        ci_upper=ci_upper,
-        level=spec._level_fraction(),
-        replicates=spec.replicates,
-        seed=spec.seed,
-        tail_mode=spec.tail_mode,
-        n_infeasible=n_infeasible,
-        warnings=tuple(warnings),
-        diagnostics={"n_per_stratum": dict(engine.dist.n_per_z)},
+    return _bootstrap(
+        "percentile", _records_distribution(records, scenario), scenario, spec
     )
 
 
@@ -322,85 +345,24 @@ def m_out_of_n_ci(
             "m-out-of-n bootstrap targets single counterfactual risks; pass "
             "force=True to apply it to a contrast anyway"
         )
-    spec = replace(spec, method="m-out-of-n")
-    engine = _Resampler(scenario, _records_distribution(records, scenario))
-    point_lower, point_upper, warnings = engine.point_bounds()
-    warnings = list(warnings)
-    n_per_z = dict(engine.dist.n_per_z)
-    n = sum(n_per_z.values())
-    level = spec._level_fraction()
-
-    def run_m(m: int, seeds) -> tuple[tuple[Fraction, Fraction], int, dict[str, int]]:
-        sizes = _proportional_allocation(n_per_z, m)
-        lowers, uppers, bad = engine.replicate_endpoints(seeds, sizes)
-        return _ci_from_endpoints(lowers, uppers, spec), bad, sizes
-
+    dist = _records_distribution(records, scenario)
+    n = sum(dist.n_per_z.values())
     if spec.m_rule == "power":
-        m = ceil(n**spec.power)
-        if m >= n:
-            warnings.append(
-                f"sample size {n} too small for an m-out-of-n resample "
-                f"(rule gives m={m}); falling back to the percentile bootstrap"
-            )
-            m = n
-        seeds = np.random.SeedSequence(spec.seed).spawn(spec.replicates)
-        (ci_lower, ci_upper), n_infeasible, sizes = run_m(m, seeds)
-        _check_infeasible(n_infeasible, spec.replicates, spec)
-        grid_info = None
+        m_grid = [ceil(n**spec.power)]
+        too_small = m_grid[0] >= n
+        why = f"an m-out-of-n resample (rule gives m={m_grid[0]})"
     else:
         m_grid = [min(n, ceil(spec.rho**j * n)) for j in range(spec.grid)]
-        if len(set(m_grid)) == 1:
-            warnings.append(
-                f"sample size {n} too small for the m grid (all sizes equal "
-                f"{m_grid[0]}); falling back to the percentile bootstrap"
-            )
-            m_grid = [n]
-        all_seeds = np.random.SeedSequence(spec.seed).spawn(
-            spec.replicates * len(m_grid)
+        too_small = len(set(m_grid)) == 1
+        why = f"the m grid (all sizes equal {m_grid[0]})"
+    warnings = []
+    if too_small:
+        warnings.append(
+            f"sample size {n} too small for {why}; falling back to the "
+            "percentile bootstrap"
         )
-        intervals: list[tuple[Fraction, Fraction]] = []
-        sizes_by_j: list[dict[str, int]] = []
-        n_infeasible = 0
-        for j, mj in enumerate(m_grid):
-            ci, bad, sizes_j = run_m(
-                mj, all_seeds[j * spec.replicates : (j + 1) * spec.replicates]
-            )
-            intervals.append(ci)
-            sizes_by_j.append(sizes_j)
-            n_infeasible += bad
-        _check_infeasible(n_infeasible, spec.replicates * len(m_grid), spec)
-        if len(m_grid) == 1:
-            best = 0
-        else:
-            dist_j = [
-                max(abs(a[0] - b[0]), abs(a[1] - b[1]))
-                for a, b in zip(intervals, intervals[1:])
-            ]
-            best = min(range(len(dist_j)), key=lambda j: (dist_j[j], j))
-        m = m_grid[best]
-        sizes = sizes_by_j[best]
-        ci_lower, ci_upper = intervals[best]
-        grid_info = tuple(
-            (mj, ci[0], ci[1]) for mj, ci in zip(m_grid, intervals)
-        )
-
-    return IntervalResult(
-        method="m-out-of-n",
-        point_lower=point_lower,
-        point_upper=point_upper,
-        ci_lower=ci_lower,
-        ci_upper=ci_upper,
-        level=level,
-        replicates=spec.replicates,
-        seed=spec.seed,
-        tail_mode=spec.tail_mode,
-        m=m,
-        m_per_stratum=sizes,
-        grid_intervals=grid_info,
-        n_infeasible=n_infeasible,
-        warnings=tuple(warnings),
-        diagnostics={"n_per_stratum": n_per_z, "m_rule": spec.m_rule},
-    )
+        m_grid = [n]
+    return _bootstrap("m-out-of-n", dist, scenario, spec, m_grid, warnings)
 
 
 def parametric_multinomial_ci(
@@ -412,26 +374,4 @@ def parametric_multinomial_ci(
             "parametric multinomial bootstrap needs stratum sample sizes "
             "(summary counts), not bare probabilities"
         )
-    spec = replace(spec, method="parametric-multinomial")
-    engine = _Resampler(scenario, dist)
-    point_lower, point_upper, warnings = engine.point_bounds()
-    seeds = np.random.SeedSequence(spec.seed).spawn(spec.replicates)
-    lowers, uppers, n_infeasible = engine.replicate_endpoints(
-        seeds, dict(dist.n_per_z)
-    )
-    _check_infeasible(n_infeasible, spec.replicates, spec)
-    ci_lower, ci_upper = _ci_from_endpoints(lowers, uppers, spec)
-    return IntervalResult(
-        method="parametric-multinomial",
-        point_lower=point_lower,
-        point_upper=point_upper,
-        ci_lower=ci_lower,
-        ci_upper=ci_upper,
-        level=spec._level_fraction(),
-        replicates=spec.replicates,
-        seed=spec.seed,
-        tail_mode=spec.tail_mode,
-        n_infeasible=n_infeasible,
-        warnings=tuple(warnings),
-        diagnostics={"n_per_stratum": dict(dist.n_per_z)},
-    )
+    return _bootstrap("parametric-multinomial", dist, scenario, spec)

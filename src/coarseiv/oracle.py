@@ -152,6 +152,14 @@ def _note(failures: list[dict], **detail) -> None:
         failures.append(detail)
 
 
+def _check_run(trials: int, seed: int) -> None:
+    """An audit needs a trial, and numpy seeds only from non-negative integers."""
+    if trials < 1:
+        raise InputError("need at least one trial")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
+
+
 def _trials(
     scenario: Scenario, trials: int, seed: int
 ) -> tuple[ConstraintSystem, Iterator[tuple]]:
@@ -162,8 +170,7 @@ def _trials(
     it raised.  A sampled table is feasible by construction, so the latter is
     an engine fault that the caller records.
     """
-    if trials < 1:
-        raise InputError("need at least one trial")
+    _check_run(trials, seed)
     if scenario.estimand is None:
         raise InputError("scenario carries no estimand")
     system = build_constraint_system(scenario)
@@ -549,8 +556,7 @@ def check_equivalences(trials: int, seed: int) -> EquivalenceReport:
     two-level instrument the derived term sets must also equal the
     transcribed closed forms, term by term.
     """
-    if trials < 1:
-        raise InputError("need at least one trial")
+    _check_run(trials, seed)
     z2 = ("z0", "z1")
     z3 = ("z0", "z1", "z2")
     contrast = Estimand(kind="risk_difference", x="x", x_prime="xp")

@@ -129,16 +129,12 @@ def peanut_cis():
     pct = percentile_ci(
         datasets.peanut_records(),
         datasets.peanut_scenario("clean"),
-        BootstrapSpec(
-            method="percentile", replicates=REPLICATES, seed=datasets.REPRODUCE_SEED
-        ),
+        BootstrapSpec(replicates=REPLICATES, seed=datasets.REPRODUCE_SEED),
     )
     mn = m_out_of_n_ci(
         datasets.peanut_risk_records(),
         datasets.peanut_risk_scenario(),
-        BootstrapSpec(
-            method="m-out-of-n", replicates=REPLICATES, seed=datasets.REPRODUCE_SEED
-        ),
+        BootstrapSpec(replicates=REPLICATES, seed=datasets.REPRODUCE_SEED),
     )
     return pct, mn, time.monotonic() - start
 
@@ -181,11 +177,7 @@ def test_criterion_4_homocysteine_bounds_and_confidence_interval():
     ci = parametric_multinomial_ci(
         datasets.homocysteine_distribution(3),
         datasets.homocysteine_scenario(3),
-        BootstrapSpec(
-            method="parametric-multinomial",
-            replicates=REPLICATES,
-            seed=datasets.REPRODUCE_SEED,
-        ),
+        BootstrapSpec(replicates=REPLICATES, seed=datasets.REPRODUCE_SEED),
     )
     assert ci.replicates >= 2000
     _assert_close((ci.ci_lower, ci.ci_upper), HOMO_CI_TARGET, HOMO_CI_TOL)

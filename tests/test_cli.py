@@ -286,6 +286,29 @@ def test_non_finite_level_exits_2(capsys, level):
     assert err.splitlines() == [f"error: confidence level must be in (0,1), got {float(level)}"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ci", "--method", "percentile", "--bootstrap", "5"),
+        ("ci", "--method", "mn", "--force", "--bootstrap", "5"),
+        ("ci", "--method", "multinomial", "--bootstrap", "5"),
+        ("verify", "--suite", "validity", "--trials", "2"),
+        ("verify", "--suite", "tightness", "--trials", "2"),
+        ("verify", "--suite", "equivalences", "--trials", "2"),
+    ],
+    ids=lambda argv: " ".join(argv[:3]),
+)
+def test_negative_seed_exits_2(capsys, argv):
+    # numpy seeds only from non-negative integers; exit 1 means "verification
+    # failed", so a bad seed must not reach it as a ValueError traceback.
+    code, out, err = run_cli(
+        capsys, *argv, "--preset", "peanut-ternary", "--seed", "-1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: seed must be non-negative, got -1"]
+
+
 def test_cap_exit_4(capsys):
     code, _, err = run_cli(
         capsys, "bounds", "--preset", "peanut-ternary", "--max-variables", "1"
@@ -615,6 +638,23 @@ def test_ci_documents_are_byte_identical(capsys, command):
     code, out, err = run_cli(capsys, *command.split())
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == CI_SHA256[command]
+
+
+# SHA-256 of `reproduce` stdout: the published-number comparison, with its
+# three bootstrap CIs at 2000 replicates, is promised byte for byte.
+REPRODUCE_SHA256 = {
+    "reproduce peanut":
+        "68942caa4bd1c45b9e9161e68f100a423fb62dd4d0178b066fb74ac39da6bc5a",
+    "reproduce homocysteine":
+        "12a964e20830188a99322a44034a1ecfc33164802223adebd8557d250f7d558d",
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPRODUCE_SHA256))
+def test_reproduce_documents_are_byte_identical(capsys, command):
+    code, out, err = run_cli(capsys, *command.split())
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == REPRODUCE_SHA256[command]
 
 
 # Records whose every resample nearly always violates the instrument

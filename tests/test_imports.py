@@ -1,5 +1,6 @@
-"""Every name a `coarseiv` module imports is referenced in that module, and
-every import sits at module level, where an import cycle fails at once."""
+"""Every name a `coarseiv` module imports is referenced in that module,
+every import sits at module level, where an import cycle fails at once, and
+every name in a module's `__all__` is defined or imported there."""
 
 import ast
 from pathlib import Path
@@ -7,8 +8,9 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "coarseiv"
+ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 # The package __init__ imports only to re-export.
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -27,11 +29,31 @@ def _imported(tree: ast.Module) -> dict[str, int]:
 def _referenced(tree: ast.Module) -> set[str]:
     """Names loaded anywhere in the module, plus the strings in `__all__`."""
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return names | _exported(tree)
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The strings in the module's `__all__`."""
+    names = set()
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             names.update(ast.literal_eval(node.value))
+    return names
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    """Names bound at module level: imports, definitions and assignments."""
+    names = set(_imported(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(
+                n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)
+            )
     return names
 
 
@@ -66,6 +88,13 @@ def test_module_has_no_unused_imports(path):
     assert not unused, f"{path.name}: unused imports {unused}"
 
 
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_module_all_names_only_what_it_defines(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    missing = _exported(tree) - _defined(tree)
+    assert not missing, f"{path.name}: __all__ names undefined {sorted(missing)}"
+
+
 def test_checker_flags_an_unused_import():
     tree = ast.parse(
         "from __future__ import annotations\n"
@@ -90,3 +119,16 @@ def test_checker_flags_an_import_inside_a_function():
         "        return os, inner\n"
     )
     assert _nested_imports(tree) == [5]
+
+
+def test_checker_flags_an_undefined_export():
+    tree = ast.parse(
+        "import os\n"
+        "from .x import y as z\n"
+        "__all__ = ['os', 'z', 'f', 'C', 'K', 'T', 'gone', 'y']\n"
+        "def f(): pass\n"
+        "class C: pass\n"
+        "K = 1\n"
+        "T: int = 2\n"
+    )
+    assert _exported(tree) - _defined(tree) == {"gone", "y"}

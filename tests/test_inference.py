@@ -1,5 +1,6 @@
 """Bootstrap confidence intervals: configuration validation, determinism, m rules, tails."""
 
+import dataclasses
 from fractions import Fraction
 from operator import mul
 
@@ -15,6 +16,7 @@ from coarseiv.data import (
     ObservedDistribution,
     RawRecord,
     Scenario,
+    expand_records,
 )
 from coarseiv.datasets import (
     PRESET_NAMES,
@@ -44,8 +46,7 @@ SMALL = dict(replicates=60, seed=11)
 
 
 def _spec(**kw):
-    merged = {"method": "percentile", **SMALL, **kw}
-    return BootstrapSpec(**merged)
+    return BootstrapSpec(**{**SMALL, **kw})
 
 
 # -- configuration validation -----------------------------------------------------------------
@@ -54,13 +55,13 @@ def _spec(**kw):
 @pytest.mark.parametrize(
     "kw",
     [
-        {"method": "jackknife"},
         {"replicates": 0},
         {"level": 0.0},
         {"level": 1.0},
         {"level": float("nan")},
         {"level": float("inf")},
         {"seed": None},
+        {"seed": -1},
         {"rho": 1.0},
         {"grid": 1},
         {"m_rule": "cube-root"},
@@ -77,7 +78,7 @@ def test_bootstrap_spec_rejects_bad_configuration(kw):
 
 def test_bootstrap_spec_seed_is_mandatory():
     with pytest.raises(InputError, match="seed"):
-        BootstrapSpec(method="percentile")
+        BootstrapSpec()
 
 
 # -- quantiles and allocation ---------------------------------------------------------
@@ -162,7 +163,7 @@ def test_percentile_rejects_single_risk_estimands():
 
 
 def test_m_out_of_n_rejects_contrasts_unless_forced():
-    spec = _spec(method="m-out-of-n", replicates=20)
+    spec = _spec(replicates=20)
     with pytest.raises(InputError):
         m_out_of_n_ci(peanut_records(), peanut_scenario("clean"), spec)
     res = m_out_of_n_ci(
@@ -188,7 +189,7 @@ def test_parametric_needs_counts():
         estimand=Estimand("risk_difference", x="a", x_prime="b"),
     )
     with pytest.raises(InputError):
-        parametric_multinomial_ci(dist, scn, _spec(method="parametric-multinomial"))
+        parametric_multinomial_ci(dist, scn, _spec())
 
 
 # -- determinism and point bounds -----------------------------------------------------
@@ -210,19 +211,27 @@ def test_percentile_is_seed_deterministic_and_anchored():
 
 def test_parametric_matches_counts_input():
     scn = peanut_scenario("clean")
-    res = parametric_multinomial_ci(
-        peanut_distribution(), scn, _spec(method="parametric-multinomial")
-    )
+    res = parametric_multinomial_ci(peanut_distribution(), scn, _spec())
     assert res.method == "parametric-multinomial"
     assert res.point_lower == Fraction(-5073, 31720)
     assert res.ci_lower <= res.point_lower <= res.point_upper <= res.ci_upper
+
+
+def test_percentile_and_multinomial_are_one_procedure():
+    # Records resampled within strata are per-stratum multinomials at the
+    # observed p, so one seed draws the same tables for both methods.
+    dist, scn = peanut_distribution(), peanut_scenario("clean")
+    pct = percentile_ci(expand_records(dist), scn, _spec())
+    mult = parametric_multinomial_ci(dist, scn, _spec())
+    assert (pct.method, mult.method) == ("percentile", "parametric-multinomial")
+    assert dataclasses.replace(pct, method=mult.method) == mult
 
 
 # -- m-out-of-n rules -----------------------------------------------------------------
 
 
 def test_power_rule_resample_size():
-    spec = _spec(method="m-out-of-n", replicates=40)
+    spec = _spec(replicates=40)
     res = m_out_of_n_ci(peanut_risk_records(), peanut_risk_scenario(), spec)
     assert res.m == 128  # ceil(640 ** 0.75)
     assert res.m_per_stratum == {"avoid": 64, "consume": 64}
@@ -231,7 +240,7 @@ def test_power_rule_resample_size():
 
 
 def test_grid_rule_reports_the_interval_path():
-    spec = _spec(method="m-out-of-n", replicates=25, m_rule="grid", rho=0.6, grid=4)
+    spec = _spec(replicates=25, m_rule="grid", rho=0.6, grid=4)
     res = m_out_of_n_ci(peanut_risk_records(), peanut_risk_scenario(), spec)
     assert res.grid_intervals is not None
     ms = [m for m, _, _ in res.grid_intervals]
@@ -254,11 +263,36 @@ def test_power_rule_fallback_when_n_too_small():
         ),
         estimand=Estimand("counterfactual_risk", x="x"),
     )
-    spec = _spec(method="m-out-of-n", replicates=10)
+    spec = _spec(replicates=10)
     res = m_out_of_n_ci(records, scn, spec)
     assert res.m == 3
     assert any("falling back" in w for w in res.warnings)
     assert (res.ci_lower, res.ci_upper) == (Fraction(1), Fraction(1))
+
+
+def test_grid_rule_fallback_when_n_too_small():
+    # With n = 3 and rho = 0.9 both grid sizes are ceil(3) = ceil(2.7) = 3.
+    records = [
+        RawRecord("z0", "a", 1),
+        RawRecord("z0", "b", 0),
+        RawRecord("z1", "a", 1),
+    ]
+    scn = Scenario(
+        instrument_levels=("z0", "z1"),
+        levels=(ExposureLevel("a"), ExposureLevel("b")),
+        estimand=Estimand("risk_difference", x="a", x_prime="b"),
+    )
+    spec = _spec(replicates=40, seed=3, m_rule="grid", rho=0.9, grid=2)
+    res = m_out_of_n_ci(records, scn, spec, force=True)
+    assert [w for w in res.warnings if "falling back" in w] == [
+        "sample size 3 too small for the m grid (all sizes equal 3); "
+        "falling back to the percentile bootstrap"
+    ]
+    assert res.m == 3
+    assert res.m_per_stratum == {"z0": 2, "z1": 1}
+    assert res.grid_intervals == ((3, Fraction(-1), Fraction(0)),)
+    pct = percentile_ci(records, scn, spec)
+    assert (res.ci_lower, res.ci_upper) == (pct.ci_lower, pct.ci_upper) == (-1, 0)
 
 
 # -- tail modes -----------------------------------------------------------------------

@@ -10,13 +10,22 @@ integers too: b = b~ / N, either given that way (``scale=N``) or converted
 once by :func:`integer_rhs`.
 
 Pricing runs over every column at once.  The constructor stacks the columns
-and the cost row into one dense (m + 1) x n matrix [A; c], and one helper
-returns v . [A; c]_j for all j: reduced costs in the primal loop, the pivot
-row in the dual ratio test and in the eviction of artificials.  The product is
-exact either way: int64 when bit_length(max |v|) + bit_length(max column L1
-norm) <= 62, so no partial sum can overflow, and Python ints (dtype=object)
-otherwise.  The m-sized work (pivots, the pricing vector, the levels M.b~)
-stays in Python ints.
+and the cost row into one dense (m + 1) x n matrix [A; c]: the reduced costs
+d*c - y.A are one product [-y, d] . [A; c] with y = c_B . M, the pivot row of
+the dual ratio test and of the eviction of artificials is M_r . A, and the
+entering direction is w = M . A_j.
+
+The state is one integer array T = [M | xt]: M with its levels xt = M.b~
+as a last column.  A pivot is one fraction-free rank-1 update
+T' = (w_r T - w T_r) / d (Bareiss), whose division is exact; numpy's //
+floors as Python's does.  Every product and update is exact: it runs in int64
+when bit lengths rule out a partial sum of 2**63 or more, and in Python ints
+(dtype=object) otherwise.  A product needs bit_length(max |left|) plus the
+bit length of the largest column L1 norm on the right to be at most 62; a
+pivot needs bit_length(max |w|) + bit_length(max |T|) <= 62.  The solver
+carries bit_length(max |T|) from one pivot to the next.  Numbers leave as
+Python ints: the levels, value, solution and dual of an `LpOutcome`, and
+Farkas vectors.
 
 Warm starts are first-class.  `resolve_b` handles a change of b only
 (bootstrap replicates, distribution sweeps).  It keeps the ``_NEAREST`` most
@@ -44,7 +53,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import mul
+from operator import index
 from typing import Sequence
 
 import numpy as np
@@ -68,8 +77,10 @@ _DEGENERATE_LIMIT = 30
 _MAX_PIVOTS = 200_000
 # Most recent optimal bases from which `resolve_b` picks a dual simplex start.
 _NEAREST = 4
-# Bit budget of an exact int64 product: |v . a| <= max|v| * |a|_1 < 2**62
-# when bit_length(max |v|) + bit_length(|a|_1) <= 62.
+# Bit budget of exact int64 arithmetic: a product has |v . a| <=
+# max|v| * |a|_1 < 2**62 when bit_length(max |v|) + bit_length(|a|_1) <= 62,
+# and a pivot has |w_r t - w_i t_r| < 2**63 when
+# bit_length(max |w|) + bit_length(max |t|) <= 62.
 _INT64_BITS = 62
 
 
@@ -88,10 +99,13 @@ class Infeasible(Exception):
 
 @dataclass(slots=True, eq=False)
 class _Vertex:
-    """Snapshot of an optimal basis: basic variable per row, M = d * B^-1, d."""
+    """A basis: basic variable per row, M = d * B^-1 as an integer array, and d.
+
+    M is read only: solves that start from this basis pivot into new arrays.
+    """
 
     basis: tuple[int, ...]
-    M: list[list[int]]
+    M: np.ndarray
     d: int
 
 
@@ -109,7 +123,7 @@ class LpOutcome:
     vertex: _Vertex = field(repr=False)
     levels: list[int] = field(repr=False)  # M . b~
     scale: int = field(repr=False)  # N
-    costs: Sequence[int] = field(repr=False)
+    costs: np.ndarray = field(repr=False)  # per variable, artificials at 0
     n: int = field(repr=False)  # number of structural variables
 
     @property
@@ -128,8 +142,10 @@ class LpOutcome:
     @cached_property
     def dual(self) -> tuple[Fraction, ...]:
         vx = self.vertex
-        y = _pricing_vector(vx.basis, vx.M, self.costs, self.n)
-        return tuple(Fraction(v, vx.d) for v in y)
+        c_B = self.costs[list(vx.basis)]
+        l1 = sum(map(abs, c_B.tolist()))
+        y = _exact_product(c_B, vx.M, _bits(vx.M) + l1.bit_length())
+        return tuple(Fraction(v, vx.d) for v in y.tolist())
 
 
 def column_dot(column: Column, vec: Sequence) -> object:
@@ -202,42 +218,33 @@ def independent_rows(
     return kept, X, sign * d
 
 
-def _pricing_vector(
-    basis: Sequence[int],
-    M: list[list[int]],
-    costs: Sequence[int],
-    n: int,
-    artificial_cost: int = 0,
-) -> list[int]:
-    # y_int = c_B . M; the true duals are y_int / d.
-    y = [0] * len(M)
-    for row, var in zip(M, basis):
-        c = costs[var] if var < n else artificial_cost
-        if c:
-            for k, v in enumerate(row):
-                if v:
-                    y[k] += c * v
-    return y
+def _bits(a: np.ndarray) -> int:
+    # Bit length of the largest |entry| of a nonempty integer array.
+    return int(np.abs(a).max()).bit_length()
 
 
-def _exact_product(left: Sequence[list[int]], right: np.ndarray, right_bits: int) -> np.ndarray:
-    # left @ right, exact: int64 when bit_length(max |left|) + right_bits
-    # <= _INT64_BITS, where right_bits bounds the bit length of the L1 norm
-    # of every column of `right`; Python ints (dtype=object) otherwise.
-    bits = max(max(map(abs, row)) for row in left).bit_length()
-    if bits + right_bits <= _INT64_BITS:
-        return np.array(left, dtype=np.int64) @ right.astype(np.int64, copy=False)
-    return np.array(left, dtype=object) @ right.astype(object, copy=False)
+def _exact_product(left: np.ndarray, right: np.ndarray, bits: int) -> np.ndarray:
+    # left @ right, exact: int64 when `bits` <= _INT64_BITS, where `bits` is
+    # at least bit_length(max |left|) plus the bit length of the L1 norm of
+    # every column of `right`; Python ints (dtype=object) otherwise.
+    if bits <= _INT64_BITS:
+        return left.astype(np.int64, copy=False) @ right.astype(np.int64, copy=False)
+    return left.astype(object) @ right.astype(object, copy=False)
+
+
+def _dtype(bits: int) -> type:
+    # int64 for integers of at most `bits` bits when that fits the budget.
+    return np.int64 if bits <= _INT64_BITS else object
 
 
 class ExactSimplex:
     """Two-phase exact simplex over a fixed column set.
 
-    The instance owns the constraint matrix (as sparse columns); b and c can
-    vary across solves.  Artificial variables are numbered n .. n+m-1 and are
-    never re-admitted once phase 1 ends; rows whose artificial cannot be
-    pivoted out are structurally redundant and their artificial stays basic
-    at level zero forever.
+    The instance owns the constraint matrix (dense, built once from sparse
+    columns); b and c can vary across solves.  Artificial variables are
+    numbered n .. n+m-1 and are never re-admitted once phase 1 ends; rows
+    whose artificial cannot be pivoted out are structurally redundant and
+    their artificial stays basic at level zero forever.
 
     `solve` and `resolve_b` take b either as rationals or, with ``scale=N``,
     as nonnegative integers b~ meaning b~ / N.
@@ -247,11 +254,11 @@ class ExactSimplex:
         if n_rows < 1:
             raise ValueError("at least one row required")
         self.m = n_rows
-        self.columns: list[Column] = [tuple(col) for col in columns]
-        self.n = len(self.columns)
-        # Dense A and its column L1 norms; `_start` stacks the cost row on it.
+        self.n = len(columns)
+        # Dense A and the bit length of its largest column L1 norm; `_start`
+        # stacks the cost row on it.
         rows, cols, vals, self._l1 = [], [], [], []
-        for j, col in enumerate(self.columns):
+        for j, col in enumerate(columns):
             l1 = 0
             for r, coef in col:
                 rows.append(r)
@@ -259,9 +266,9 @@ class ExactSimplex:
                 vals.append(coef)
                 l1 += abs(coef)
             self._l1.append(l1)
-        dtype = np.int64 if max(self._l1, default=0).bit_length() <= _INT64_BITS else object
-        self._A = np.zeros((n_rows, self.n), dtype=dtype)
-        np.add.at(self._A, (rows, cols), np.array(vals, dtype=dtype))
+        self._l1_bits = max(self._l1, default=0).bit_length()
+        self._A = np.zeros((n_rows, self.n), dtype=_dtype(self._l1_bits))
+        np.add.at(self._A, (rows, cols), np.array(vals, dtype=self._A.dtype))
         self._start(costs)
 
     def _with_costs(self, costs: Sequence[int]) -> ExactSimplex:
@@ -271,25 +278,31 @@ class ExactSimplex:
         return twin
 
     def _start(self, costs: Sequence[int]) -> None:
-        # Dense [A; c] for `_price`, int64 when every column's L1 norm fits,
+        # Dense [A; c] for the pricing, int64 when every column's L1 norm
+        # fits, the costs per variable, artificials included, for each phase,
         # and an empty solver state.
         if len(costs) != self.n:
             raise ValueError("one cost per column required")
         self.costs: list[int] = [int(c) for c in costs]
         norm = max((l1 + abs(c) for l1, c in zip(self._l1, self.costs)), default=0)
         self._norm_bits = norm.bit_length()
-        dtype = np.int64 if self._norm_bits <= _INT64_BITS else object
-        self._dense = np.vstack([self._A.astype(dtype), np.array([self.costs], dtype=dtype)])
-        # Solver state (populated by solve()).  Pivots update _basis and _M in
-        # place, so a run that pivots first copies them (_thaw): the recent
-        # vertices and the outcomes built on them share those lists.  _xt is
-        # never shared: each solve computes it afresh.
-        self._basis: Sequence[int] | None = None  # variable id per row
-        self._M: list[list[int]] | None = None  # d * inverse of basis matrix
+        self._dense = np.vstack([self._A, np.array([self.costs], dtype=_dtype(self._norm_bits))])
+        top = max(map(abs, self.costs), default=0)
+        self._c = np.array(self.costs + [0] * self.m, dtype=_dtype(top.bit_length()))
+        self._c1 = np.array([0] * self.n + [1] * self.m, dtype=np.int64)
+        # Bit length of a bound on |c_B|_1 in either phase, for y = c_B . M.
+        self._c_bits = (self.m * max(top, 1)).bit_length()
+        # Solver state (populated by solve()).  T = [M | xt] holds M, d times
+        # the basis inverse, and its levels xt = M . b~.  A pivot builds a new
+        # T and never writes into the old one, so the recent vertices hold
+        # views of M that later pivots leave alone.
+        self._basis: list[int] = []  # variable id per row
+        self._T: np.ndarray | None = None
+        self._bits = 0  # bit length of max |T|
         self._d: int = 1  # det of basis matrix, kept > 0
-        self._btilde: list[int] | None = None  # N * b
+        self._bt: np.ndarray | None = None  # b~ = N * b
+        self._bt_bits = 0  # bit length of sum(b~)
         self._N: int = 1  # common denominator of b
-        self._xt: list[int] | None = None  # M . btilde, >= 0 when feasible
         self._pivots = 0
         self._inert: tuple[int, ...] = ()  # rows of inert artificials
         self._recent: list[_Vertex] = []  # optimal bases, most recent first
@@ -309,21 +322,19 @@ class ExactSimplex:
         self._recent.clear()
         self._pivots = 0
         if start is None:
-            m = self.m
-            self._basis = [self.n + i for i in range(m)]
-            self._M = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-            self._d, self._xt = 1, list(self._btilde)
+            self._basis = list(range(self.n, self.n + self.m))
+            self._d = 1
+            self._load(np.eye(self.m, dtype=np.int64), self._bt)
             self._run_phase1()
-            start = _Vertex(tuple(self._basis), self._M, self._d)
+            start = _Vertex(tuple(self._basis), self._T[:, :-1], self._d)
         else:
-            bt = self._btilde
-            self._basis, self._M, self._d = start.basis, start.M, start.d
-            self._xt = [sum(map(mul, row, bt)) for row in start.M]
+            self._basis, self._d = list(start.basis), start.d
+            self._load(start.M, _exact_product(start.M, self._bt, _bits(start.M) + self._bt_bits))
         self._inert = tuple(i for i, var in enumerate(start.basis) if var >= self.n)
-        if any(v < 0 for v in self._xt) or any(self._xt[i] for i in self._inert):
+        xt = self._T[:, -1]
+        if (xt < 0).any() or xt[list(self._inert)].any():
             raise RuntimeError("start basis is not primal feasible for b")
         self.phase1 = start
-        self._thaw()
         self._primal_loop()
         return self._remember()
 
@@ -341,9 +352,9 @@ class ExactSimplex:
             return self.solve(b, scale, start)
         self._load_b(b, scale)
         self._pivots = 0
-        vx, self._xt = self._nearest_vertex()
-        self._basis, self._M, self._d = vx.basis, vx.M, vx.d
-        self._thaw()
+        vx, xt = self._nearest_vertex()
+        self._basis, self._d = list(vx.basis), vx.d
+        self._load(vx.M, xt)
         self._run_dual()
         self._check_inert_rows()
         return self._remember(vx)
@@ -357,34 +368,32 @@ class ExactSimplex:
             b, scale = integer_rhs(b)
         elif scale <= 0:
             raise ValueError("scale must be positive")
+        else:
+            b = [index(v) for v in b]
         if any(v < 0 for v in b):
             raise ValueError("b must be nonnegative")
-        self._btilde = list(b)
+        self._bt_bits = sum(b).bit_length()
+        self._bt = np.array(b, dtype=_dtype(self._bt_bits))
         self._N = scale
 
-    def _nearest_vertex(self) -> tuple[_Vertex, list[int]]:
+    def _load(self, M: np.ndarray, xt: np.ndarray) -> None:
+        # Make [M | xt] the current state.
+        self._T = np.column_stack([M, xt])
+        self._bits = _bits(self._T)
+
+    def _nearest_vertex(self) -> tuple[_Vertex, np.ndarray]:
         # The least infeasible of the recent bases and its levels M.b~: least
         # sum of negative levels over d, compared exactly by cross-
-        # multiplication.  A candidate is dropped once its partial sum
-        # reaches the best so far, so ties go to the more recent.
-        bt = self._btilde
-        best, best_xt, best_s, best_d = None, None, 0, 1
-        for vx in self._recent:
-            d = vx.d
-            bound = best_s * d  # the candidate loses once s * best_d reaches it
-            s = 0
-            xt = []
-            for row in vx.M:
-                level = sum(map(mul, row, bt))
-                if level < 0:
-                    s -= level
-                    if best is not None and s * best_d >= bound:
-                        break
-                xt.append(level)
-            else:
-                if best is None or s * best_d < bound:
-                    best, best_xt, best_s, best_d = vx, xt, s, d
-        return best, best_xt
+        # multiplication, ties to the more recent.  One product gives the
+        # levels of every recent basis.
+        Ms = np.stack([vx.M for vx in self._recent])
+        levels = _exact_product(Ms, self._bt, _bits(Ms) + self._bt_bits)
+        best, best_s, best_d = 0, 0, 0
+        for k, (vx, xt) in enumerate(zip(self._recent, levels.tolist())):
+            s = -sum(v for v in xt if v < 0)
+            if not k or s * best_d < best_s * vx.d:
+                best, best_s, best_d = k, s, vx.d
+        return self._recent[best], levels[best]
 
     def _remember(self, start: _Vertex | None = None) -> LpOutcome:
         # Make the current (optimal) basis the most recent one.  A recent
@@ -393,33 +402,24 @@ class ExactSimplex:
             self._recent.remove(start)
             vx = start
         else:
-            vx = _Vertex(tuple(self._basis), self._M, self._d)
-        self._basis = vx.basis
+            vx = _Vertex(tuple(self._basis), self._T[:, :-1], self._d)
         self._recent.insert(0, vx)
         del self._recent[_NEAREST:]
         return self._outcome(vx)
 
-    def _thaw(self) -> None:
-        self._basis = list(self._basis)
-        self._M = [row[:] for row in self._M]
-
     def _outcome(self, vx: _Vertex) -> LpOutcome:
         costs, n = self.costs, self.n
-        total = sum(costs[var] * x for var, x in zip(vx.basis, self._xt) if var < n)
+        levels = self._T[:, -1].tolist()
+        total = sum(costs[var] * x for var, x in zip(vx.basis, levels) if var < n)
         return LpOutcome(
             value=Fraction(total, vx.d * self._N),
             pivots=self._pivots,
             vertex=vx,
-            levels=self._xt,
+            levels=levels,
             scale=self._N,
-            costs=costs,
+            costs=self._c,
             n=n,
         )
-
-    def _price(self, *vectors: list[int]) -> np.ndarray:
-        # Row k of the result is v_k . [A; c]_j for every column j, where v_k
-        # has m entries and then the weight of the cost row.
-        return _exact_product(vectors, self._dense, self._norm_bits)
 
     def screen(
         self, vx: _Vertex, B: np.ndarray, b_bits: int
@@ -432,57 +432,55 @@ class ExactSimplex:
         feasible for: M.b~ >= 0 with every inert row at zero.  Returns that
         mask over the rows and, for the rows it selects, y.b~ with
         y = c_B.M, the optimal value times d * N.  One product computes
-        [M; y].B^T, exact by `_exact_product` as in `_price`.
+        [M; y].B^T, exact by `_exact_product` as in the pricing.
         """
-        V = vx.M + [_pricing_vector(vx.basis, vx.M, self.costs, self.n)]
-        P = _exact_product(V, B.T, b_bits)
+        y = _exact_product(self._c[list(vx.basis)], vx.M, _bits(vx.M) + self._c_bits)
+        V = np.vstack([vx.M, y])
+        P = _exact_product(V, B.T, _bits(V) + b_bits)
         levels = P[:-1]
         inert = [i for i, var in enumerate(vx.basis) if var >= self.n]
         fits = (levels >= 0).all(axis=0) & (levels[inert] == 0).all(axis=0)
         return fits, P[-1, fits]
 
-    def _col_times_M(self, col: Column) -> list[int]:
-        # w = M . A_j, exploiting sparsity of the column.
-        M = self._M
-        w = [0] * self.m
-        for r, coef in col:
-            if coef == 1:
-                for i in range(self.m):
-                    w[i] += M[i][r]
-            else:
-                for i in range(self.m):
-                    w[i] += coef * M[i][r]
-        return w
+    def _pricing(self, costs: np.ndarray, weight: int) -> np.ndarray:
+        # [-y, weight] . [A; c]_j for every column j, with y = c_B . M: the
+        # reduced costs d*c_j - y.A_j at weight d.  c_B . T ends in c_B . xt,
+        # which the cost row's weight replaces.
+        v = -_exact_product(costs[self._basis], self._T, self._bits + self._c_bits)
+        v[-1] = weight
+        bits = max(self._bits + self._c_bits, weight.bit_length())
+        return _exact_product(v, self._dense, bits + self._norm_bits)
 
-    def _pivot(self, row: int, j: int, w: list[int]) -> None:
-        """Replace the basic variable in `row` by variable j (direction w = M.A_j)."""
-        M, d, xt = self._M, self._d, self._xt
-        wr = w[row]
+    def _row(self, row: int) -> np.ndarray:
+        # M_row . A_j for every column j: the pivot row of the tableau, times d.
+        return _exact_product(self._T[row, :-1], self._A, self._bits + self._l1_bits)
+
+    def _column(self, j: int) -> np.ndarray:
+        # w = M . A_j, d times the column of the tableau.
+        return _exact_product(self._T[:, :-1], self._A[:, j], self._bits + self._l1_bits)
+
+    def _pivot(self, row: int, j: int, w: np.ndarray) -> None:
+        """Replace the basic variable in `row` by variable j (direction w = M.A_j).
+
+        One fraction-free rank-1 update of T = [M | xt]:
+        T' = (wr T - w T_row) / d, exact, with row `row` kept and every
+        row negated when wr < 0, so that d' = |wr| stays positive.  It runs
+        in int64 when bit_length(max |w|) + bit_length(max |T|) <= 62,
+        which bounds |wr T - w T_row| below 2**63, and in Python ints
+        otherwise.
+        """
+        wr = int(w[row])
         if wr == 0:
             raise RuntimeError("zero pivot")
-        Mr = M[row]
-        xr = xt[row]
-        for i in range(self.m):
-            if i == row:
-                continue
-            wi = w[i]
-            Mi = M[i]
-            if wi:
-                for k in range(self.m):
-                    Mi[k] = (wr * Mi[k] - wi * Mr[k]) // d
-                xt[i] = (wr * xt[i] - wi * xr) // d
-            else:
-                for k in range(self.m):
-                    Mi[k] = (wr * Mi[k]) // d
-                xt[i] = (wr * xt[i]) // d
-        self._d = wr
-        if self._d < 0:
-            self._d = -self._d
-            for i in range(self.m):
-                Mi = M[i]
-                for k in range(self.m):
-                    Mi[k] = -Mi[k]
-                xt[i] = -xt[i]
+        dtype = _dtype(_bits(w) + self._bits)
+        T = self._T.astype(dtype, copy=False)
+        Tr = T[row] if wr > 0 else -T[row]
+        T = abs(wr) * T - w.astype(dtype, copy=False)[:, None] * Tr
+        T //= self._d
+        T[row] = Tr
+        self._T = T
+        self._bits = _bits(T)
+        self._d = abs(wr)
         self._basis[row] = j
         self._pivots += 1
         if self._pivots > _MAX_PIVOTS:
@@ -491,13 +489,11 @@ class ExactSimplex:
     def _run_phase1(self) -> None:
         self._primal_loop(phase1=True)
         # Optimal phase-1 value = sum of artificial levels.
-        total = 0
-        for i, var in enumerate(self._basis):
-            if var >= self.n:
-                total += self._xt[i]
+        xt = self._T[:, -1].tolist()
+        total = sum(x for x, var in zip(xt, self._basis) if var >= self.n)
         if total:
-            y = _pricing_vector(self._basis, self._M, [0] * self.n, self.n, artificial_cost=1)
-            pi = tuple(Fraction(y[k], self._d) for k in range(self.m))
+            y = _exact_product(self._c1[self._basis], self._T[:, :-1], self._bits + self._c_bits)
+            pi = tuple(Fraction(v, self._d) for v in y.tolist())
             raise Infeasible(pi, Fraction(total, self._d * self._N))
         self._evict_artificials()
 
@@ -507,32 +503,30 @@ class ExactSimplex:
         for row in range(self.m):
             if self._basis[row] < self.n:
                 continue
-            (alpha,) = self._price(self._M[row] + [0])
-            nonzero = np.flatnonzero(alpha)
+            nonzero = np.flatnonzero(self._row(row))
             if nonzero.size:
                 j = int(nonzero[0])
-                self._pivot(row, j, self._col_times_M(self.columns[j]))
+                self._pivot(row, j, self._column(j))
 
     def _primal_loop(self, phase1: bool = False) -> None:
         # Phase 1 prices the artificials at 1 and every column at 0, so the
         # reduced costs d*c - y.A are [-y, 0] . [A; c]; phase 2's are [-y, d].
-        costs = [0] * self.n if phase1 else self.costs
+        costs = self._c1 if phase1 else self._c
         bland = False
         degenerate_streak = 0
         while True:
-            y = _pricing_vector(self._basis, self._M, costs, self.n, int(phase1))
-            (rc,) = self._price([-v for v in y] + [0 if phase1 else self._d])
+            rc = self._pricing(costs, 0 if phase1 else self._d)
             negative = np.flatnonzero(rc < 0)
             if not negative.size:
                 return
             # Bland: the first improving column; Dantzig: the first most negative.
             enter = int(negative[0]) if bland else int(rc.argmin())
-            w = self._col_times_M(self.columns[enter])
-            xt = self._xt
+            w = self._column(enter)
+            wl, xt = w.tolist(), self._T[:, -1].tolist()
             row = -1
             rx = rw = 0  # ratio of current best leaving row
             for i in range(self.m):
-                wi = w[i]
+                wi = wl[i]
                 if wi <= 0:
                     continue
                 xi = xt[i]
@@ -561,7 +555,7 @@ class ExactSimplex:
         bland = False
         stall = 0
         while True:
-            xt = self._xt
+            xt = self._T[:, -1].tolist()
             row = -1
             worst = 0
             if bland:
@@ -575,9 +569,8 @@ class ExactSimplex:
                         row = i
             if row < 0:
                 return
-            y = _pricing_vector(self._basis, self._M, self.costs, self.n)
-            Mr = self._M[row]
-            alpha, rc = self._price(Mr + [0], [-v for v in y] + [self._d])
+            alpha = self._row(row)
+            rc = self._pricing(self._c, self._d)
             candidates = np.flatnonzero(alpha < 0)
             enter = -1
             en = ea = 0  # reduced-cost numerator and |alpha| of current best
@@ -588,10 +581,10 @@ class ExactSimplex:
                 if enter < 0 or num * ea < en * -a:
                     enter, en, ea = j, num, -a
             if enter < 0:
-                pi = tuple(Fraction(-Mr[k], self._d) for k in range(self.m))
+                pi = tuple(Fraction(-v, self._d) for v in self._T[row, :-1].tolist())
                 raise Infeasible(pi, Fraction(-xt[row], self._d * self._N))
             degenerate = en == 0
-            self._pivot(row, enter, self._col_times_M(self.columns[enter]))
+            self._pivot(row, enter, self._column(enter))
             if degenerate:
                 stall += 1
                 if stall >= _DEGENERATE_LIMIT:
@@ -604,7 +597,7 @@ class ExactSimplex:
         # Dual simplex only repairs negative levels; a positive level on an
         # inert artificial row means b is inconsistent with a redundant row.
         for i in self._inert:
-            if self._xt[i] > 0:
-                Mr = self._M[i]
-                pi = tuple(Fraction(Mr[k], self._d) for k in range(self.m))
-                raise Infeasible(pi, Fraction(self._xt[i], self._d * self._N))
+            Mr = self._T[i].tolist()
+            if Mr[-1] > 0:
+                pi = tuple(Fraction(v, self._d) for v in Mr[:-1])
+                raise Infeasible(pi, Fraction(Mr[-1], self._d * self._N))

@@ -136,6 +136,7 @@ def _draw(
 
 def sample_scm(scenario: Scenario, seed: int, *, point_mass: bool = False) -> RandomScm:
     """Sample q uniformly on the response-type simplex; exact rationals."""
+    _check_seed(seed)
     system = build_constraint_system(scenario)
     parts, acc, true = _draw(system, _rng(seed), point_mass)
     return RandomScm(
@@ -152,12 +153,17 @@ def _note(failures: list[dict], **detail) -> None:
         failures.append(detail)
 
 
-def _check_run(trials: int, seed: int) -> None:
-    """An audit needs a trial, and numpy seeds only from non-negative integers."""
-    if trials < 1:
-        raise InputError("need at least one trial")
+def _check_seed(seed: int) -> None:
+    """numpy seeds only from non-negative integers."""
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
+
+
+def _check_run(trials: int, seed: int) -> None:
+    """An audit needs a trial and a seed numpy accepts."""
+    if trials < 1:
+        raise InputError("need at least one trial")
+    _check_seed(seed)
 
 
 def _trials(

@@ -5,7 +5,7 @@ from math import lcm
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coarseiv import exactlp
@@ -13,7 +13,6 @@ from coarseiv.exactlp import (
     _NEAREST,
     ExactSimplex,
     Infeasible,
-    _pricing_vector,
     _Vertex,
     column_dot,
     independent_rows,
@@ -22,10 +21,12 @@ from coarseiv.exactlp import (
 )
 
 
+_TRANSPORT_COLUMNS = [((0, 1),), ((0, 1), (1, 1)), ((1, 1),)]
+
+
 def _transport_lp():
     """min x0 + 2 x1 subject to x0 + x1 = b0, x1 + x2 = b1."""
-    columns = [((0, 1),), ((0, 1), (1, 1)), ((1, 1),)]
-    return ExactSimplex(2, columns, [1, 2, 0])
+    return ExactSimplex(2, _TRANSPORT_COLUMNS, [1, 2, 0])
 
 
 def test_simple_optimum_and_certificates():
@@ -38,7 +39,7 @@ def test_simple_optimum_and_certificates():
     # Dual feasibility: c_j - y.A_j >= 0 for every column; y.b == value.
     y = out.dual
     assert y[0] * 3 + y[1] * 5 == out.value
-    for col, c in zip(lp.columns, lp.costs):
+    for col, c in zip(_TRANSPORT_COLUMNS, lp.costs):
         assert c - sum(coef * y[r] for r, coef in col) >= 0
 
 
@@ -316,7 +317,7 @@ def _record_dual_starts(monkeypatch):
 
 def _infeasibility(vx, bt):
     """Sum of the negative levels of B^-1 b~, as an exact fraction."""
-    levels = (sum(a * v for a, v in zip(row, bt)) for row in vx.M)
+    levels = (sum(a * v for a, v in zip(row, bt)) for row in vx.M.tolist())
     return sum((Fraction(-x, vx.d) for x in levels if x < 0), Fraction(0))
 
 
@@ -358,7 +359,7 @@ def test_miss_starts_from_least_infeasible_recent_basis(monkeypatch):
     assert 0 < _infeasibility(best, b) < _infeasibility(worst, b)
     # The most recent basis is the worst; the best comes next, then an equally
     # infeasible copy of it with M and d doubled, which the tie must not pick.
-    twin = _Vertex(best.basis, [[2 * v for v in row] for row in best.M], 2 * best.d)
+    twin = _Vertex(best.basis, 2 * best.M, 2 * best.d)
     lp._recent[:] = [worst, best, twin]
     starts = _record_dual_starts(monkeypatch)
     out = lp.resolve_b(b, scale=scale)
@@ -447,7 +448,7 @@ def test_upper_solve_from_lower_phase1_basis_matches_cold_solve():
             lo.solve(b, scale=scale)
         except Infeasible:
             continue
-        start_M = [row[:] for row in lo.phase1.M]
+        start_M = lo.phase1.M.copy()
         cold = ExactSimplex(m, columns, upper).solve(b, scale=scale)
         # With zero costs phase 2 has nothing to improve: this counts phase 1 alone.
         phase1 = ExactSimplex(m, columns, [0] * len(columns)).solve(b, scale=scale).pivots
@@ -456,7 +457,7 @@ def test_upper_solve_from_lower_phase1_basis_matches_cold_solve():
         assert started.basis == cold.basis
         assert phase1 > 0 and started.pivots == cold.pivots - phase1
         _check_certificates(columns, upper, b, scale, started)
-        assert lo.phase1.M == start_M  # the start is copied, not pivoted in place
+        assert np.array_equal(lo.phase1.M, start_M)  # the start is not pivoted in place
         n_started += 1
     assert n_started >= 15
 
@@ -516,28 +517,104 @@ def test_independent_rows_greedy_and_right_inverse(rows):
 
 
 
-# -- dense pricing kernel -------------------------------------------------------------
+# -- dense pricing and pivots against Python-int loops --------------------------------
+
+
+def _pricing_vector(basis, M, costs, n, artificial_cost=0):
+    """y = c_B . M over lists; the true duals are y / d."""
+    y = [0] * len(M)
+    for row, var in zip(M, basis):
+        c = costs[var] if var < n else artificial_cost
+        if c:
+            for k, v in enumerate(row):
+                if v:
+                    y[k] += c * v
+    return y
+
+
+def _col_times_M(M, col):
+    """w = M . A_j over lists, for a sparse column A_j."""
+    w = [0] * len(M)
+    for r, coef in col:
+        for i, Mi in enumerate(M):
+            w[i] += coef * Mi[r]
+    return w
+
+
+def _pivot_lists(M, xt, d, row, w):
+    """The fraction-free pivot on lists, in place; returns the new d."""
+    wr = w[row]
+    Mr, xr = M[row], xt[row]
+    for i, Mi in enumerate(M):
+        if i == row:
+            continue
+        wi = w[i]
+        for k in range(len(Mi)):
+            Mi[k] = (wr * Mi[k] - wi * Mr[k]) // d
+        xt[i] = (wr * xt[i] - wi * xr) // d
+    if wr < 0:
+        for i, Mi in enumerate(M):
+            for k in range(len(Mi)):
+                Mi[k] = -Mi[k]
+            xt[i] = -xt[i]
+    return abs(wr)
 
 
 class _ColumnLoopSimplex(ExactSimplex):
-    """Reference: the column-by-column pricing loops that `_price` replaced."""
+    """Reference: column-by-column loops over lists of Python ints.
+
+    Pricing, ratio tests and pivots run on M and the levels as lists, the way
+    the solver ran them before its dense int64 kernels, so the kernels are
+    checked against plain integer arithmetic.  The loops hand their state
+    back as dtype=object arrays for the shared warm-start code.
+    """
+
+    def __init__(self, n_rows, columns, costs):
+        super().__init__(n_rows, columns, costs)
+        self.columns = [tuple(col) for col in columns]
+
+    def _lists(self):
+        rows = self._T.tolist()
+        return [r[:-1] for r in rows], [r[-1] for r in rows]
+
+    def _store(self, M, xt):
+        self._load(np.array(M, dtype=object), np.array(xt, dtype=object))
+
+    def _pivot_on(self, M, xt, row, j):
+        w = _col_times_M(M, self.columns[j])
+        assert w[row] != 0
+        self._d = _pivot_lists(M, xt, self._d, row, w)
+        self._basis[row] = j
+        self._pivots += 1
+
+    def _run_phase1(self):
+        self._primal_loop(phase1=True)
+        M, xt = self._lists()
+        total = sum(x for x, var in zip(xt, self._basis) if var >= self.n)
+        if total:
+            y = _pricing_vector(self._basis, M, [0] * self.n, self.n, artificial_cost=1)
+            pi = tuple(Fraction(v, self._d) for v in y)
+            raise Infeasible(pi, Fraction(total, self._d * self._N))
+        self._evict_artificials()
 
     def _evict_artificials(self):
+        M, xt = self._lists()
         for row in range(self.m):
             if self._basis[row] < self.n:
                 continue
-            Mr = self._M[row]
             for j, col in enumerate(self.columns):
-                if column_dot(col, Mr):
-                    self._pivot(row, j, self._col_times_M(col))
+                if column_dot(col, M[row]):
+                    self._pivot_on(M, xt, row, j)
                     break
+        self._store(M, xt)
 
     def _primal_loop(self, phase1=False):
+        M, xt = self._lists()
         costs = [0] * self.n if phase1 else self.costs
         bland = False
         degenerate_streak = 0
         while True:
-            y = _pricing_vector(self._basis, self._M, costs, self.n, int(phase1))
+            y = _pricing_vector(self._basis, M, costs, self.n, int(phase1))
             d = self._d
             enter = -1
             best = 0
@@ -548,9 +625,9 @@ class _ColumnLoopSimplex(ExactSimplex):
                     if bland:
                         break
             if enter < 0:
+                self._store(M, xt)
                 return
-            w = self._col_times_M(self.columns[enter])
-            xt = self._xt
+            w = _col_times_M(M, self.columns[enter])
             row = -1
             rx = rw = 0
             for i in range(self.m):
@@ -565,7 +642,7 @@ class _ColumnLoopSimplex(ExactSimplex):
             if row < 0:
                 raise RuntimeError("LP unbounded; not expected for bound polytopes")
             degenerate = xt[row] == 0
-            self._pivot(row, enter, w)
+            self._pivot_on(M, xt, row, enter)
             if degenerate:
                 degenerate_streak += 1
                 if degenerate_streak >= exactlp._DEGENERATE_LIMIT:
@@ -575,10 +652,10 @@ class _ColumnLoopSimplex(ExactSimplex):
                 bland = False
 
     def _run_dual(self):
+        M, xt = self._lists()
         bland = False
         stall = 0
         while True:
-            xt = self._xt
             row = -1
             worst = 0
             for i in range(self.m):
@@ -588,10 +665,11 @@ class _ColumnLoopSimplex(ExactSimplex):
                 elif xt[i] < worst:
                     worst, row = xt[i], i
             if row < 0:
+                self._store(M, xt)
                 return
-            y = _pricing_vector(self._basis, self._M, self.costs, self.n)
+            y = _pricing_vector(self._basis, M, self.costs, self.n)
             d = self._d
-            Mr = self._M[row]
+            Mr = M[row]
             enter = -1
             en = ea = 0
             for j, col in enumerate(self.columns):
@@ -602,10 +680,10 @@ class _ColumnLoopSimplex(ExactSimplex):
                 if enter < 0 or num * ea < en * (-alpha):
                     enter, en, ea = j, num, -alpha
             if enter < 0:
-                pi = tuple(Fraction(-Mr[k], self._d) for k in range(self.m))
-                raise Infeasible(pi, Fraction(-xt[row], self._d * self._N))
+                pi = tuple(Fraction(-v, d) for v in Mr)
+                raise Infeasible(pi, Fraction(-xt[row], d * self._N))
             degenerate = en == 0
-            self._pivot(row, enter, self._col_times_M(self.columns[enter]))
+            self._pivot_on(M, xt, row, enter)
             if degenerate:
                 stall += 1
                 if stall >= exactlp._DEGENERATE_LIMIT:
@@ -695,6 +773,82 @@ def test_huge_costs_on_homocysteine_keep_bases_and_pivots():
     want = _scaled_trace(_trace(small, rhs), 2**70)
     assert _trace(big, rhs) == want
     assert any(isinstance(t[0], tuple) and t[1] > 0 for t in want[1:])
+
+
+_WIDE = 2**40
+
+
+def _widened(columns, costs):
+    """Every column entry and every cost times 2**40."""
+    return [tuple((r, c * _WIDE) for r, c in col) for col in columns], [c * _WIDE for c in costs]
+
+
+def _up_to_scale(trace):
+    """The trace with each Farkas vector divided by its first nonzero |entry|.
+
+    Widening the columns rescales the certificates by positive factors.
+    """
+
+    def ray(pi):
+        first = next(abs(p) for p in pi if p)
+        return tuple(p / first for p in pi)
+
+    return [("infeasible", ray(t[1])) if t[0] == "infeasible" else t for t in trace]
+
+
+@settings(max_examples=40, deadline=None)
+@given(draw=_RANDOM_LP)
+def test_widened_columns_pivot_through_python_ints(draw):
+    # Scaling every column and cost by one factor scales every reduced cost
+    # and every ratio alike, so the run takes the same pivots to the same
+    # values.  With full row rank every artificial leaves after phase 1; a
+    # basis of two or more structural columns has M entries of at least
+    # 2**80 (2 x 2 minors of the widened columns), past the int64 pivot.
+    columns, costs, _ = _random_feasible_instance(draw)
+    kept, _, _ = independent_rows([[coefs[r] for coefs in draw["coefs"]] for r in range(3)])
+    assume(len(kept) == 3)
+    rhs = _random_rhs_sequence(draw)
+    wide = ExactSimplex(3, *_widened(columns, costs))
+    got = _trace(wide, rhs)
+    assert _up_to_scale(got) == _up_to_scale(_trace(ExactSimplex(3, columns, costs), rhs))
+    for vx in wide._recent:
+        if sum(var < wide.n for var in vx.basis) >= 2:
+            assert vx.M.dtype == object and exactlp._bits(vx.M) > exactlp._INT64_BITS
+
+
+def test_widened_columns_on_homocysteine_keep_bases_and_pivots():
+    system, dist, columns, costs = _homocysteine_lp()
+    rhs = _rhs_sequence(system, dist, seed=11, count=12)
+    small = ExactSimplex(system.n_rows, columns, costs)
+    wide = ExactSimplex(system.n_rows, *_widened(columns, costs))
+    want = _trace(small, rhs)
+    assert _up_to_scale(_trace(wide, rhs)) == _up_to_scale(want)
+    assert any(isinstance(t[0], tuple) and t[1] > 0 for t in want[1:])
+    assert all(vx.M.dtype == object for vx in wide._recent)
+    assert all(vx.M.dtype == np.int64 for vx in small._recent)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("w_bits", [31, 32])
+def test_pivot_leaves_int64_exactly_where_it_would_wrap(sign, w_bits):
+    # T entries of 31 bits: with w of 31 bits the update wr T - w T_row stays
+    # below 2**63 in int64; with 32 bits it reaches about 2**64, so it must
+    # run in Python ints.  The result matches the list pivot either way.
+    top, wr = 2**31 - 1, sign * (2**w_bits - 1)
+    M, xt, w = [[top, top], [top, top]], [top, top], [wr, -wr]
+    lp = ExactSimplex(2, [((0, 1),), ((1, 1),)], [0, 0])
+    lp._basis, lp._d = [2, 3], 1
+    lp._load(np.array(M), np.array(xt))
+    lp._pivot(0, 0, np.array(w))
+    want_M, want_xt = [row[:] for row in M], xt[:]
+    d = _pivot_lists(want_M, want_xt, 1, 0, w)
+    assert lp._T.tolist() == [row + [x] for row, x in zip(want_M, want_xt)]
+    assert (lp._d, lp._basis) == (d, [0, 3])
+    wraps = w_bits == 32
+    assert (lp._T.dtype == object) == wraps
+    T = np.array([row + [x] for row, x in zip(M, xt)], dtype=np.int64)
+    unguarded = (wr * T[1] + wr * T[0]).tolist()
+    assert (unguarded != [wr * (a + b) for a, b in zip(T[1].tolist(), T[0].tolist())]) == wraps
 
 
 def test_zero_column_lp():

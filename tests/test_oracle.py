@@ -42,6 +42,11 @@ def test_sample_scm_is_exact_and_deterministic():
     assert sample_scm(scn, 124).q != a.q
 
 
+def test_sample_scm_rejects_a_negative_seed():
+    with pytest.raises(InputError, match="seed must be non-negative, got -1"):
+        sample_scm(peanut_scenario("clean"), -1)
+
+
 def test_sample_scm_point_mass_hits_a_vertex():
     scn = peanut_scenario("clean")
     scm = sample_scm(scn, 5, point_mass=True)

@@ -9,19 +9,21 @@ normalization row; both the rows and the estimand objective are linear in q.
 
 There are K_x^K_z * 2^#clean * 2^(K_z * #z-dependent) response types and
 2 * K_z * K_x + 1 rows; `build_constraint_system` refuses a system past its
-caps before it enumerates anything.
+caps and enumerates nothing.
 
-Presolve: response types whose constraint columns are identical are
-interchangeable except for their objective coefficient, so only the extreme
-coefficient per group matters.  `merge_columns` keeps one column per group;
-this typically shrinks the variable count by an order of magnitude without
-changing any optimum or dual vertex.
+Response types whose constraint columns are identical differ only in their
+objective coefficient, so only each group's extreme coefficients matter.
+`merge_columns` builds the engine's LP, one column per group, straight from
+the scenario; the per-type columns and objective are enumerated only on first
+read, for the oracle's brute force and `dump-lp`.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -41,7 +43,7 @@ __all__ = [
     "merge_columns",
 ]
 
-MAX_VARIABLES = 4096  # response types, before the merge
+MAX_VARIABLES = 4096  # response types, not the distinct columns the engine solves over
 MAX_ROWS = 30
 
 
@@ -66,12 +68,8 @@ class OutcomeResponseType:
 
 def enumerate_exposure_types(scenario: Scenario) -> list[ExposureResponseType]:
     """All K_x^K_z exposure responses in lexicographic order of level indices."""
-    k_x = len(scenario.levels)
-    k_z = scenario.instrument_arity
-    return [
-        ExposureResponseType(assignment)
-        for assignment in itertools.product(range(k_x), repeat=k_z)
-    ]
+    maps = itertools.product(range(len(scenario.levels)), repeat=scenario.instrument_arity)
+    return [ExposureResponseType(assignment) for assignment in maps]
 
 
 def enumerate_outcome_types(scenario: Scenario) -> list[OutcomeResponseType]:
@@ -80,18 +78,12 @@ def enumerate_outcome_types(scenario: Scenario) -> list[OutcomeResponseType]:
     Ordering is lexicographic: clean bits vary slowest, then each z-dependent
     level's per-instrument map in scenario level order.
     """
-    k_z = scenario.instrument_arity
-    n_clean = sum(1 for lv in scenario.levels if lv.clean)
-    n_zdep = sum(1 for lv in scenario.levels if lv.z_dependent)
-    clean_space = itertools.product((0, 1), repeat=n_clean)
-    out: list[OutcomeResponseType] = []
-    for clean_bits in clean_space:
-        zdep_space = itertools.product(
-            *(itertools.product((0, 1), repeat=k_z) for _ in range(n_zdep))
-        )
-        for zdep_bits in zdep_space:
-            out.append(OutcomeResponseType(tuple(clean_bits), tuple(zdep_bits)))
-    return out
+    zdep_maps = list(itertools.product((0, 1), repeat=scenario.instrument_arity))
+    return [
+        OutcomeResponseType(clean_bits, zdep_bits)
+        for clean_bits in itertools.product((0, 1), repeat=len(scenario.clean_labels()))
+        for zdep_bits in itertools.product(zdep_maps, repeat=len(scenario.zdep_labels()))
+    ]
 
 
 @dataclass(frozen=True)
@@ -100,39 +92,59 @@ class ConstraintSystem:
 
     Rows are the cells (z, x, y) in z-major, level-order, y order, followed by
     the explicit normalization row.  Columns carry coefficient 1 in exactly
-    one cell row per instrument level plus the normalization row.
+    one cell row per instrument level plus the normalization row.  Variable j
+    is (exposure_types[j // n_out], outcome_types[j % n_out]), n_out =
+    len(outcome_types); the per-type fields are enumerated on first read.
     """
 
     scenario: Scenario
     estimand: Estimand
     row_keys: tuple[tuple[str, str, int] | str, ...]
-    columns: tuple[tuple[tuple[int, int], ...], ...]  # sparse (row, coef) per variable
-    objective: tuple[int, ...]
-    exposure_types: tuple[ExposureResponseType, ...]
-    outcome_types: tuple[OutcomeResponseType, ...]
-
-    @property
-    def n_variables(self) -> int:
-        return len(self.columns)
+    n_variables: int
 
     @property
     def n_rows(self) -> int:
         return len(self.row_keys)
 
-    def variable_pair(self, j: int) -> tuple[ExposureResponseType, OutcomeResponseType]:
-        n_out = len(self.outcome_types)
-        return self.exposure_types[j // n_out], self.outcome_types[j % n_out]
+    @cached_property
+    def exposure_types(self) -> tuple[ExposureResponseType, ...]:
+        return tuple(enumerate_exposure_types(self.scenario))
+
+    @cached_property
+    def outcome_types(self) -> tuple[OutcomeResponseType, ...]:
+        return tuple(enumerate_outcome_types(self.scenario))
+
+    @cached_property
+    def columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Sparse (row, coef) entries per response type."""
+        scenario = self.scenario
+        labels, zs = scenario.level_labels(), scenario.instrument_levels
+        clean, zdep = scenario.clean_labels(), scenario.zdep_labels()
+        row_of = {key: i for i, key in enumerate(self.row_keys)}
+        columns = []
+        for etype in self.exposure_types:
+            for o in self.outcome_types:
+                col = []
+                for z, x in enumerate(labels[i] for i in etype.assignment):
+                    y = o.clean_bits[clean.index(x)] if x in clean else o.zdep_bits[zdep.index(x)][z]
+                    col.append((row_of[zs[z], x, y], 1))
+                columns.append(tuple(col) + ((row_of["normalization"], 1),))
+        return tuple(columns)
+
+    @cached_property
+    def objective(self) -> tuple[int, ...]:
+        """Estimand coefficient per response type."""
+        estimand, clean = self.estimand, self.scenario.clean_labels()
+        psi = [dict(zip(clean, otype.clean_bits)) for otype in self.outcome_types]
+        if estimand.kind == "counterfactual_risk":
+            coefs = tuple(p[estimand.x] for p in psi)
+        else:
+            coefs = tuple(p[estimand.x_prime] - p[estimand.x] for p in psi)
+        return coefs * len(self.exposure_types)
 
     def rhs(self, dist: ObservedDistribution) -> list[Fraction]:
         """Observable right-hand side aligned with row_keys."""
-        b: list[Fraction] = []
-        for key in self.row_keys:
-            if key == "normalization":
-                b.append(Fraction(1))
-            else:
-                z, x, y = key
-                b.append(dist.prob(z, x, y))
-        return b
+        return [Fraction(1) if k == "normalization" else dist.prob(*k) for k in self.row_keys]
 
     def distribution(self, b: Sequence, scale: int) -> ObservedDistribution:
         """The distribution whose cells read b / scale: the inverse of `rhs`."""
@@ -182,13 +194,16 @@ def build_constraint_system(
     max_variables: int = MAX_VARIABLES,
     max_rows: int = MAX_ROWS,
 ) -> ConstraintSystem:
-    """Assemble rows, columns, and objective for a scenario and estimand.
+    """Rows and shape of the system for a scenario and estimand.
 
-    Raises `CapExceeded`, before any enumeration, when the system would have
-    more than ``max_variables`` response types or ``max_rows`` rows.
+    Raises `InputError` for a cap below 1 and `CapExceeded` when the system
+    would have more than ``max_variables`` response types or ``max_rows``
+    rows.  Enumerates no response type.
     """
-    if estimand is None:
-        estimand = scenario.estimand
+    for cap, name in ((max_variables, "response-type"), (max_rows, "row")):
+        if cap < 1:
+            raise InputError(f"the {name} cap must be at least 1, got {cap}")
+    estimand = estimand or scenario.estimand
     if estimand is None:
         raise InputError("no estimand given and scenario carries none")
     scenario = scenario.with_estimand(estimand)  # re-runs reference validation
@@ -197,64 +212,17 @@ def build_constraint_system(
     n_variables = k_x**k_z * 2**n_clean * 2 ** (k_z * (k_x - n_clean))
     n_rows = 2 * k_z * k_x + 1
     if n_variables > max_variables:
-        raise CapExceeded(
-            f"{n_variables} response-type variables exceed cap {max_variables}"
-        )
+        raise CapExceeded(f"{n_variables} response-type variables exceed cap {max_variables}")
     if n_rows > max_rows:
         raise CapExceeded(f"{n_rows} rows exceed cap {max_rows}")
-
-    levels = scenario.levels
     labels = scenario.level_labels()
-    clean_index = {lv.label: i for i, lv in enumerate(lv for lv in levels if lv.clean)}
-    zdep_index = {lv.label: i for i, lv in enumerate(lv for lv in levels if lv.z_dependent)}
-
-    row_keys: list[tuple[str, str, int] | str] = [
+    row_keys = tuple(
         (z, x, y) for z in scenario.instrument_levels for x in labels for y in (0, 1)
-    ]
-    row_of = {key: i for i, key in enumerate(row_keys)}
-    norm_row = len(row_keys)
-    row_keys.append("normalization")
-
-    exposure_types = enumerate_exposure_types(scenario)
-    outcome_types = enumerate_outcome_types(scenario)
-
-    def outcome_bit(otype: OutcomeResponseType, level_label: str, z_pos: int) -> int:
-        if level_label in clean_index:
-            return otype.clean_bits[clean_index[level_label]]
-        return otype.zdep_bits[zdep_index[level_label]][z_pos]
-
-    columns: list[tuple[tuple[int, int], ...]] = []
-    objective: list[int] = []
-    for etype in exposure_types:
-        for otype in outcome_types:
-            entries = []
-            for z_pos, z in enumerate(scenario.instrument_levels):
-                x_label = labels[etype.assignment[z_pos]]
-                y = outcome_bit(otype, x_label, z_pos)
-                entries.append((row_of[(z, x_label, y)], 1))
-            entries.append((norm_row, 1))
-            columns.append(tuple(entries))
-            if estimand.kind == "counterfactual_risk":
-                coef = otype.clean_bits[clean_index[estimand.x]]
-            else:
-                coef = (
-                    otype.clean_bits[clean_index[estimand.x_prime]]
-                    - otype.clean_bits[clean_index[estimand.x]]
-                )
-            objective.append(coef)
-
-    return ConstraintSystem(
-        scenario=scenario,
-        estimand=estimand,
-        row_keys=tuple(row_keys),
-        columns=tuple(columns),
-        objective=tuple(objective),
-        exposure_types=tuple(exposure_types),
-        outcome_types=tuple(outcome_types),
-    )
+    ) + ("normalization",)
+    return ConstraintSystem(scenario, estimand, row_keys, n_variables)
 
 
-# -- presolve ---------------------------------------------------------------------
+# -- the engine's LP ----------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,32 +230,64 @@ class MergedSystem:
     """Identical-column groups of a constraint system."""
 
     columns: tuple[tuple[tuple[int, int], ...], ...]
-    members: tuple[tuple[int, ...], ...]
     min_costs: tuple[int, ...]
     max_costs: tuple[int, ...]
-    min_reps: tuple[int, ...]  # original index attaining the group's min cost
+    min_reps: tuple[int, ...]  # smallest response type attaining the group's min cost
     max_reps: tuple[int, ...]
 
 
 def merge_columns(system: ConstraintSystem) -> MergedSystem:
-    """Group identical columns, keeping each group's extreme costs and their types."""
-    groups: dict[tuple, list[int]] = {}
-    for j, col in enumerate(system.columns):
-        groups.setdefault(col, []).append(j)
-    columns, members, cmin, cmax, rmin, rmax = [], [], [], [], [], []
-    for col, js in groups.items():
-        costs = [system.objective[j] for j in js]
-        kmin = min(range(len(js)), key=costs.__getitem__)
-        kmax = max(range(len(js)), key=costs.__getitem__)
-        columns.append(col)
-        members.append(tuple(js))
-        cmin.append(costs[kmin])
-        cmax.append(costs[kmax])
-        rmin.append(js[kmin])
-        rmax.append(js[kmax])
+    """The distinct columns, in order of first occurrence among the response
+    types, with each group's extreme costs and the smallest types attaining them.
+
+    Built without enumerating types.  Exposure map e fixes the cell (z, x_e(z))
+    of each z and so the outcome bits it reads: the bit of each clean level
+    x_e(z) and the (x_e(z), z) bit of each z-dependent one.  Its types are
+    e * n_out + o, and o meets the values of the read bits in product order,
+    most significant bit first.  A free estimand bit is set only where it
+    lowers (min) or raises (max) the cost; every other free bit is 0.
+    """
+    scenario, levels = system.scenario, system.scenario.levels
+    k_z, k_x = scenario.instrument_arity, len(levels)
+    n_clean = len(scenario.clean_labels())
+    n_bits = n_clean + k_z * (k_x - n_clean)
+    # weight[x][z]: the place value, in the outcome-type index, of the bit read at (x, z).
+    place = [1 << i for i in reversed(range(n_bits))]
+    clean_place, zdep_place = iter(place[:n_clean]), iter(place[n_clean:])
+    weight = [
+        [next(clean_place)] * k_z if lv.clean else [next(zdep_place) for _ in range(k_z)]
+        for lv in levels
+    ]
+    level_of = {lv.label: x for x, lv in enumerate(levels)}
+    referenced = system.estimand.referenced()  # (x,) or (x_prime, x)
+    coef = {weight[level_of[label]][0]: c for label, c in zip(referenced, (1, -1))}
+
+    norm = ((2 * k_z * k_x, 1),)
+    n_out = 1 << n_bits
+    columns, cmin, cmax, rmin, rmax = [], [], [], [], []
+    for e, assignment in enumerate(itertools.product(range(k_x), repeat=k_z)):
+        read = [weight[x][z] for z, x in enumerate(assignment)]
+        fixed = sorted(set(read), reverse=True)
+        # Cost and type index of each value of the read bits, in product order.
+        costs, types = [0], [e * n_out]
+        for w in fixed:
+            c = coef.get(w, 0)
+            costs = [v + b * c for v in costs for b in (0, 1)]
+            types = [v + b * w for v in types for b in (0, 1)]
+        free = [(c, w) for w, c in coef.items() if w not in fixed]
+        lo_cost, lo_type = sum(c for c, _ in free if c < 0), sum(w for c, w in free if c < 0)
+        hi_cost, hi_type = sum(c for c, _ in free if c > 0), sum(w for c, w in free if c > 0)
+        cmin += [v + lo_cost for v in costs]
+        cmax += [v + hi_cost for v in costs]
+        rmin += [v + lo_type for v in types]
+        rmax += [v + hi_type for v in types]
+        rows = [2 * (z * k_x + x) for z, x in enumerate(assignment)]  # row of (z, x, 0)
+        cells = [((r, 1), (r + 1, 1)) for r in rows]
+        read_bits = operator.itemgetter(*(fixed.index(w) for w in read))
+        for bits in itertools.product((0, 1), repeat=len(fixed)):
+            columns.append(tuple(map(operator.getitem, cells, read_bits(bits))) + norm)
     return MergedSystem(
         columns=tuple(columns),
-        members=tuple(members),
         min_costs=tuple(cmin),
         max_costs=tuple(cmax),
         min_reps=tuple(rmin),

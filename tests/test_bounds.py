@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coarseiv.bounds import (
@@ -20,6 +20,7 @@ from coarseiv.bounds import (
 )
 from coarseiv.data import Estimand, ExposureLevel, ObservedDistribution, Scenario
 from coarseiv.datasets import (
+    PRESET_NAMES,
     homocysteine_distribution,
     homocysteine_scenario,
     peanut_distribution,
@@ -246,19 +247,69 @@ def test_caps_raise_before_solving():
 # -- presolve -----------------------------------------------------------------------
 
 
-def test_merged_columns_partition_the_variables():
-    for preset in ("peanut-ternary", "peanut-risk", "homocysteine-4"):
-        _, scenario = scenario_preset(preset)
+def _assert_merge_equals_grouped_types(system):
+    # Brute force: group the enumerated per-type columns by first occurrence.
+    groups: dict[tuple, list[int]] = {}
+    for j, col in enumerate(system.columns):
+        groups.setdefault(col, []).append(j)
+    merged = merge_columns(system)
+    assert merged.columns == tuple(groups)
+    for g, types in enumerate(groups.values()):
+        costs = [system.objective[j] for j in types]
+        assert merged.min_costs[g] == min(costs)
+        assert merged.max_costs[g] == max(costs)
+        # The representatives are the smallest types attaining the extremes.
+        assert merged.min_reps[g] == types[costs.index(min(costs))]
+        assert merged.max_reps[g] == types[costs.index(max(costs))]
+
+
+def _every_preset_and_variant():
+    yield from (scenario_preset(name)[1] for name in PRESET_NAMES)
+    for variant in ("clean", "ill-defining", "contaminated"):
+        yield peanut_scenario(variant)
+        yield homocysteine_scenario(3, variant)
+        yield homocysteine_scenario(4, variant)
+
+
+def test_merge_columns_equals_grouped_response_types():
+    covered = 0
+    for scenario in _every_preset_and_variant():
+        try:
+            system = build_constraint_system(scenario)
+        except CapExceeded:
+            continue
+        _assert_merge_equals_grouped_types(system)
+        covered += 1
+    assert covered == 13
+
+
+@st.composite
+def _shapes(draw):
+    k_z, k_x = draw(st.integers(2, 3)), draw(st.integers(2, 4))
+    clean = draw(st.lists(st.booleans(), min_size=k_x, max_size=k_x).filter(any))
+    levels = tuple(
+        ExposureLevel(f"x{i}")
+        if is_clean
+        else ExposureLevel(f"x{i}", well_defining=draw(st.booleans()), z_dependent=True)
+        for i, is_clean in enumerate(clean)
+    )
+    clean_labels = [lv.label for lv in levels if lv.clean]
+    if len(clean_labels) > 1 and draw(st.booleans()):
+        x, x_prime = draw(st.permutations(clean_labels))[:2]
+        estimand = Estimand("risk_difference", x=x, x_prime=x_prime)
+    else:
+        estimand = Estimand("counterfactual_risk", x=draw(st.sampled_from(clean_labels)))
+    return Scenario(tuple(f"z{i}" for i in range(k_z)), levels, estimand)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_shapes())
+def test_merge_columns_equals_grouped_response_types_on_random_shapes(scenario):
+    try:
         system = build_constraint_system(scenario)
-        merged = merge_columns(system)
-        seen = sorted(j for group in merged.members for j in group)
-        assert seen == list(range(system.n_variables))
-        for g, group in enumerate(merged.members):
-            costs = [system.objective[j] for j in group]
-            assert merged.min_costs[g] == min(costs)
-            assert merged.max_costs[g] == max(costs)
-            assert system.objective[merged.min_reps[g]] == min(costs)
-            assert system.objective[merged.max_reps[g]] == max(costs)
+    except CapExceeded:
+        assume(False)
+    _assert_merge_equals_grouped_types(system)
 
 
 def test_ill_defining_ternary_merge_is_stable():

@@ -318,6 +318,23 @@ def test_cap_exit_4(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("bounds", "--max-variables=-1"), "the response-type cap must be at least 1, got -1"),
+        (("bounds", "--max-rows=0"), "the row cap must be at least 1, got 0"),
+        (("derive", "--max-variables=0"), "the response-type cap must be at least 1, got 0"),
+        (("derive", "--max-rows=0"), "the row cap must be at least 1, got 0"),
+    ],
+)
+def test_cap_below_one_exits_2(capsys, argv, message):
+    # A cap below 1 is a malformed argument, not a scenario too large for it.
+    code, out, err = run_cli(capsys, argv[0], "--preset", "peanut-ternary", *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv", [("derive",), ("dump-lp",), ("verify", "--seed", "1")]
 )
 def test_caps_refuse_a_huge_scenario_before_enumerating(capsys, monkeypatch, tmp_path, argv):
@@ -540,6 +557,21 @@ def test_derive_text_latex_json(capsys):
     lower = doc["results"]["lower"]["terms"]
     assert len(lower) == 10
     assert {"constant", "cells", "rendered"} <= set(lower[0])
+
+
+# SHA-256 of `dump-lp --preset P` stdout.  The per-type columns and objective
+# it prints are enumerated apart from the engine's LP, so they must not move.
+DUMP_LP_SHA256 = {
+    "homocysteine-3": "bfac6dfd2ce482b1647393e366cc14ed35f6e3cea0ea10fb81011d2a02668cf2",
+    "peanut-ternary": "223482aee65bd182a2acecedcd653f0a6f809e26abda0e3b0c33260b8d18e9db",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(DUMP_LP_SHA256))
+def test_dump_lp_is_byte_identical(capsys, preset):
+    code, out, err = run_cli(capsys, "dump-lp", "--preset", preset)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == DUMP_LP_SHA256[preset]
 
 
 # SHA-256 of `derive --preset P --format json` stdout: the enumeration may get

@@ -78,9 +78,9 @@ def test_each_column_hits_one_cell_per_stratum_plus_normalization():
 def test_objective_is_contrast_of_clean_bits():
     system = build_constraint_system(_scenario())
     # theta = psi_{xp} - psi_x: +1 when bit(xp)=1,bit(x)=0; -1 reversed; else 0.
+    n_out = len(system.outcome_types)
     for j in range(system.n_variables):
-        _, otype = system.variable_pair(j)
-        bx, bxp = otype.clean_bits
+        bx, bxp = system.outcome_types[j % n_out].clean_bits
         assert system.objective[j] == bxp - bx
 
 
@@ -91,9 +91,9 @@ def test_counterfactual_risk_objective():
         estimand=Estimand("counterfactual_risk", x="xp"),
     )
     system = build_constraint_system(scn)
+    n_out = len(system.outcome_types)
     for j in range(system.n_variables):
-        _, otype = system.variable_pair(j)
-        assert system.objective[j] == otype.clean_bits[1]
+        assert system.objective[j] == system.outcome_types[j % n_out].clean_bits[1]
 
 
 def test_rhs_alignment():

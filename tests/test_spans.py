@@ -9,7 +9,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from coarseiv import cli
+import pytest
+
+from coarseiv import cli, response
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -89,3 +91,46 @@ def test_every_resample_span_fires_through_the_cli(capsys, monkeypatch):
     assert "multinomial" in [method for method, *_ in workloads.CI_RUNS]
     names = {span[spans.NAME] for span in tracer.take()}
     assert set(workloads.EXPECTED_SPANS["resample"]) <= names
+
+
+def test_every_point_span_fires_through_the_cli(capsys, monkeypatch, tmp_path):
+    # The first `point` case of seed 1 is an incompatible table, so one call
+    # runs the slack projection as well as the LP construction.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = _load("workloads")
+    case = _load("point_inputs").generate(1, str(tmp_path))[0]
+    assert case.incompatible
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["bounds", "--scenario", case.scenario_path,
+                         "--summary", case.summary_path, "--slack"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    taken = tracer.take()
+    assert set(workloads.EXPECTED_SPANS["point"]) <= {span[spans.NAME] for span in taken}
+    counts, _ = spans.layer_metrics(taken)
+    # 4^3 exposure maps x 2^4 clean bits, and their distinct columns.
+    assert counts["response.types"] == 1024
+    assert counts["bounds.merged_columns"] == 344
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bounds",),
+        ("ci", "--method", "percentile", "--bootstrap", "20", "--seed", "1"),
+        ("derive", "--format", "json"),
+    ],
+)
+def test_engine_paths_enumerate_no_response_type(capsys, monkeypatch, argv):
+    def unreachable(scenario):
+        raise AssertionError("enumerated a response type")
+
+    monkeypatch.setattr(response, "enumerate_exposure_types", unreachable)
+    monkeypatch.setattr(response, "enumerate_outcome_types", unreachable)
+    code = cli.main([argv[0], "--preset", "homocysteine-4", *argv[1:]])
+    _, err = capsys.readouterr()
+    assert code == 0, err

@@ -189,7 +189,7 @@ class BoundsSolver:
         # Finish a solve whose lower LP raised `exc` on b~ / scale: raise the
         # checked certificate, or with `slack` bound at the slack projection.
         wrapped = self._wrap_infeasible(exc)
-        if not verify_farkas(self.merged.columns, b, exc.farkas):
+        if not verify_farkas(self._lo.A, b, exc.farkas):
             raise AssertionError("invalid infeasibility certificate") from exc
         if not slack:
             raise wrapped from None

@@ -18,7 +18,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from itertools import islice
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .bounds import (
@@ -146,20 +146,85 @@ def _document(subcommand: str, config: dict, results: dict, diagnostics: dict) -
     }
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
-_EMIT_BATCH = 4096  # encoder chunks per write
+_EMIT_BATCH = 2048  # chunks per write, about 32 KB of a derive document
+_INF = float("inf")
+
+
+def _json_scalar(o) -> str:
+    # None, a bool, an int or a float as json writes it, as a value or a key.
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == _INF:
+            return "Infinity"
+        if o == -_INF:
+            return "-Infinity"
+        return float.__repr__(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _emit(doc: dict) -> None:
-    """Print `doc` as sorted JSON with a 2-space indent, as json.dumps would.
+    """Print `doc` exactly as `json.dumps(doc, sort_keys=True, indent=2)` would.
 
-    The encoder's chunks are written in batches instead of being joined
-    first, so a large document is never held whole as chunks and as text.
+    json's own encoder runs in pure Python whenever `indent` is set, so this
+    is a recursive encoder of the same output: strings through json's C
+    `encode_basestring_ascii`, ints by `int.__repr__`, floats by
+    `float.__repr__` (NaN and the infinities as json writes them), dict items
+    in `sorted(items())` order with non-str keys converted as json converts
+    them, and a TypeError for any other type.  The chunks are written every
+    `_EMIT_BATCH` of them, so a large document is never held whole as text.
     """
-    chunks = _ENCODER.iterencode(doc)
-    for batch in iter(lambda: list(islice(chunks, _EMIT_BATCH)), []):
-        sys.stdout.write("".join(batch))
-    sys.stdout.write("\n")
+    chunks: list[str] = []
+
+    def flush() -> None:
+        sys.stdout.write("".join(chunks))
+        chunks.clear()
+
+    def encode(o, pad: str) -> None:
+        # `pad` is a newline and the indent of the line `o` starts on.
+        if isinstance(o, str):
+            chunks.append(encode_basestring_ascii(o))
+        elif isinstance(o, dict):
+            if not o:
+                chunks.append("{}")
+                return
+            inner = pad + "  "
+            sep = "{" + inner
+            for key, value in sorted(o.items()):
+                key = key if isinstance(key, str) else _json_scalar(key)
+                chunks.append(sep + encode_basestring_ascii(key) + ": ")
+                encode(value, inner)
+                sep = "," + inner
+                if len(chunks) >= _EMIT_BATCH:
+                    flush()
+            chunks.append(pad + "}")
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                chunks.append("[]")
+                return
+            inner = pad + "  "
+            sep = "[" + inner
+            for value in o:
+                chunks.append(sep)
+                encode(value, inner)
+                sep = "," + inner
+                if len(chunks) >= _EMIT_BATCH:
+                    flush()
+            chunks.append(pad + "]")
+        else:
+            chunks.append(_json_scalar(o))
+
+    encode(doc, "\n")
+    chunks.append("\n")
+    flush()
 
 
 # -- input resolution --------------------------------------------------------------

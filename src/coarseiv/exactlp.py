@@ -156,11 +156,20 @@ def column_dot(column: Column, vec: Sequence) -> object:
     return total
 
 
-def verify_farkas(columns: Sequence[Column], b: Sequence, pi: Sequence[Fraction]) -> bool:
-    """Check that pi certifies infeasibility of A x = b, x >= 0 (b may be scaled)."""
+def verify_farkas(A: np.ndarray, b: Sequence, pi: Sequence[Fraction]) -> bool:
+    """Check that pi certifies infeasibility of A x = b, x >= 0 (b may be scaled).
+
+    `A` is the dense (m x n) integer matrix.  pi's denominators are cleared
+    once, so pi . A <= 0 is one `_exact_product`.
+    """
     if sum(p * v for p, v in zip(pi, b)) <= 0:
         return False
-    return all(column_dot(col, pi) <= 0 for col in columns)
+    if not A.size:
+        return True
+    row = np.array(integer_rhs(pi)[0], dtype=object)
+    # |pi~ . A_j| <= max |pi~| * max |A| * m.
+    bits = _bits(row) + _bits(A) + len(row).bit_length()
+    return bool((_exact_product(row, A, bits) <= 0).all())
 
 
 def integer_rhs(b: Sequence) -> tuple[list[int], int]:
@@ -240,7 +249,7 @@ def _dtype(bits: int) -> type:
 class ExactSimplex:
     """Two-phase exact simplex over a fixed column set.
 
-    The instance owns the constraint matrix (dense, built once from sparse
+    The instance owns the constraint matrix `A` (dense, built once from sparse
     columns); b and c can vary across solves.  Artificial variables are
     numbered n .. n+m-1 and are never re-admitted once phase 1 ends; rows
     whose artificial cannot be pivoted out are structurally redundant and
@@ -267,8 +276,8 @@ class ExactSimplex:
                 l1 += abs(coef)
             self._l1.append(l1)
         self._l1_bits = max(self._l1, default=0).bit_length()
-        self._A = np.zeros((n_rows, self.n), dtype=_dtype(self._l1_bits))
-        np.add.at(self._A, (rows, cols), np.array(vals, dtype=self._A.dtype))
+        self.A = np.zeros((n_rows, self.n), dtype=_dtype(self._l1_bits))
+        np.add.at(self.A, (rows, cols), np.array(vals, dtype=self.A.dtype))
         self._start(costs)
 
     def _with_costs(self, costs: Sequence[int]) -> ExactSimplex:
@@ -286,7 +295,7 @@ class ExactSimplex:
         self.costs: list[int] = [int(c) for c in costs]
         norm = max((l1 + abs(c) for l1, c in zip(self._l1, self.costs)), default=0)
         self._norm_bits = norm.bit_length()
-        self._dense = np.vstack([self._A, np.array([self.costs], dtype=_dtype(self._norm_bits))])
+        self._dense = np.vstack([self.A, np.array([self.costs], dtype=_dtype(self._norm_bits))])
         top = max(map(abs, self.costs), default=0)
         self._c = np.array(self.costs + [0] * self.m, dtype=_dtype(top.bit_length()))
         self._c1 = np.array([0] * self.n + [1] * self.m, dtype=np.int64)
@@ -453,11 +462,11 @@ class ExactSimplex:
 
     def _row(self, row: int) -> np.ndarray:
         # M_row . A_j for every column j: the pivot row of the tableau, times d.
-        return _exact_product(self._T[row, :-1], self._A, self._bits + self._l1_bits)
+        return _exact_product(self._T[row, :-1], self.A, self._bits + self._l1_bits)
 
     def _column(self, j: int) -> np.ndarray:
         # w = M . A_j, d times the column of the tableau.
-        return _exact_product(self._T[:, :-1], self._A[:, j], self._bits + self._l1_bits)
+        return _exact_product(self._T[:, :-1], self.A[:, j], self._bits + self._l1_bits)
 
     def _pivot(self, row: int, j: int, w: np.ndarray) -> None:
         """Replace the basic variable in `row` by variable j (direction w = M.A_j).

@@ -21,14 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
 from .data import Estimand, InputError, ObservedDistribution, Scenario
-from .exactlp import independent_rows
+from .exactlp import _bits, _dtype, _exact_product, independent_rows
 from .response import ConstraintSystem, merge_columns
 
 __all__ = [
@@ -140,14 +139,12 @@ def term_sets_equal(a: SymbolicBoundSet, b: SymbolicBoundSet) -> bool:
 # -- double description over the homogenized dual cone --------------------------
 
 
-def _primitive(vec: list[int]) -> tuple[int, ...]:
-    g = gcd(*vec)
-    if g > 1:
-        return tuple(v // g for v in vec)
-    return tuple(vec)
+def _primitive(rays: np.ndarray) -> np.ndarray:
+    # Each row divided by the gcd of its entries; no row is zero.
+    return rays // np.gcd.reduce(rays, axis=1)[:, None]
 
 
-def _adjacent_pairs(tight: np.ndarray, pos: list[int], neg: list[int], min_meet: int):
+def _adjacent_pairs(tight: np.ndarray, pos: np.ndarray, neg: np.ndarray, min_meet: int):
     """The adjacent (positive, negative) ray pairs and the tight rows they share.
 
     `tight` is the 0/1 matrix of rays x inserted rows.  Returns (kp, kn, meets):
@@ -172,8 +169,20 @@ def _adjacent_pairs(tight: np.ndarray, pos: list[int], neg: list[int], min_meet:
 def _extreme_rays(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Extreme rays of the pointed cone {v : row . v <= 0 for all rows}.
 
-    Double description (Fukuda & Prodon 1996): rows are inserted one at a
-    time into a simplicial start cone.  Rays and row values are Python ints.
+    Double description (Fukuda & Prodon 1996) in the lexicographic ("lexmin")
+    insertion order, cddlib's default: the rows are sorted, the start cone is
+    spanned by the first dim independent rows of that order, and every other
+    row is inserted in that order.  So the rays and their order depend on the
+    set of rows only, not on the order the caller gives them in.
+
+    The rays are one integer array (rays x dim), each row primitive (gcd 1).
+    Per inserted row the row values are one product `rays @ row` and the new
+    rays of all adjacent pairs one broadcast v+ r- - v- r+.  Both run in
+    int64 when they cannot overflow: the values when bits(max |ray|) plus the
+    bit length of the largest row L1 norm is at most 62, the new rays when
+    bits(max |value|) + bits(max |ray|) + 1 is; otherwise in Python ints
+    (dtype=object).
+
     Beside the rays, a float32 matrix `tight` (rays x inserted rows) holds 1
     where a ray satisfies an inserted row with equality and 0 elsewhere, so
     the adjacency test for a new row is a few matrix products
@@ -183,6 +192,7 @@ def _extreme_rays(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     order.  New rays follow the pairs in (positive, negative) order, so the
     rays come out in the order of a pairwise scan.
     """
+    rows = sorted(rows)
     dim = len(rows[0])
     # The first dim independent rows span a simplicial start cone whose rays
     # are the negated columns of their inverse X / d (d > 0): ray k is tight on
@@ -190,36 +200,42 @@ def _extreme_rays(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     basis_idx, X, _ = independent_rows(rows)
     if len(basis_idx) < dim:
         raise InputError("dual cone is not pointed; cannot enumerate vertices")
-    rays = [_primitive([-X[r][k] for r in range(dim)]) for k in range(dim)]
+    rays = _primitive(-np.array(X, dtype=object).T)
     tight = 1 - np.eye(dim, dtype=np.float32)
     # Adjacent extreme rays of a pointed cone share at least dim - 2 tight rows.
     min_meet = dim - 2
+    l1_bits = max(sum(map(abs, row)) for row in rows).bit_length()
+    A = np.array(rows, dtype=_dtype(l1_bits))
 
     in_basis = set(basis_idx)
-    for i, row in enumerate(rows):
+    for i in range(len(rows)):
         if i in in_basis:
             continue
-        sparse = [(j, a) for j, a in enumerate(row) if a]
-        vals = [sum(a * ray[j] for j, a in sparse) for ray in rays]
-        pos = [k for k, s in enumerate(vals) if s > 0]
-        neg = [k for k, s in enumerate(vals) if s < 0]
-        keep = [k for k, s in enumerate(vals) if s <= 0]
+        if not len(rays):
+            break  # the cone is {0}
+        ray_bits = _bits(rays)
+        rays = rays.astype(_dtype(ray_bits), copy=False)
+        vals = _exact_product(rays, A[i], ray_bits + l1_bits)
+        pos = np.flatnonzero(vals > 0)
+        neg = np.flatnonzero(vals < 0)
+        keep = np.flatnonzero(vals <= 0)
         kp, kn, meets = _adjacent_pairs(tight, pos, neg, min_meet)
-        new_rays = []
-        for a, b in zip(kp.tolist(), kn.tolist()):
-            vp, vn = vals[pos[a]], vals[neg[b]]
-            rp, rn = rays[pos[a]], rays[neg[b]]
-            new_rays.append(_primitive([vp * y - vn * x for x, y in zip(rp, rn)]))
+        kp, kn = pos[kp], neg[kn]
+        dtype = _dtype(_bits(vals) + ray_bits + 1)
+        vp = vals[kp].astype(dtype)[:, None]
+        vn = vals[kn].astype(dtype)[:, None]
+        new_rays = _primitive(vp * rays[kn].astype(dtype) - vn * rays[kp].astype(dtype))
         # On an inserted row h, h.new = vp (h.r-) + |vn| (h.r+) with both terms
         # <= 0, so it is 0 iff both are: the new ray is tight where both parents
         # are, and on the row just added.
         grown = np.empty((len(keep) + len(new_rays), tight.shape[1] + 1), dtype=np.float32)
         grown[:len(keep), :-1] = tight[keep]
         grown[len(keep):, :-1] = meets
-        grown[:, -1] = [vals[k] == 0 for k in keep] + [True] * len(new_rays)
-        rays = [rays[k] for k in keep] + new_rays
+        grown[:len(keep), -1] = vals[keep] == 0
+        grown[len(keep):, -1] = 1
+        rays = np.concatenate([rays[keep], new_rays])
         tight = grown
-    return rays
+    return [tuple(ray) for ray in rays.tolist()]
 
 
 def _dual_cones(system: ConstraintSystem) -> tuple[list, dict[str, list[tuple[int, ...]]]]:

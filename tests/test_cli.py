@@ -1,9 +1,12 @@
 """Command-line interface: output schema, exit codes, determinism."""
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +15,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coarseiv import cli, oracle, response
 from coarseiv.bounds import BoundsSolver, InfeasibleDistribution
@@ -814,3 +819,79 @@ def test_dump_lp_document(capsys):
     assert doc["diagnostics"]["n_rows"] == 13
     assert doc["results"]["rhs"] is not None
     assert len(doc["results"]["rhs"]) == 13
+
+
+# -- the JSON emitter -----------------------------------------------------------------
+
+
+def _emitted(doc) -> str:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli._emit(doc)
+    return out.getvalue()
+
+
+_EMIT_FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e16])
+_EMIT_INTS = st.integers() | st.integers(2**64, 2**90) | st.integers(-(2**90), -(2**64))
+_EMIT_TEXT = st.text() | st.text(st.characters(max_codepoint=0x1F) | st.sampled_from("\"\\é€😀"))
+_EMIT_LEAVES = st.none() | st.booleans() | _EMIT_INTS | _EMIT_FLOATS | _EMIT_TEXT
+# The keys of one dict are of one kind, or json.dumps cannot sort them.
+_EMIT_KEYS = st.sampled_from(
+    [_EMIT_TEXT, _EMIT_INTS | _EMIT_FLOATS | st.booleans(), st.none()]
+)
+
+
+def _emit_containers(children):
+    return (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | _EMIT_KEYS.flatmap(lambda keys: st.dictionaries(keys, children, max_size=4))
+        # One sub-document shared by several parents.
+        | st.tuples(children, st.integers(2, 3)).map(lambda t: {str(k): t[0] for k in range(t[1])})
+    )
+
+
+_EMIT_EDGES = {
+    "empty": [{}, [], (), ""],
+    "text": ["é€\U0001F600", "\x00\x1f\t\n\"\\"],
+    "floats": [math.nan, math.inf, -math.inf, -0.0, 1e16, 0.1],
+    "ints": [2**64 + 1, -(2**70)],
+    "true next to one": [True, 1, 1.0, False, 0, None],
+    "keys": [{1: "a", 2.5: "b", True: "c"}, {None: 0}, {False: 1, -3: 2, math.inf: 3}],
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(_EMIT_LEAVES, _emit_containers, max_leaves=30))
+@example(_EMIT_EDGES)
+@example({"a": _EMIT_EDGES["keys"], "b": [_EMIT_EDGES["keys"]] * 2})
+def test_emit_matches_json_dumps(doc):
+    assert _emitted(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "doc", [{"a": {1, 2}}, {"a": [Fraction(1, 2)]}, Fraction(1), {(1, 2): 0}],
+    ids=["set", "fraction", "top-level", "tuple key"],
+)
+def test_emit_rejects_what_json_rejects(doc):
+    with pytest.raises(TypeError):
+        json.dumps(doc, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        _emitted(doc)
+
+
+def test_emit_streams_a_large_document():
+    doc = {"rows": [{"k": k, "v": "x" * 40} for k in range(12_000)]}
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert len(text) > 10**6
+
+    class Writes(io.StringIO):
+        def write(self, s):
+            sizes.append(len(s))
+            return super().write(s)
+
+    sizes: list[int] = []
+    with contextlib.redirect_stdout(Writes()) as out:
+        cli._emit(doc)
+    assert out.getvalue() == text
+    assert len(sizes) > 1
+    assert max(sizes) < len(text) // 4

@@ -24,6 +24,15 @@ from coarseiv.exactlp import (
 _TRANSPORT_COLUMNS = [((0, 1),), ((0, 1), (1, 1)), ((1, 1),)]
 
 
+def _dense(m, columns):
+    """The dense (m x n) integer matrix of sparse columns."""
+    A = np.zeros((m, len(columns)), dtype=np.int64)
+    for j, col in enumerate(columns):
+        for r, coef in col:
+            A[r, j] += coef
+    return A
+
+
 def _transport_lp():
     """min x0 + 2 x1 subject to x0 + x1 = b0, x1 + x2 = b1."""
     return ExactSimplex(2, _TRANSPORT_COLUMNS, [1, 2, 0])
@@ -56,7 +65,7 @@ def test_infeasible_raises_with_verified_farkas():
     b = [Fraction(1), Fraction(2)]
     with pytest.raises(Infeasible) as exc:
         lp.solve(b)
-    assert verify_farkas(columns, b, exc.value.farkas)
+    assert verify_farkas(_dense(2, columns), b, exc.value.farkas)
     assert exc.value.violation > 0
 
 
@@ -75,7 +84,28 @@ def test_resolve_b_detects_infeasibility():
     lp.solve([Fraction(2), Fraction(2)])
     with pytest.raises(Infeasible) as exc:
         lp.resolve_b([Fraction(1), Fraction(2)])
-    assert verify_farkas(columns, [Fraction(1), Fraction(2)], exc.value.farkas)
+    assert verify_farkas(_dense(2, columns), [Fraction(1), Fraction(2)], exc.value.farkas)
+
+
+_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3), max_size=5),
+    st.lists(_FRACTIONS, min_size=3, max_size=3),
+    st.lists(_FRACTIONS, min_size=3, max_size=3),
+)
+def test_verify_farkas_matches_the_sparse_column_rule(coefs, b, pi):
+    # The dense check against the rule it replaced: pi . b > 0 and
+    # pi . A_j <= 0 for every sparse column A_j, in Fractions.
+    columns = [tuple((r, c) for r, c in enumerate(col) if c) for col in coefs]
+    want = sum(p * v for p, v in zip(pi, b)) > 0 and all(
+        column_dot(col, pi) <= 0 for col in columns
+    )
+    assert verify_farkas(_dense(3, columns), b, pi) == want
+    # Huge entries take the Python-int product and give the same answer.
+    assert verify_farkas(_dense(3, columns).astype(object) * 2**70, b, pi) == want
 
 
 def _random_feasible_instance(rng_draw):
@@ -135,7 +165,7 @@ def test_random_lp_duality_and_warm_restart(draw):
     try:
         warm = lp.resolve_b(b2)
     except Infeasible as exc:
-        assert verify_farkas(columns, b2, exc.farkas)
+        assert verify_farkas(_dense(3, columns), b2, exc.farkas)
         return
     cold = ExactSimplex(3, columns, costs).solve(b2)
     assert warm.value == cold.value
@@ -271,7 +301,7 @@ def test_warm_resolves_from_recent_bases_match_cold_solves(side):
         except Infeasible:
             with pytest.raises(Infeasible) as exc:
                 lp.resolve_b(b, scale=scale)
-            assert verify_farkas(columns, b, exc.value.farkas)
+            assert verify_farkas(_dense(system.n_rows, columns), b, exc.value.farkas)
             n_infeasible += 1
             continue
         warm = lp.resolve_b(b, scale=scale)
@@ -432,7 +462,7 @@ def test_redundant_row_inconsistency_raises_on_a_warm_resolve(monkeypatch, b2):
     with pytest.raises(Infeasible) as exc:
         lp.resolve_b(b)
     assert len(starts) == 1
-    assert verify_farkas(columns, b, exc.value.farkas)
+    assert verify_farkas(_dense(3, columns), b, exc.value.farkas)
     # The solver still answers feasible right-hand sides afterwards.
     assert lp.resolve_b([3, 1, 4], scale=2).value == Fraction(3 + 1, 2)
 
@@ -858,7 +888,7 @@ def test_zero_column_lp():
     for b in ([1, 0], [0, 3]):
         with pytest.raises(Infeasible) as exc:
             ExactSimplex(2, [], []).solve(b, scale=1)
-        assert verify_farkas([], b, exc.value.farkas)
+        assert verify_farkas(_dense(2, []), b, exc.value.farkas)
 
 
 def test_no_rows_is_rejected():

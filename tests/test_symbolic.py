@@ -4,12 +4,14 @@ import itertools
 import math
 from fractions import Fraction
 from operator import mul
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from coarseiv import exactlp, symbolic
 from coarseiv.bounds import (
     classic_term_sets,
     numeric_bounds,
@@ -225,6 +227,40 @@ def test_extreme_rays_match_brute_force(cone):
     rays = _extreme_rays(rows)
     assert len(set(rays)) == len(rays)
     assert set(rays) == _brute_force_rays(rows, dim)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pointed_cones(), st.data())
+def test_extreme_rays_do_not_depend_on_the_row_order(cone, data):
+    # Rows are inserted in sorted order, so any permutation gives the same list.
+    rows, _ = cone
+    rays = _extreme_rays(rows)
+    for _ in range(3):
+        assert _extreme_rays(data.draw(st.permutations(rows))) == rays
+    assert _extreme_rays(sorted(rows, reverse=True)) == rays
+
+
+@pytest.mark.parametrize("scale", [2**40, 2**62])
+@settings(max_examples=40, deadline=None)
+@given(cone=_pointed_cones())
+def test_scaled_rows_give_the_same_rays(scale, cone):
+    # Scaling every row leaves the cone and the row order unchanged.  At 2**40
+    # every product still fits int64; at 2**62 the row values cannot, so the
+    # rays are built in Python ints.
+    rows, dim = cone
+    scaled = [tuple(scale * a for a in row) for row in rows]
+    dtypes = []
+
+    def spy(left, right, bits):
+        out = exactlp._exact_product(left, right, bits)
+        dtypes.append(out.dtype)
+        return out
+
+    with mock.patch.object(symbolic, "_exact_product", spy):
+        rays = _extreme_rays(scaled)
+    assert rays == _extreme_rays(rows)
+    assert all((dtype == object) == (scale > 2**40) for dtype in dtypes)
+    assert set(rays) == _brute_force_rays(scaled, dim)
 
 
 # Extreme rays a direction of each preset's dual cone has.

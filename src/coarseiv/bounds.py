@@ -138,18 +138,17 @@ class BoundsSolver:
     whatever basis attains it, so each optimal basis found is screened
     against every pending right-hand side in one integer product, and
     answers all those it is primal feasible for; only the rest are solved.
-    The upper side's dense [A; c] copies the lower side's A rows.
     """
 
     def __init__(self, system: ConstraintSystem):
         self.system = system
         self.merged = merge_columns(system)
-        m = system.n_rows
-        self._lo = ExactSimplex(m, self.merged.columns, self.merged.min_costs)
-        self._hi = self._lo._with_costs([-c for c in self.merged.max_costs])
+        A = self.merged.columns.T
+        self._lo = ExactSimplex(A, self.merged.min_costs)
+        self._hi = ExactSimplex(A, [-c for c in self.merged.max_costs])
         self._slack_lp: ExactSimplex | None = None
-        self._norm_idx = system.row_keys.index("normalization")
-        self._cell_rows = [i for i in range(m) if i != self._norm_idx]
+        norm_idx = system.row_keys.index("normalization")
+        self._cell_rows = [i for i in range(system.n_rows) if i != norm_idx]
 
     # - internals -
 
@@ -169,13 +168,11 @@ class BoundsSolver:
         """
         n_struct = len(self.merged.columns)
         if self._slack_lp is None:
-            columns = list(self.merged.columns)
-            costs = [0] * n_struct
-            for r in self._cell_rows:
-                columns.append(((r, 1),))
-                columns.append(((r, -1),))
-                costs.extend((1, 1))
-            self._slack_lp = ExactSimplex(self.system.n_rows, columns, costs)
+            # [A | +e_r, -e_r for each cell row r], each slack at cost 1.
+            units = np.eye(self.system.n_rows, dtype=np.int64)[:, self._cell_rows]
+            A = np.hstack([self.merged.columns.T, np.kron(units, [1, -1])])
+            costs = [0] * n_struct + [1] * (A.shape[1] - n_struct)
+            self._slack_lp = ExactSimplex(A, costs)
         out = self._slack_lp.resolve_b(b)
         projected = list(b)
         for j, v in out.solution.items():

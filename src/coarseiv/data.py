@@ -240,14 +240,7 @@ class ObservedDistribution:
         }
         if any(v < 0 for v in full.values()):
             raise InputError("negative cell probability")
-        self = cls.__new__(cls)
-        object.__setattr__(self, "instrument_levels", tuple(instrument_levels))
-        object.__setattr__(self, "exposure_levels", tuple(exposure_levels))
-        object.__setattr__(self, "counts", {})
-        object.__setattr__(self, "n_per_z", {})
-        object.__setattr__(self, "probs", full)
-        self.__post_init__()
-        return self
+        return cls(tuple(instrument_levels), tuple(exposure_levels), {}, {}, full)
 
     @property
     def has_counts(self) -> bool:

@@ -1,19 +1,19 @@
 """Exact rational simplex for small equality-form linear programs.
 
 Solves  min c.x  subject to  A x = b, x >= 0  with all arithmetic exact.
-Columns of A are sparse integer vectors (in this package they have at most a
-handful of +-1 entries), b is a nonnegative rational vector and c is an
-integer vector.  The solver keeps the basis inverse in integer-adjugate form
-(M = d * B^-1 with M integral and d = det B), so every pivot is fraction-free
-integer arithmetic with one exact division.  The right-hand side is held as
-integers too: b = b~ / N, either given that way (``scale=N``) or converted
-once by :func:`integer_rhs`.
+A is a dense integer matrix, int64 or dtype=object (in this package each
+column has a handful of 1 or -1 entries), b is a nonnegative rational vector
+and c is an integer vector.  The solver keeps the basis inverse in
+integer-adjugate form (M = d * B^-1 with M integral and d = det B), so every
+pivot is fraction-free integer arithmetic with one exact division.  The
+right-hand side is held as integers too: b = b~ / N, either given that way
+(``scale=N``) or converted once by :func:`integer_rhs`.
 
-Pricing runs over every column at once.  The constructor stacks the columns
-and the cost row into one dense (m + 1) x n matrix [A; c]: the reduced costs
-d*c - y.A are one product [-y, d] . [A; c] with y = c_B . M, the pivot row of
-the dual ratio test and of the eviction of artificials is M_r . A, and the
-entering direction is w = M . A_j.
+Pricing runs over every column at once.  The constructor stacks A and the
+cost row into one (m + 1) x n matrix [A; c]: the reduced costs d*c - y.A are
+one product [-y, d] . [A; c] with y = c_B . M, the pivot row of the dual
+ratio test and of the eviction of artificials is M_r . A, and the entering
+direction is w = M . A_j.
 
 The state is one integer array T = [M | xt]: M with its levels xt = M.b~
 as a last column.  A pivot is one fraction-free rank-1 update
@@ -48,29 +48,23 @@ and the dual vector are built from the optimal basis on first access.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import index
+from operator import add, index
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "Column",
     "ExactSimplex",
     "Infeasible",
     "LpOutcome",
-    "column_dot",
     "independent_rows",
     "integer_rhs",
     "verify_farkas",
 ]
-
-# A sparse column: tuple of (row index, integer coefficient) pairs.
-Column = tuple[tuple[int, int], ...]
 
 # Consecutive degenerate pivots tolerated before switching to Bland's rule.
 _DEGENERATE_LIMIT = 30
@@ -148,14 +142,6 @@ class LpOutcome:
         return tuple(Fraction(v, vx.d) for v in y.tolist())
 
 
-def column_dot(column: Column, vec: Sequence) -> object:
-    """Dot product of a sparse column with a dense vector."""
-    total = 0
-    for r, coef in column:
-        total += coef * vec[r] if coef != 1 else vec[r]
-    return total
-
-
 def verify_farkas(A: np.ndarray, b: Sequence, pi: Sequence[Fraction]) -> bool:
     """Check that pi certifies infeasibility of A x = b, x >= 0 (b may be scaled).
 
@@ -228,8 +214,8 @@ def independent_rows(
 
 
 def _bits(a: np.ndarray) -> int:
-    # Bit length of the largest |entry| of a nonempty integer array.
-    return int(np.abs(a).max()).bit_length()
+    # Bit length of the largest |entry| of an integer array, 0 when empty.
+    return int(np.abs(a).max(initial=0)).bit_length()
 
 
 def _exact_product(left: np.ndarray, right: np.ndarray, bits: int) -> np.ndarray:
@@ -249,51 +235,30 @@ def _dtype(bits: int) -> type:
 class ExactSimplex:
     """Two-phase exact simplex over a fixed column set.
 
-    The instance owns the constraint matrix `A` (dense, built once from sparse
-    columns); b and c can vary across solves.  Artificial variables are
-    numbered n .. n+m-1 and are never re-admitted once phase 1 ends; rows
-    whose artificial cannot be pivoted out are structurally redundant and
-    their artificial stays basic at level zero forever.
+    The instance owns the (m x n) integer matrix `A` and the costs c; b can
+    vary across solves.  Artificial variables are numbered n .. n+m-1 and are
+    never re-admitted once phase 1 ends; rows whose artificial cannot be
+    pivoted out are structurally redundant and their artificial stays basic
+    at level zero forever.
 
     `solve` and `resolve_b` take b either as rationals or, with ``scale=N``,
     as nonnegative integers b~ meaning b~ / N.
     """
 
-    def __init__(self, n_rows: int, columns: Sequence[Column], costs: Sequence[int]):
-        if n_rows < 1:
+    def __init__(self, A: np.ndarray, costs: Sequence[int]):
+        self.m, self.n = A.shape
+        if self.m < 1:
             raise ValueError("at least one row required")
-        self.m = n_rows
-        self.n = len(columns)
-        # Dense A and the bit length of its largest column L1 norm; `_start`
-        # stacks the cost row on it.
-        rows, cols, vals, self._l1 = [], [], [], []
-        for j, col in enumerate(columns):
-            l1 = 0
-            for r, coef in col:
-                rows.append(r)
-                cols.append(j)
-                vals.append(coef)
-                l1 += abs(coef)
-            self._l1.append(l1)
-        self._l1_bits = max(self._l1, default=0).bit_length()
-        self.A = np.zeros((n_rows, self.n), dtype=_dtype(self._l1_bits))
-        np.add.at(self.A, (rows, cols), np.array(vals, dtype=self.A.dtype))
-        self._start(costs)
-
-    def _with_costs(self, costs: Sequence[int]) -> ExactSimplex:
-        """A fresh solver over the same columns with other costs, built from this one's A."""
-        twin = copy.copy(self)
-        twin._start(costs)
-        return twin
-
-    def _start(self, costs: Sequence[int]) -> None:
-        # Dense [A; c] for the pricing, int64 when every column's L1 norm
-        # fits, the costs per variable, artificials included, for each phase,
-        # and an empty solver state.
         if len(costs) != self.n:
             raise ValueError("one cost per column required")
+        # The L1 norm of each column, summed in int64 unless an entry is too wide.
+        l1 = np.abs(A).sum(axis=0, dtype=_dtype(_bits(A) + self.m.bit_length())).tolist()
+        self._l1_bits = max(l1, default=0).bit_length()
+        self.A = A.astype(_dtype(self._l1_bits), copy=False)
+        # Dense [A; c] for the pricing, int64 when every column's L1 norm
+        # fits, and the costs per variable, artificials included, for each phase.
         self.costs: list[int] = [int(c) for c in costs]
-        norm = max((l1 + abs(c) for l1, c in zip(self._l1, self.costs)), default=0)
+        norm = max(map(add, l1, map(abs, self.costs)), default=0)
         self._norm_bits = norm.bit_length()
         self._dense = np.vstack([self.A, np.array([self.costs], dtype=_dtype(self._norm_bits))])
         top = max(map(abs, self.costs), default=0)

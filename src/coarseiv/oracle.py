@@ -51,7 +51,6 @@ from .data import (
     ObservedDistribution,
     Scenario,
 )
-from .exactlp import column_dot
 from .response import ConstraintSystem, build_constraint_system
 from .symbolic import derive_symbolic, term_sets_equal
 
@@ -364,7 +363,7 @@ def _dual_ok(
     if Fraction(sum(map(mul, y, b)), den * scale) != sign * target:
         return False
     return all(
-        sign * den * c >= column_dot(col, y)
+        sign * den * c >= sum(coef * y[r] for r, coef in col)
         for col, c in zip(system.columns, system.objective)
     )
 
@@ -666,9 +665,7 @@ def contamination_collapse(
     monotone = all(
         widths[ordered[i]] >= widths[ordered[i + 1]] for i in range(len(ordered) - 1)
     )
-    final = rows[[i for i in range(len(rows)) if epsilons[i] == 0][0]] if any(
-        e == 0 for e in epsilons
-    ) else None
+    final = next((r for r, e in zip(rows, epsilons) if e == 0), None)
     passed = (
         monotone
         and all(r["ternary"][0] <= 0 <= r["ternary"][1] for r in rows)

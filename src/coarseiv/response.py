@@ -14,8 +14,10 @@ caps and enumerates nothing.
 Response types whose constraint columns are identical differ only in their
 objective coefficient, so only each group's extreme coefficients matter.
 `merge_columns` builds the engine's LP, one column per group, straight from
-the scenario; the per-type columns and objective are enumerated only on first
-read, for the oracle's brute force and `dump-lp`.
+the scenario, as one int64 array with a row per distinct column and a
+column per constraint row, filled by one scatter.  The per-type sparse
+(row, coef) columns and the objective are enumerated only on first read,
+for the oracle's brute force and `dump-lp`.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 from .data import Estimand, InputError, ObservedDistribution, Scenario
 
@@ -227,9 +231,13 @@ def build_constraint_system(
 
 @dataclass(frozen=True, eq=False)
 class MergedSystem:
-    """Identical-column groups of a constraint system."""
+    """Identical-column groups of a constraint system.
 
-    columns: tuple[tuple[tuple[int, int], ...], ...]
+    `columns` is one int64 array (distinct columns x rows): row j is distinct
+    column j of A, so ``columns.T`` is the engine's constraint matrix.
+    """
+
+    columns: np.ndarray
     min_costs: tuple[int, ...]
     max_costs: tuple[int, ...]
     min_reps: tuple[int, ...]  # smallest response type attaining the group's min cost
@@ -262,9 +270,8 @@ def merge_columns(system: ConstraintSystem) -> MergedSystem:
     referenced = system.estimand.referenced()  # (x,) or (x_prime, x)
     coef = {weight[level_of[label]][0]: c for label, c in zip(referenced, (1, -1))}
 
-    norm = ((2 * k_z * k_x, 1),)
     n_out = 1 << n_bits
-    columns, cmin, cmax, rmin, rmax = [], [], [], [], []
+    cells, cmin, cmax, rmin, rmax = [], [], [], [], []
     for e, assignment in enumerate(itertools.product(range(k_x), repeat=k_z)):
         read = [weight[x][z] for z, x in enumerate(assignment)]
         fixed = sorted(set(read), reverse=True)
@@ -281,13 +288,17 @@ def merge_columns(system: ConstraintSystem) -> MergedSystem:
         cmax += [v + hi_cost for v in costs]
         rmin += [v + lo_type for v in types]
         rmax += [v + hi_type for v in types]
-        rows = [2 * (z * k_x + x) for z, x in enumerate(assignment)]  # row of (z, x, 0)
-        cells = [((r, 1), (r + 1, 1)) for r in rows]
+        # Per value of the read bits, the cell row of each z: the row of
+        # (z, x_e(z), 0) plus the bit read there.
+        rows = [2 * (z * k_x + x) for z, x in enumerate(assignment)]
         read_bits = operator.itemgetter(*(fixed.index(w) for w in read))
         for bits in itertools.product((0, 1), repeat=len(fixed)):
-            columns.append(tuple(map(operator.getitem, cells, read_bits(bits))) + norm)
+            cells += map(operator.add, rows, read_bits(bits))
+    columns = np.zeros((len(cmin), 2 * k_z * k_x + 1), dtype=np.int64)
+    np.put_along_axis(columns, np.array(cells).reshape(-1, k_z), 1, axis=1)
+    columns[:, -1] = 1  # the normalization row
     return MergedSystem(
-        columns=tuple(columns),
+        columns=columns,
         min_costs=tuple(cmin),
         max_costs=tuple(cmax),
         min_reps=tuple(rmin),

@@ -166,7 +166,7 @@ def _adjacent_pairs(tight: np.ndarray, pos: np.ndarray, neg: np.ndarray, min_mee
     return kp, kn, tp[kp] * tn[kn]
 
 
-def _extreme_rays(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+def _extreme_rays(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Extreme rays of the pointed cone {v : row . v <= 0 for all rows}.
 
     Double description (Fukuda & Prodon 1996) in the lexicographic ("lexmin")
@@ -238,7 +238,7 @@ def _extreme_rays(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return [tuple(ray) for ray in rays.tolist()]
 
 
-def _dual_cones(system: ConstraintSystem) -> tuple[list, dict[str, list[tuple[int, ...]]]]:
+def _dual_cones(system: ConstraintSystem) -> tuple[list, dict[str, list[list[int]]]]:
     """The homogenized dual cone of each direction: (coordinates, rows by direction).
 
     Coordinates are the system's row keys except the pinned cells (see
@@ -249,26 +249,17 @@ def _dual_cones(system: ConstraintSystem) -> tuple[list, dict[str, list[tuple[in
     scenario: Scenario = system.scenario
     last = scenario.level_labels()[-1]
     pinned = {(z, last, 1) for z in scenario.instrument_levels}
-    coords = [key for key in system.row_keys if key not in pinned]
-    coord_of = {key: i for i, key in enumerate(coords)}
-    dim = len(coords) + 1
+    unpinned = [r for r, key in enumerate(system.row_keys) if key not in pinned]
+    coords = [system.row_keys[r] for r in unpinned]
     merged = merge_columns(system)
+    t_row = [0] * len(coords) + [-1]
     cones = {}
     for direction, sign, costs in (
         ("lower", 1, merged.min_costs),
         ("upper", -1, merged.max_costs),
     ):
-        rows: list[tuple[int, ...]] = []
-        for col, c in zip(merged.columns, costs):
-            row = [0] * dim
-            for r, coef in col:
-                key = system.row_keys[r]
-                if key not in pinned:
-                    row[coord_of[key]] += sign * coef
-            row[-1] -= sign * c
-            rows.append(tuple(row))
-        rows.append((0,) * (dim - 1) + (-1,))
-        cones[direction] = rows
+        rows = np.column_stack([sign * merged.columns[:, unpinned], [-sign * c for c in costs]])
+        cones[direction] = rows.tolist() + [t_row]
     return coords, cones
 
 

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -219,6 +220,23 @@ def test_infeasible_distribution_raises_with_checkable_certificate():
         assert sum(coef * pi[r] for r, coef in col) <= 0
 
 
+def test_slack_lp_appends_a_plus_and_minus_unit_column_per_cell_row():
+    # The slack pivots depend on this order: the structural columns, then
+    # +e_r and -e_r for each cell row r in row order, each slack at cost 1.
+    system = build_constraint_system(TWO_CLEAN)
+    solver = BoundsSolver(system)
+    solver.solve_b(system.rhs(INFEASIBLE_DIST), slack=True)
+    columns = merge_columns(system).columns.tolist()
+    costs = [0] * len(columns)
+    for r, key in enumerate(system.row_keys):
+        if key != "normalization":
+            for sign in (1, -1):
+                columns.append([sign if i == r else 0 for i in range(system.n_rows)])
+                costs.append(1)
+    assert solver._slack_lp.A.tolist() == [list(row) for row in zip(*columns)]
+    assert solver._slack_lp.costs == costs
+
+
 def test_slack_mode_recovers_bounds_with_warning_note():
     system = build_constraint_system(TWO_CLEAN)
     res = numeric_bounds(system, INFEASIBLE_DIST, slack=True)
@@ -253,7 +271,12 @@ def _assert_merge_equals_grouped_types(system):
     for j, col in enumerate(system.columns):
         groups.setdefault(col, []).append(j)
     merged = merge_columns(system)
-    assert merged.columns == tuple(groups)
+    dense = np.zeros((len(groups), system.n_rows), dtype=np.int64)
+    for g, col in enumerate(groups):
+        for r, coef in col:
+            dense[g, r] += coef
+    assert merged.columns.dtype == np.int64
+    assert np.array_equal(merged.columns, dense)
     for g, types in enumerate(groups.values()):
         costs = [system.objective[j] for j in types]
         assert merged.min_costs[g] == min(costs)
@@ -391,17 +414,13 @@ def _random_table(rng, scenario, incompatible):
 @pytest.mark.parametrize("seed", range(8))
 def test_exact_bounds_match_float_solver(seed):
     pytest.importorskip("scipy")
-    import numpy as np
     from scipy.optimize import linprog
 
     rng = random.Random(seed)
     scenario = _random_scenario(rng)
     system = build_constraint_system(scenario)
     merged = merge_columns(system)
-    A = np.zeros((system.n_rows, len(merged.columns)))
-    for j, col in enumerate(merged.columns):
-        for r, coef in col:
-            A[r, j] = coef
+    A = merged.columns.T
 
     def float_bounds(b):
         bf = [float(v) for v in b]

@@ -167,6 +167,26 @@ def test_from_probs_requires_unit_mass_per_stratum():
         )
 
 
+def test_from_probs_rejects_a_negative_cell():
+    # Each stratum sums to 1, so only the sign check can reject it.
+    probs = {
+        ("z0", "x", 0): Fraction(3, 2),
+        ("z0", "x", 1): Fraction(-1, 2),
+        ("z1", "x", 0): Fraction(1),
+    }
+    with pytest.raises(InputError, match="negative cell"):
+        ObservedDistribution.from_probs(("z0", "z1"), ("x",), probs)
+
+
+def test_from_probs_fills_absent_cells_with_zero():
+    dist = ObservedDistribution.from_probs(
+        ["z0", "z1"], ["x", "xp"], {("z0", "x", 1): 1, ("z1", "xp", 0): Fraction(1)}
+    )
+    assert dist.instrument_levels == ("z0", "z1") and dist.exposure_levels == ("x", "xp")
+    assert dist.probs[("z0", "xp", 0)] == 0 and dist.prob("z0", "x", 1) == 1
+    assert not dist.has_counts and dist.counts == {}
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(

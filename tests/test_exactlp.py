@@ -14,7 +14,6 @@ from coarseiv.exactlp import (
     ExactSimplex,
     Infeasible,
     _Vertex,
-    column_dot,
     independent_rows,
     integer_rhs,
     verify_farkas,
@@ -22,6 +21,11 @@ from coarseiv.exactlp import (
 
 
 _TRANSPORT_COLUMNS = [((0, 1),), ((0, 1), (1, 1)), ((1, 1),)]
+
+
+def _dot(col, vec):
+    """Dot product of a sparse column with a dense vector."""
+    return sum(coef * vec[r] for r, coef in col)
 
 
 def _dense(m, columns):
@@ -35,7 +39,7 @@ def _dense(m, columns):
 
 def _transport_lp():
     """min x0 + 2 x1 subject to x0 + x1 = b0, x1 + x2 = b1."""
-    return ExactSimplex(2, _TRANSPORT_COLUMNS, [1, 2, 0])
+    return ExactSimplex(_dense(2, _TRANSPORT_COLUMNS), [1, 2, 0])
 
 
 def test_simple_optimum_and_certificates():
@@ -61,7 +65,7 @@ def test_exact_fractions_survive():
 def test_infeasible_raises_with_verified_farkas():
     # x0 = b0 and x0 = b1 with b0 != b1 is infeasible.
     columns = [((0, 1), (1, 1))]
-    lp = ExactSimplex(2, columns, [0])
+    lp = ExactSimplex(_dense(2, columns), [0])
     b = [Fraction(1), Fraction(2)]
     with pytest.raises(Infeasible) as exc:
         lp.solve(b)
@@ -80,7 +84,7 @@ def test_resolve_b_matches_cold_solve():
 
 def test_resolve_b_detects_infeasibility():
     columns = [((0, 1), (1, 1))]
-    lp = ExactSimplex(2, columns, [0])
+    lp = ExactSimplex(_dense(2, columns), [0])
     lp.solve([Fraction(2), Fraction(2)])
     with pytest.raises(Infeasible) as exc:
         lp.resolve_b([Fraction(1), Fraction(2)])
@@ -101,7 +105,7 @@ def test_verify_farkas_matches_the_sparse_column_rule(coefs, b, pi):
     # pi . A_j <= 0 for every sparse column A_j, in Fractions.
     columns = [tuple((r, c) for r, c in enumerate(col) if c) for col in coefs]
     want = sum(p * v for p, v in zip(pi, b)) > 0 and all(
-        column_dot(col, pi) <= 0 for col in columns
+        _dot(col, pi) <= 0 for col in columns
     )
     assert verify_farkas(_dense(3, columns), b, pi) == want
     # Huge entries take the Python-int product and give the same answer.
@@ -143,7 +147,7 @@ _RANDOM_LP = st.builds(
 @given(_RANDOM_LP)
 def test_random_lp_duality_and_warm_restart(draw):
     columns, costs, b = _random_feasible_instance(draw)
-    lp = ExactSimplex(3, columns, costs)
+    lp = ExactSimplex(_dense(3, columns), costs)
     try:
         out = lp.solve(b)
     except RuntimeError:
@@ -167,7 +171,7 @@ def test_random_lp_duality_and_warm_restart(draw):
     except Infeasible as exc:
         assert verify_farkas(_dense(3, columns), b2, exc.farkas)
         return
-    cold = ExactSimplex(3, columns, costs).solve(b2)
+    cold = ExactSimplex(_dense(3, columns), costs).solve(b2)
     assert warm.value == cold.value
 
 
@@ -236,7 +240,8 @@ def _homocysteine_lp(costs="min"):
     system = build_constraint_system(scenario)
     merged = merge_columns(system)
     c = merged.min_costs if costs == "min" else [-v for v in merged.max_costs]
-    return system, dist, merged.columns, list(c)
+    columns = [tuple((r, v) for r, v in enumerate(col) if v) for col in merged.columns.tolist()]
+    return system, dist, columns, list(c)
 
 
 def _rhs_sequence(system, dist, seed, count=90):
@@ -292,10 +297,10 @@ def _check_certificates(columns, costs, b, scale, out):
 @pytest.mark.parametrize("side", ["min", "max"])
 def test_warm_resolves_from_recent_bases_match_cold_solves(side):
     system, dist, columns, costs = _homocysteine_lp(side)
-    lp = ExactSimplex(system.n_rows, columns, costs)
+    lp = ExactSimplex(_dense(system.n_rows, columns), costs)
     n_feasible = n_infeasible = 0
     for b, scale in _rhs_sequence(system, dist, seed=5):
-        cold_lp = ExactSimplex(system.n_rows, columns, costs)
+        cold_lp = ExactSimplex(_dense(system.n_rows, columns), costs)
         try:
             cold = cold_lp.solve([Fraction(v, scale) for v in b])
         except Infeasible:
@@ -313,18 +318,18 @@ def test_warm_resolves_from_recent_bases_match_cold_solves(side):
 
 def test_integer_and_rational_rhs_agree():
     system, dist, columns, costs = _homocysteine_lp()
-    lp = ExactSimplex(system.n_rows, columns, costs)
+    lp = ExactSimplex(_dense(system.n_rows, columns), costs)
     b = system.rhs(dist)
     b_int, scale = integer_rhs(b)
     assert [Fraction(v, scale) for v in b_int] == b
     assert lp.solve(b_int, scale=scale).value == ExactSimplex(
-        system.n_rows, columns, costs
+        _dense(system.n_rows, columns), costs
     ).solve(b).value
 
 
 def test_previously_seen_rhs_is_answered_without_pivots():
     system, dist, columns, costs = _homocysteine_lp()
-    lp = ExactSimplex(system.n_rows, columns, costs)
+    lp = ExactSimplex(_dense(system.n_rows, columns), costs)
     (b0, n0), (b1, n1) = _rhs_sequence(system, dist, seed=3, count=2)
     first = lp.solve(b0, scale=n0)
     lp.resolve_b(b1, scale=n1)
@@ -378,7 +383,7 @@ def _oracle_rhs_sequence(system, seed, count):
 def test_miss_starts_from_least_infeasible_recent_basis(monkeypatch):
     system, dist, columns, costs = _homocysteine_lp()
     m = system.n_rows
-    lp = ExactSimplex(m, columns, costs)
+    lp = ExactSimplex(_dense(m, columns), costs)
     (b0, n0), *rest = _oracle_rhs_sequence(system, seed=2, count=12)
     lp.solve(b0, scale=n0)
     for b, scale in rest[:-1]:
@@ -394,7 +399,7 @@ def test_miss_starts_from_least_infeasible_recent_basis(monkeypatch):
     starts = _record_dual_starts(monkeypatch)
     out = lp.resolve_b(b, scale=scale)
     assert starts == [(best.basis, best.d)]
-    cold = ExactSimplex(m, columns, costs).solve(b, scale=scale)
+    cold = ExactSimplex(_dense(m, columns), costs).solve(b, scale=scale)
     assert out.value == cold.value
     _check_certificates(columns, costs, b, scale, out)
 
@@ -403,7 +408,7 @@ def test_miss_starts_from_least_infeasible_recent_basis(monkeypatch):
 def test_far_apart_resolves_start_from_least_infeasible_basis(monkeypatch, side):
     system, dist, columns, costs = _homocysteine_lp(side)
     m = system.n_rows
-    lp = ExactSimplex(m, columns, costs)
+    lp = ExactSimplex(_dense(m, columns), costs)
     starts = _record_dual_starts(monkeypatch)
     n_pivoted = n_not_front = 0
     for k, (b, scale) in enumerate(_oracle_rhs_sequence(system, seed=13, count=60)):
@@ -419,7 +424,7 @@ def test_far_apart_resolves_start_from_least_infeasible_basis(monkeypatch, side)
             n_pivoted += out.pivots > 0
         else:
             assert not starts  # the first solve is cold
-        cold = ExactSimplex(m, columns, costs).solve(b, scale=scale)
+        cold = ExactSimplex(_dense(m, columns), costs).solve(b, scale=scale)
         assert out.value == cold.value
         _check_certificates(columns, costs, b, scale, out)
     assert n_pivoted >= 20 and n_not_front >= 5
@@ -427,7 +432,7 @@ def test_far_apart_resolves_start_from_least_infeasible_basis(monkeypatch, side)
 
 def test_repeated_rhs_moves_its_basis_to_the_front_without_a_copy():
     system, dist, columns, costs = _homocysteine_lp()
-    lp = ExactSimplex(system.n_rows, columns, costs)
+    lp = ExactSimplex(_dense(system.n_rows, columns), costs)
     rhs = _oracle_rhs_sequence(system, seed=4, count=10)
     values = {0: lp.solve(*rhs[0]).value}
     n_repeats = 0
@@ -454,7 +459,7 @@ def test_redundant_row_inconsistency_raises_on_a_warm_resolve(monkeypatch, b2):
     # every other row and the inert-row check raises after zero pivots; at
     # b2 = 1 the inert row's level is negative and the dual ratio test raises.
     columns = [((0, 1), (2, 1)), ((0, 1), (2, 1)), ((1, 1), (2, 1)), ((1, 1), (2, 1))]
-    lp = ExactSimplex(3, columns, [1, 2, 3, 1])
+    lp = ExactSimplex(_dense(3, columns), [1, 2, 3, 1])
     for b in ([1, 1, 2], [0, 2, 2], [2, 0, 2], [1, 1, 2]):
         assert lp.resolve_b(b, scale=1).value == b[0] + b[1]
     starts = _record_dual_starts(monkeypatch)
@@ -473,16 +478,16 @@ def test_upper_solve_from_lower_phase1_basis_matches_cold_solve():
     m = system.n_rows
     n_started = 0
     for b, scale in _rhs_sequence(system, dist, seed=7, count=30):
-        lo = ExactSimplex(m, columns, lower)
+        lo = ExactSimplex(_dense(m, columns), lower)
         try:
             lo.solve(b, scale=scale)
         except Infeasible:
             continue
         start_M = lo.phase1.M.copy()
-        cold = ExactSimplex(m, columns, upper).solve(b, scale=scale)
+        cold = ExactSimplex(_dense(m, columns), upper).solve(b, scale=scale)
         # With zero costs phase 2 has nothing to improve: this counts phase 1 alone.
-        phase1 = ExactSimplex(m, columns, [0] * len(columns)).solve(b, scale=scale).pivots
-        started = ExactSimplex(m, columns, upper).solve(b, scale=scale, start=lo.phase1)
+        phase1 = ExactSimplex(_dense(m, columns), [0] * len(columns)).solve(b, scale=scale).pivots
+        started = ExactSimplex(_dense(m, columns), upper).solve(b, scale=scale, start=lo.phase1)
         assert started.value == cold.value
         assert started.basis == cold.basis
         assert phase1 > 0 and started.pivots == cold.pivots - phase1
@@ -502,10 +507,10 @@ def test_upper_solve_from_lower_phase1_basis_matches_cold_solve():
     ],
 )
 def test_start_not_primal_feasible_for_b_raises(columns, b0, b1):
-    lp = ExactSimplex(2, columns, [0] * len(columns))
+    lp = ExactSimplex(_dense(2, columns), [0] * len(columns))
     lp.solve(b0, scale=1)
     with pytest.raises(RuntimeError, match="not primal feasible"):
-        ExactSimplex(2, columns, [1] * len(columns)).solve(b1, scale=1, start=lp.phase1)
+        ExactSimplex(_dense(2, columns), [1] * len(columns)).solve(b1, scale=1, start=lp.phase1)
 
 
 def _fraction_rank(rows):
@@ -600,7 +605,7 @@ class _ColumnLoopSimplex(ExactSimplex):
     """
 
     def __init__(self, n_rows, columns, costs):
-        super().__init__(n_rows, columns, costs)
+        super().__init__(_dense(n_rows, columns), costs)
         self.columns = [tuple(col) for col in columns]
 
     def _lists(self):
@@ -633,7 +638,7 @@ class _ColumnLoopSimplex(ExactSimplex):
             if self._basis[row] < self.n:
                 continue
             for j, col in enumerate(self.columns):
-                if column_dot(col, M[row]):
+                if _dot(col, M[row]):
                     self._pivot_on(M, xt, row, j)
                     break
         self._store(M, xt)
@@ -649,7 +654,7 @@ class _ColumnLoopSimplex(ExactSimplex):
             enter = -1
             best = 0
             for j in range(self.n):
-                num = d * costs[j] - column_dot(self.columns[j], y)
+                num = d * costs[j] - _dot(self.columns[j], y)
                 if num < best:
                     best, enter = num, j
                     if bland:
@@ -703,10 +708,10 @@ class _ColumnLoopSimplex(ExactSimplex):
             enter = -1
             en = ea = 0
             for j, col in enumerate(self.columns):
-                alpha = column_dot(col, Mr)
+                alpha = _dot(col, Mr)
                 if alpha >= 0:
                     continue
-                num = d * self.costs[j] - column_dot(col, y)
+                num = d * self.costs[j] - _dot(col, y)
                 if enter < 0 or num * ea < en * (-alpha):
                     enter, en, ea = j, num, -alpha
             if enter < 0:
@@ -760,7 +765,7 @@ def test_dense_pricing_takes_the_column_loops_pivots(limit, draw):
     rhs = _random_rhs_sequence(draw)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exactlp, "_DEGENERATE_LIMIT", limit)
-        got = _trace(ExactSimplex(3, columns, costs), rhs)
+        got = _trace(ExactSimplex(_dense(3, columns), costs), rhs)
         want = _trace(_ColumnLoopSimplex(3, columns, costs), rhs)
     assert got == want
 
@@ -773,7 +778,7 @@ def test_dense_pricing_takes_the_column_loops_pivots_on_homocysteine(
     system, dist, columns, costs = _homocysteine_lp(side)
     rhs = _rhs_sequence(system, dist, seed=11, count=30)
     monkeypatch.setattr(exactlp, "_DEGENERATE_LIMIT", limit)
-    got = _trace(ExactSimplex(system.n_rows, columns, costs), rhs)
+    got = _trace(ExactSimplex(_dense(system.n_rows, columns), costs), rhs)
     assert got == _trace(_ColumnLoopSimplex(system.n_rows, columns, costs), rhs)
     assert sum(isinstance(t[0], tuple) and t[1] > 0 for t in got[1:]) >= 5
 
@@ -789,16 +794,16 @@ def _scaled_trace(trace, factor):
 def test_huge_costs_price_exactly_through_python_ints(draw):
     columns, costs, _ = _random_feasible_instance(draw)
     rhs = _random_rhs_sequence(draw)
-    big = ExactSimplex(3, columns, [c * 2**70 for c in costs])
+    big = ExactSimplex(_dense(3, columns), [c * 2**70 for c in costs])
     assert (big._dense.dtype == object) == any(costs)
-    assert _trace(big, rhs) == _scaled_trace(_trace(ExactSimplex(3, columns, costs), rhs), 2**70)
+    assert _trace(big, rhs) == _scaled_trace(_trace(ExactSimplex(_dense(3, columns), costs), rhs), 2**70)
 
 
 def test_huge_costs_on_homocysteine_keep_bases_and_pivots():
     system, dist, columns, costs = _homocysteine_lp()
     rhs = _rhs_sequence(system, dist, seed=11, count=12)
-    small = ExactSimplex(system.n_rows, columns, costs)
-    big = ExactSimplex(system.n_rows, columns, [c * 2**70 for c in costs])
+    small = ExactSimplex(_dense(system.n_rows, columns), costs)
+    big = ExactSimplex(_dense(system.n_rows, columns), [c * 2**70 for c in costs])
     assert small._dense.dtype == np.int64 and big._dense.dtype == object
     want = _scaled_trace(_trace(small, rhs), 2**70)
     assert _trace(big, rhs) == want
@@ -808,9 +813,9 @@ def test_huge_costs_on_homocysteine_keep_bases_and_pivots():
 _WIDE = 2**40
 
 
-def _widened(columns, costs):
-    """Every column entry and every cost times 2**40."""
-    return [tuple((r, c * _WIDE) for r, c in col) for col in columns], [c * _WIDE for c in costs]
+def _widened(m, columns, costs):
+    """The dense matrix of the columns and the costs, every entry times 2**40."""
+    return _dense(m, columns) * _WIDE, [c * _WIDE for c in costs]
 
 
 def _up_to_scale(trace):
@@ -838,9 +843,9 @@ def test_widened_columns_pivot_through_python_ints(draw):
     kept, _, _ = independent_rows([[coefs[r] for coefs in draw["coefs"]] for r in range(3)])
     assume(len(kept) == 3)
     rhs = _random_rhs_sequence(draw)
-    wide = ExactSimplex(3, *_widened(columns, costs))
+    wide = ExactSimplex(*_widened(3, columns, costs))
     got = _trace(wide, rhs)
-    assert _up_to_scale(got) == _up_to_scale(_trace(ExactSimplex(3, columns, costs), rhs))
+    assert _up_to_scale(got) == _up_to_scale(_trace(ExactSimplex(_dense(3, columns), costs), rhs))
     for vx in wide._recent:
         if sum(var < wide.n for var in vx.basis) >= 2:
             assert vx.M.dtype == object and exactlp._bits(vx.M) > exactlp._INT64_BITS
@@ -849,8 +854,8 @@ def test_widened_columns_pivot_through_python_ints(draw):
 def test_widened_columns_on_homocysteine_keep_bases_and_pivots():
     system, dist, columns, costs = _homocysteine_lp()
     rhs = _rhs_sequence(system, dist, seed=11, count=12)
-    small = ExactSimplex(system.n_rows, columns, costs)
-    wide = ExactSimplex(system.n_rows, *_widened(columns, costs))
+    small = ExactSimplex(_dense(system.n_rows, columns), costs)
+    wide = ExactSimplex(*_widened(system.n_rows, columns, costs))
     want = _trace(small, rhs)
     assert _up_to_scale(_trace(wide, rhs)) == _up_to_scale(want)
     assert any(isinstance(t[0], tuple) and t[1] > 0 for t in want[1:])
@@ -866,7 +871,7 @@ def test_pivot_leaves_int64_exactly_where_it_would_wrap(sign, w_bits):
     # run in Python ints.  The result matches the list pivot either way.
     top, wr = 2**31 - 1, sign * (2**w_bits - 1)
     M, xt, w = [[top, top], [top, top]], [top, top], [wr, -wr]
-    lp = ExactSimplex(2, [((0, 1),), ((1, 1),)], [0, 0])
+    lp = ExactSimplex(np.eye(2, dtype=np.int64), [0, 0])
     lp._basis, lp._d = [2, 3], 1
     lp._load(np.array(M), np.array(xt))
     lp._pivot(0, 0, np.array(w))
@@ -882,15 +887,22 @@ def test_pivot_leaves_int64_exactly_where_it_would_wrap(sign, w_bits):
 
 
 def test_zero_column_lp():
-    lp = ExactSimplex(2, [], [])
+    empty = np.zeros((2, 0), dtype=np.int64)
+    lp = ExactSimplex(empty, [])
     assert lp.solve([0, 0], scale=1).value == 0
     assert lp.resolve_b([0, 0], scale=1).value == 0
     for b in ([1, 0], [0, 3]):
         with pytest.raises(Infeasible) as exc:
-            ExactSimplex(2, [], []).solve(b, scale=1)
-        assert verify_farkas(_dense(2, []), b, exc.value.farkas)
+            ExactSimplex(empty, []).solve(b, scale=1)
+        assert verify_farkas(empty, b, exc.value.farkas)
 
 
 def test_no_rows_is_rejected():
     with pytest.raises(ValueError, match="row"):
-        ExactSimplex(0, [], [])
+        ExactSimplex(np.zeros((0, 0), dtype=np.int64), [])
+
+
+@pytest.mark.parametrize("costs", [[1, 2], [1, 2, 0, 3]])
+def test_one_cost_per_column_is_required(costs):
+    with pytest.raises(ValueError, match="one cost per column"):
+        ExactSimplex(_dense(2, _TRANSPORT_COLUMNS), costs)

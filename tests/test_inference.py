@@ -425,13 +425,11 @@ def test_the_screen_never_answers_a_table_with_a_nonzero_inert_row():
     vx = probe.solve_b(B[0].tolist(), slack=True, scale=scale).lp_optima[0][0].vertex
     columns = probe.merged.columns
     n = len(columns)
+    units = np.eye(engine.system.n_rows, dtype=np.int64)
     # The sum of the basic columns, artificial ones (unit vectors) included:
     # every level is d, so the basis is primal feasible but for its inert
     # rows, which a consistent b would hold at zero.
-    crafted = [0] * engine.system.n_rows
-    for var in vx.basis:
-        for r, coef in columns[var] if var < n else ((var - n, 1),):
-            crafted[r] += coef
+    crafted = sum(columns[var] if var < n else units[var - n] for var in vx.basis).tolist()
     assert [sum(map(mul, row, crafted)) for row in vx.M] == [vx.d] * len(vx.M)
     assert any(var >= n for var in vx.basis)
     fits, _ = probe._lo.screen(vx, np.array([crafted]), sum(crafted).bit_length())

@@ -1,5 +1,7 @@
-"""The CI workflow runs the tier-1 command with the declared dependencies."""
+"""The CI workflow runs the tier-1 command with the declared dependencies
+and a traced pass of every benchmark workload."""
 
+import json
 import re
 import shlex
 from pathlib import Path
@@ -69,3 +71,15 @@ def test_floor_job_pins_exactly_the_declared_floors():
     # Each runtime dependency only at its floor; the test tools as declared.
     specs = {spec for spec in _install(job) if "=" in spec}
     assert specs == pinned | set(_toml_array(pyproject, "test"))
+
+
+def test_tier1_job_traces_every_benchmark_workload():
+    # A traced pass checks traced against untraced outputs and that the
+    # spans a workload exists to exercise fire.
+    workloads = {w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]}
+    traced = set()
+    for step in _jobs()["tier1"]["steps"]:
+        argv = shlex.split(step.get("run", ""))
+        if "perfbench/run.py" in argv and argv[argv.index("--trace") + 1] == "1":
+            traced.add(argv[argv.index("--workload") + 1])
+    assert workloads and workloads <= traced

@@ -55,6 +55,10 @@ TRANSCRIPTION_NOTE = (
     "the exact linear program."
 )
 
+# Most pending right-hand sides `BoundsSolver.solve_batch` resolves in one
+# lockstep round (`ExactSimplex.resolve_many`).
+_ROUND_CAP = 64
+
 
 class InfeasibleDistribution(RuntimeError):
     """Observed distribution violates the scenario's implied constraints.
@@ -135,9 +139,13 @@ class BoundsSolver:
 
     The bootstrap knows all its right-hand sides up front and calls
     :meth:`solve_batch` once.  A bound's value is the unique LP optimum
-    whatever basis attains it, so each optimal basis found is screened
-    against every pending right-hand side in one integer product, and
-    answers all those it is primal feasible for; only the rest are solved.
+    whatever basis attains it, so each new optimal basis is screened
+    against every pending right-hand side in one exact product, and answers
+    all those it is primal feasible for.  The rest are solved in rounds of
+    1, 2, 4, ... up to ``_ROUND_CAP`` right-hand sides: a round of one warm
+    by `resolve_b`, a larger round by the lockstep dual simplex
+    (`ExactSimplex.resolve_many`), each right-hand side starting from the
+    least infeasible basis screened against it.
     """
 
     def __init__(self, system: ConstraintSystem):
@@ -254,11 +262,16 @@ class BoundsSolver:
         Returns (lowers, uppers, rescued), one entry per row: the bounds
         ``solve_b(row, slack=True, scale=scale)`` gives, and whether it
         applied the slack projection.  Row 0 goes through `solve_b`.  Then,
-        one side at a time, the optimal basis of each solve is screened
-        against every pending row at once (`ExactSimplex.screen`), which
-        answers each row it is primal feasible for, and the first row still
-        pending is resolved warm.  A row whose lower LP is infeasible takes
-        the slack path once and leaves both sides.
+        one side at a time, each new optimal basis is screened against every
+        pending row at once (`ExactSimplex.screen`), which answers each row
+        it is primal feasible for and records, for the others, how
+        infeasible it is there.  The rows still pending are resolved in
+        rounds of 1, 2, 4, ... up to ``_ROUND_CAP`` rows, first pending
+        first: a round of one by `ExactSimplex.resolve_b`, a larger one by
+        `ExactSimplex.resolve_many`, each row starting from the least
+        infeasible basis screened against it (ties to the later one).  A row
+        whose lower LP is infeasible takes the slack path once, through
+        `resolve_b`, and leaves both sides.
         """
         R = len(B)
         if (B < 0).any():
@@ -268,35 +281,62 @@ class BoundsSolver:
         values: tuple[list, list] = ([None] * R, [None] * R)
         rescued = [False] * R
         pending = [np.arange(1, R), np.arange(1, R)]
+        # Per side and row: the least infeasible basis screened against the
+        # row while it was pending, and its shortfall there.
+        starts = (np.full(R, None), np.full(R, None))
+        shortfall = (np.full(R, np.inf), np.full(R, np.inf))
 
-        def settle(side: int, i: int, value: Fraction, vx) -> None:
-            # Row i is solved; answer every pending row the basis fits.
-            values[side][i] = value
+        def screen(side: int, vx) -> None:
+            # Answer every pending row the optimal basis `vx` fits, and make
+            # it the start of each other row it is the least infeasible for.
             todo = pending[side]
-            fits, nums = sides[side].screen(vx, B[todo], b_bits)
+            if not todo.size:
+                return
+            fits, nums, short = sides[side].screen(vx, B[todo], b_bits)
             denom = (vx.d if side == 0 else -vx.d) * scale
             for j, num in zip(todo[fits].tolist(), nums.tolist()):
                 values[side][j] = Fraction(num, denom)
-            pending[side] = todo[~fits]
+            starts[side][todo[fits]] = None
+            todo, short = todo[~fits], short[~fits]
+            closer = short <= shortfall[side][todo]
+            shortfall[side][todo[closer]] = short[closer]
+            starts[side][todo[closer]] = vx
+            pending[side] = todo
 
         first = self.solve_b(B[0].tolist(), slack=True, scale=scale)
         rescued[0] = "slack_total" in first.diagnostics
         for side, value in enumerate(first.interval):
-            settle(side, 0, value, first.lp_optima[side][0].vertex)
+            values[side][0] = value
+            screen(side, first.lp_optima[side][0].vertex)
         for side, lp in enumerate(sides):
+            size = 1
             while pending[side].size:
-                i = int(pending[side][0])
-                pending[side] = pending[side][1:]
-                b = B[i].tolist()
-                try:
-                    out = lp.resolve_b(b, scale)
-                except Infeasible as exc:
-                    res = self._rescue(b, scale, exc, slack=True)
-                    values[0][i], values[1][i], rescued[i] = res.lower, res.upper, True
-                    other = pending[1 - side]
-                    pending[1 - side] = other[other != i]
-                    continue
-                settle(side, i, out.value if side == 0 else -out.value, out.vertex)
+                rows, pending[side] = pending[side][:size], pending[side][size:]
+                if size == 1:
+                    outs = [None]
+                else:
+                    outs = lp.resolve_many(starts[side][rows].tolist(), B[rows], scale)
+                starts[side][rows] = None
+                size = min(2 * size, _ROUND_CAP)
+                # Tables of one round can reach the same optimal basis; one
+                # screen of it is enough.
+                new_bases = set()
+                for i, out in zip(rows.tolist(), outs):
+                    if out is None:
+                        b = B[i].tolist()
+                        try:
+                            out = lp.resolve_b(b, scale)
+                        except Infeasible as exc:
+                            res = self._rescue(b, scale, exc, slack=True)
+                            values[0][i], values[1][i], rescued[i] = res.lower, res.upper, True
+                            other = pending[1 - side]
+                            pending[1 - side] = other[other != i]
+                            starts[1 - side][i] = None
+                            continue
+                    values[side][i] = out.value if side == 0 else -out.value
+                    if out.basis not in new_bases:
+                        new_bases.add(out.basis)
+                        screen(side, out.vertex)
         lowers, uppers = values
         if any(map(gt, lowers, uppers)):
             raise AssertionError("LP returned crossed bounds")

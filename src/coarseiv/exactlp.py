@@ -18,14 +18,22 @@ direction is w = M . A_j.
 The state is one integer array T = [M | xt]: M with its levels xt = M.b~
 as a last column.  A pivot is one fraction-free rank-1 update
 T' = (w_r T - w T_r) / d (Bareiss), whose division is exact; numpy's //
-floors as Python's does.  Every product and update is exact: it runs in int64
-when bit lengths rule out a partial sum of 2**63 or more, and in Python ints
-(dtype=object) otherwise.  A product needs bit_length(max |left|) plus the
-bit length of the largest column L1 norm on the right to be at most 62; a
-pivot needs bit_length(max |w|) + bit_length(max |T|) <= 62.  The solver
-carries bit_length(max |T|) from one pivot to the next.  Numbers leave as
-Python ints: the levels, value, solution and dual of an `LpOutcome`, and
-Farkas vectors.
+floors as Python's does.  Every product and update is exact, by bit lengths
+that bound every partial sum.  A product (`_exact_product`) has three tiers,
+picked by `bits` = bit_length(max |left|) plus the bit length of the largest
+column L1 norm on the right:
+
+* float64, through BLAS, for a product of two matrices when bits <= 53:
+  every partial sum is an integer below 2**53, so exact in any summation
+  order;
+* int64 when bits <= 62, and for every product with a vector side, where
+  converting to float64 costs more than it saves;
+* Python ints (dtype=object) beyond.
+
+A pivot runs in int64 when bit_length(max |w|) + bit_length(max |T|) <= 62
+and in Python ints otherwise.  The solver carries bit_length(max |T|) from
+one pivot to the next.  Numbers leave as Python ints: the levels, value,
+solution and dual of an `LpOutcome`, and Farkas vectors.
 
 Warm starts are first-class.  `resolve_b` handles a change of b only
 (bootstrap replicates, distribution sweeps).  It keeps the ``_NEAREST`` most
@@ -37,10 +45,16 @@ optimal after zero pivots.  Phase 1 ignores c, so a cold solve keeps its
 post-phase-1 basis (`phase1`) and a solver with other costs over the same
 columns can start phase 2 from it (lower/upper bound pairs).
 
-`screen` serves many right-hand sides known up front (a bootstrap batch): it
-tests one optimal basis against all of them in one product [M; c_B.M].B^T,
-exact by the same `_exact_product` as the pricing, and returns the ones the
-basis is optimal for with their values.
+Two methods serve many right-hand sides known up front (a bootstrap batch).
+`screen` tests one optimal basis against all of them in one product
+[M; c_B.M].B^T and returns the ones the basis is optimal for, with their
+values, and how far it is from feasible for each of the others.
+`resolve_many` runs the dual simplex for many right-hand sides in lockstep,
+each from its own start basis, with `resolve_b`'s pivot rules: one state
+array of shape (K, m, m + 1), one product per step for all pivot rows and
+reduced costs, one for the directions, and one broadcast Bareiss update,
+divided in float64 where the quotient is exact.  `resolve_b` stays on the
+scalar loop, which is cheaper for one right-hand side.
 
 An `LpOutcome` carries the optimal value as one Fraction; the primal solution
 and the dual vector are built from the optimal basis on first access.
@@ -76,6 +90,11 @@ _NEAREST = 4
 # and a pivot has |w_r t - w_i t_r| < 2**63 when
 # bit_length(max |w|) + bit_length(max |t|) <= 62.
 _INT64_BITS = 62
+# Bit budget of exact float64 arithmetic: every integer below 2**53 is a
+# float64, and so is every partial sum of a product within this budget.
+_FLOAT64_BITS = 53
+# Right-hand sides per product in `ExactSimplex.screen`.
+_SCREEN_ROWS = 512
 
 
 class Infeasible(Exception):
@@ -219,12 +238,34 @@ def _bits(a: np.ndarray) -> int:
 
 
 def _exact_product(left: np.ndarray, right: np.ndarray, bits: int) -> np.ndarray:
-    # left @ right, exact: int64 when `bits` <= _INT64_BITS, where `bits` is
-    # at least bit_length(max |left|) plus the bit length of the L1 norm of
-    # every column of `right`; Python ints (dtype=object) otherwise.
+    # left @ right, exact, where `bits` is at least bit_length(max |left|)
+    # plus the bit length of the L1 norm of every column of `right`, so every
+    # partial sum is an integer below 2**bits.  Two matrices multiply in
+    # float64 through BLAS when `bits` <= 53, where every partial sum is
+    # exact in any summation order, and come back as int64.  Otherwise, and
+    # whenever a side is a vector (or a stack of vectors), the product runs
+    # in int64 when `bits` <= _INT64_BITS and in Python ints (dtype=object)
+    # beyond.
+    matrices = left.ndim > 1 and right.ndim > 1 and left.shape[-2] > 1 and right.shape[-1] > 1
+    if bits <= _FLOAT64_BITS and matrices:
+        return (left.astype(np.float64) @ right.astype(np.float64)).astype(np.int64)
     if bits <= _INT64_BITS:
         return left.astype(np.int64, copy=False) @ right.astype(np.int64, copy=False)
     return left.astype(object) @ right.astype(object, copy=False)
+
+
+def _min_ratio(candidates: np.ndarray, alpha: np.ndarray, rc: np.ndarray) -> tuple[int, int]:
+    # The dual ratio test over `candidates` (ascending columns with
+    # alpha_j < 0): the first j minimising rc_j / -alpha_j, compared exactly
+    # by cross-multiplication, and its rc_j.
+    enter = -1
+    en = ea = 0  # reduced-cost numerator and |alpha| of current best
+    for j, a, num in zip(
+        candidates.tolist(), alpha[candidates].tolist(), rc[candidates].tolist()
+    ):
+        if enter < 0 or num * ea < en * -a:
+            enter, en, ea = j, num, -a
+    return enter, en
 
 
 def _dtype(bits: int) -> type:
@@ -333,6 +374,133 @@ class ExactSimplex:
         self._check_inert_rows()
         return self._remember(vx)
 
+    def resolve_many(
+        self, starts: Sequence[_Vertex], B: np.ndarray, scale: int
+    ) -> list[LpOutcome | None]:
+        """Warm solves at the rows of B, in lockstep, each from its own start.
+
+        Row k of B is a right-hand side b~ >= 0 over `scale`, and starts[k]
+        an optimal basis of this solver, so dual feasible for every b~.  Each
+        table takes the dual simplex pivots `resolve_b` takes from the same
+        start: the most negative level leaves (the first row on ties), the
+        entering column comes from the full dual ratio test (the first column
+        on ties), and after ``_DEGENERATE_LIMIT`` degenerate pivots in a row
+        the leaving row is the one with the smallest basic variable id.
+
+        The state is T = [M | xt] of every unfinished table, shape
+        (K, m, m + 1), with d of shape (K,) and the basis of shape (K, m).
+        A step makes one product [M_r | 0; -y | d].[A; c] for the pivot
+        rows and the reduced costs of all tables (y = c_B.M, itself one
+        stacked product), one stacked product for the directions
+        w = M.A_j, and one broadcast Bareiss update, divided in float64 when
+        bits(max |w|) + bits(max |T|) <= 52, where the quotient is exact.
+        When the reduced costs and pivot rows are exact float64s, the ratio
+        test is a float64 minimum, whose ties hold every exact minimiser;
+        a table with several ties settles them by cross-multiplication.
+
+        Returns one outcome per row, or None where b~ is infeasible (a
+        negative level with no entering column, or a nonzero inert row at
+        the end); `resolve_b` gives such a row its Farkas certificate.  The
+        solver's own state, its recent bases included, is left alone.
+        """
+        K, m, n = len(B), self.m, self.n
+        out: list[LpOutcome | None] = [None] * K
+        if not K:
+            return out
+        Ms = np.stack([vx.M for vx in starts])
+        b_bits = int(B.sum(axis=1, dtype=object).max()).bit_length()
+        T = np.concatenate([Ms, _exact_product(Ms, B[:, :, None], _bits(Ms) + b_bits)], axis=2)
+        del Ms
+        basis = np.array([vx.basis for vx in starts], dtype=np.int64)
+        ds = [vx.d for vx in starts]
+        d = np.array(ds, dtype=_dtype(max(ds).bit_length()))
+        live = np.arange(K)  # row of B of each unfinished table
+        stall = np.zeros(K, dtype=np.int64)
+        bland = np.zeros(K, dtype=bool)
+        step = 0
+        while True:
+            xt = T[:, :, -1]
+            negative = xt < 0
+            done = ~negative.any(axis=1)
+            for k in np.flatnonzero(done).tolist():
+                levels = xt[k].tolist()
+                vx = _Vertex(tuple(basis[k].tolist()), T[k, :, :-1].copy(), int(d[k]))
+                if not any(x for x, var in zip(levels, vx.basis) if var >= n):
+                    out[live[k]] = self._outcome(vx, levels, step, scale)
+            keep = ~done
+            if not keep.all():
+                T, basis, d, live, stall, bland, negative = (
+                    a[keep] for a in (T, basis, d, live, stall, bland, negative)
+                )
+            if not len(T):
+                return out
+            step += 1
+            if step > _MAX_PIVOTS:
+                raise RuntimeError("pivot limit exceeded")
+            rows = np.where(
+                bland,
+                np.argmin(np.where(negative, basis, n + m), axis=1),
+                np.argmin(T[:, :, -1], axis=1),
+            )
+            at = np.arange(len(T))
+            t_bits = _bits(T)
+            M = T[:, :, :-1]
+            y = _exact_product(self._c[basis][:, None, :], M, t_bits + self._c_bits)[:, 0]
+            V = np.concatenate([T[at, rows], np.column_stack([-y, d])])
+            V[: len(T), -1] = 0
+            p_bits = max(t_bits + self._c_bits, _bits(d)) + self._norm_bits
+            P = _exact_product(V, self._dense, p_bits)
+            alpha, rc = P[: len(T)], P[len(T):]
+            candidates = alpha < 0
+            stuck = ~candidates.any(axis=1)
+            if stuck.any():  # no entering column: infeasible
+                keep = ~stuck
+                T, basis, d, live, stall, bland, rows, alpha, rc, candidates = (
+                    a[keep]
+                    for a in (T, basis, d, live, stall, bland, rows, alpha, rc, candidates)
+                )
+                if not len(T):
+                    return out
+                at, M = np.arange(len(T)), T[:, :, :-1]
+            if p_bits <= _FLOAT64_BITS:
+                ratio = np.divide(rc, -alpha, out=np.full(alpha.shape, np.inf), where=candidates)
+                least = ratio.min(axis=1)
+                candidates = ratio == least[:, None]
+                enter = candidates.argmax(axis=1)
+                # A least ratio of 0 is exact (rc_j = 0) for every tie.
+                exact = np.flatnonzero((least > 0) & (np.count_nonzero(candidates, axis=1) > 1))
+            else:
+                enter = np.zeros(len(T), dtype=np.int64)
+                exact = at
+            for k in exact.tolist():
+                enter[k] = _min_ratio(np.flatnonzero(candidates[k]), alpha[k], rc[k])[0]
+            degenerate = rc[at, enter] == 0
+            w = _exact_product(M, self.A[:, enter].T[:, :, None], t_bits + self._l1_bits)[:, :, 0]
+            wr = w[at, rows]
+            if not wr.all():
+                raise RuntimeError("zero pivot")
+            flip = wr < 0
+            Tr = T[at, rows]
+            Tr[flip] = -Tr[flip]
+            wr[flip] = -wr[flip]
+            w_bits = _bits(w) + t_bits
+            dtype = _dtype(w_bits)
+            T = T.astype(dtype, copy=False)  # the kernel's own array: updated in place
+            T *= wr.astype(dtype)[:, None, None]
+            T -= w.astype(dtype)[:, :, None] * Tr.astype(dtype)[:, None, :]
+            if w_bits < _FLOAT64_BITS:
+                # Every |w_r t - w_i t_r| is below 2**53, so the float64
+                # quotient is the exact one: twice as fast as int64 // by a
+                # divisor per table.
+                np.copyto(T, T / d[:, None, None], casting="unsafe")
+            else:
+                T //= d.astype(dtype)[:, None, None]
+            T[at, rows] = Tr
+            d = wr
+            basis[at, rows] = enter
+            stall = np.where(degenerate, stall + 1, 0)
+            bland = degenerate & (bland | (stall >= _DEGENERATE_LIMIT))
+
     # -- internals -----------------------------------------------------------
 
     def _load_b(self, b: Sequence, scale: int | None) -> None:
@@ -379,42 +547,52 @@ class ExactSimplex:
             vx = _Vertex(tuple(self._basis), self._T[:, :-1], self._d)
         self._recent.insert(0, vx)
         del self._recent[_NEAREST:]
-        return self._outcome(vx)
+        return self._outcome(vx, self._T[:, -1].tolist(), self._pivots, self._N)
 
-    def _outcome(self, vx: _Vertex) -> LpOutcome:
+    def _outcome(self, vx: _Vertex, levels: list[int], pivots: int, scale: int) -> LpOutcome:
         costs, n = self.costs, self.n
-        levels = self._T[:, -1].tolist()
         total = sum(costs[var] * x for var, x in zip(vx.basis, levels) if var < n)
         return LpOutcome(
-            value=Fraction(total, vx.d * self._N),
-            pivots=self._pivots,
+            value=Fraction(total, vx.d * scale),
+            pivots=pivots,
             vertex=vx,
             levels=levels,
-            scale=self._N,
+            scale=scale,
             costs=self._c,
             n=n,
         )
 
     def screen(
         self, vx: _Vertex, B: np.ndarray, b_bits: int
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The rows of B at which the optimal basis `vx` is optimal as it stands.
 
         Each row of B is a right-hand side b~ >= 0, and `b_bits` is at least
         the bit length of every row's L1 norm.  The costs have not changed
         since `vx` was optimal, so it is optimal for every b~ it is primal
         feasible for: M.b~ >= 0 with every inert row at zero.  Returns that
-        mask over the rows and, for the rows it selects, y.b~ with
-        y = c_B.M, the optimal value times d * N.  One product computes
-        [M; y].B^T, exact by `_exact_product` as in the pricing.
+        mask over the rows; for the rows it selects, y.b~ with y = c_B.M,
+        the optimal value times d * N; and for every row the basis's
+        shortfall, the sum of its negative levels over d (a float64, so
+        only a guide for choosing a dual simplex start).  The product
+        [M; y].B^T, exact by `_exact_product`, runs in blocks of
+        ``_SCREEN_ROWS`` rows of B, which bounds its temporaries.
         """
         y = _exact_product(self._c[list(vx.basis)], vx.M, _bits(vx.M) + self._c_bits)
         V = np.vstack([vx.M, y])
-        P = _exact_product(V, B.T, _bits(V) + b_bits)
-        levels = P[:-1]
+        bits = _bits(V) + b_bits
         inert = [i for i, var in enumerate(vx.basis) if var >= self.n]
-        fits = (levels >= 0).all(axis=0) & (levels[inert] == 0).all(axis=0)
-        return fits, P[-1, fits]
+        dtype = _dtype(bits + self.m.bit_length())
+        fits, nums, short = [], [], []
+        for top in range(0, max(len(B), 1), _SCREEN_ROWS):
+            P = _exact_product(V, B[top : top + _SCREEN_ROWS].T, bits)
+            levels = P[:-1]
+            ok = (levels >= 0).all(axis=0) & (levels[inert] == 0).all(axis=0)
+            fits.append(ok)
+            nums.append(P[-1, ok])
+            short.append(np.minimum(levels, 0, out=levels).sum(axis=0, dtype=dtype))
+        fits, nums, short = map(np.concatenate, (fits, nums, short))
+        return fits, nums, np.asarray(short, dtype=np.float64) / -float(vx.d)
 
     def _pricing(self, costs: np.ndarray, weight: int) -> np.ndarray:
         # [-y, weight] . [A; c]_j for every column j, with y = c_B . M: the
@@ -546,17 +724,10 @@ class ExactSimplex:
             alpha = self._row(row)
             rc = self._pricing(self._c, self._d)
             candidates = np.flatnonzero(alpha < 0)
-            enter = -1
-            en = ea = 0  # reduced-cost numerator and |alpha| of current best
-            # In ascending j, so the first of equal ratios is kept.
-            for j, a, num in zip(
-                candidates.tolist(), alpha[candidates].tolist(), rc[candidates].tolist()
-            ):
-                if enter < 0 or num * ea < en * -a:
-                    enter, en, ea = j, num, -a
-            if enter < 0:
+            if not candidates.size:
                 pi = tuple(Fraction(-v, self._d) for v in self._T[row, :-1].tolist())
                 raise Infeasible(pi, Fraction(-xt[row], self._d * self._N))
+            enter, en = _min_ratio(candidates, alpha, rc)
             degenerate = en == 0
             self._pivot(row, enter, self._column(enter))
             if degenerate:

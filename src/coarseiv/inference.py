@@ -22,10 +22,12 @@ through a shortcut estimator.  Each size's replicate tables are drawn
 first, as integer counts over one common scale, and solved as one batch
 (`BoundsSolver.solve_batch`): each optimal basis the solver finds is
 screened against every table still pending, and answers at once each table
-it is primal feasible for, so only the remaining tables need a warm dual
-simplex.  Replicates whose resampled table is incompatible with the scenario
-are bounded at its L1-slack projection and counted; if more than
-``max_infeasible_fraction`` of replicates need rescue the run aborts.
+it is primal feasible for.  The tables left are solved in rounds by a dual
+simplex that runs many tables in lockstep, each from the least infeasible
+basis screened against it.  Replicates whose resampled table is
+incompatible with the scenario are bounded at its L1-slack projection and
+counted; if more than ``max_infeasible_fraction`` of replicates need rescue
+the run aborts.
 """
 
 from __future__ import annotations
@@ -343,7 +345,8 @@ def m_out_of_n_ci(
     if scenario.estimand.kind != "counterfactual_risk" and not force:
         raise InputError(
             "m-out-of-n bootstrap targets single counterfactual risks; pass "
-            "force=True to apply it to a contrast anyway"
+            "force=True (--force on the command line) to apply it to a "
+            "contrast anyway"
         )
     dist = _records_distribution(records, scenario)
     n = sum(dist.n_per_z.values())

@@ -190,7 +190,9 @@ def _extreme_rays(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     partial sum is an integer no larger than the number of rows, and
     float32 holds every integer up to 2^24 exactly, whatever the summation
     order.  New rays follow the pairs in (positive, negative) order, so the
-    rays come out in the order of a pairwise scan.
+    rays come out in the order of a pairwise scan.  A row with no ray on
+    one of its sides makes no pair, so it skips the adjacency test and the
+    combination.
     """
     rows = sorted(rows)
     dim = len(rows[0])
@@ -219,6 +221,12 @@ def _extreme_rays(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
         pos = np.flatnonzero(vals > 0)
         neg = np.flatnonzero(vals < 0)
         keep = np.flatnonzero(vals <= 0)
+        if not (pos.size and neg.size):
+            # No pair to combine: the row cuts away every ray with a positive
+            # value and is tight on every ray with a zero value.
+            tight = np.column_stack([tight[keep], vals[keep] == 0])
+            rays = rays[keep]
+            continue
         kp, kn, meets = _adjacent_pairs(tight, pos, neg, min_meet)
         kp, kn = pos[kp], neg[kn]
         dtype = _dtype(_bits(vals) + ray_bits + 1)

@@ -314,6 +314,19 @@ def test_negative_seed_exits_2(capsys, argv):
     assert err.splitlines() == ["error: seed must be non-negative, got -1"]
 
 
+def test_m_out_of_n_on_a_contrast_names_the_force_flag(capsys):
+    # A CLI user cannot pass force=True; the message has to name --force.
+    code, out, err = run_cli(
+        capsys, "ci", "--preset", "peanut-ternary", "--method", "mn",
+        "--bootstrap", "5", "--seed", "1",
+    )
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: m-out-of-n bootstrap targets single counterfactual risks")
+    assert "--force" in line
+
+
 def test_cap_exit_4(capsys):
     code, _, err = run_cli(
         capsys, "bounds", "--preset", "peanut-ternary", "--max-variables", "1"

@@ -1,6 +1,7 @@
 """Exact rational simplex: known optima, certificates, warm restarts."""
 
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 import numpy as np
@@ -9,15 +10,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coarseiv import exactlp
+from coarseiv.bounds import merge_columns
+from coarseiv.data import Estimand, ExposureLevel, RawRecord, Scenario, tabulate
+from coarseiv.datasets import scenario_preset
 from coarseiv.exactlp import (
     _NEAREST,
     ExactSimplex,
     Infeasible,
     _Vertex,
+    _exact_product,
     independent_rows,
     integer_rhs,
     verify_farkas,
 )
+from coarseiv.inference import _Resampler
 
 
 _TRANSPORT_COLUMNS = [((0, 1),), ((0, 1), (1, 1)), ((1, 1),)]
@@ -232,8 +238,6 @@ def test_degenerate_rhs_then_warm_restart_regression():
 
 
 def _homocysteine_lp(costs="min"):
-    from coarseiv.bounds import merge_columns
-    from coarseiv.datasets import scenario_preset
     from coarseiv.response import build_constraint_system
 
     dist, scenario = scenario_preset("homocysteine-3")
@@ -906,3 +910,200 @@ def test_no_rows_is_rejected():
 def test_one_cost_per_column_is_required(costs):
     with pytest.raises(ValueError, match="one cost per column"):
         ExactSimplex(_dense(2, _TRANSPORT_COLUMNS), costs)
+
+
+# -- the lockstep dual simplex against resolve_b's -----------------------------------
+
+
+# All z0 records sit at one cell and z1 puts half its mass on the opposite
+# outcome of the same level: most resampled tables are infeasible.
+_INCOMPATIBLE_RECORDS = [RawRecord("z0", "a", 0)] * 8 + [
+    RawRecord("z1", "a", 1),
+    RawRecord("z1", "a", 1),
+    RawRecord("z1", "b", 0),
+    RawRecord("z1", "b", 0),
+]
+_INCOMPATIBLE_SCENARIO = Scenario(
+    instrument_levels=("z0", "z1"),
+    levels=(ExposureLevel("a"), ExposureLevel("b")),
+    estimand=Estimand("risk_difference", x="a", x_prime="b"),
+)
+
+
+@cache
+def _bootstrap_engine(name):
+    """The replicate-table drawer of a preset, or of the incompatible records."""
+    if name == "incompatible":
+        dist = tabulate(
+            _INCOMPATIBLE_RECORDS,
+            instrument_levels=("z0", "z1"),
+            exposure_levels=("a", "b"),
+        )
+        return _Resampler(_INCOMPATIBLE_SCENARIO, dist)
+    dist, scenario = scenario_preset(name)
+    return _Resampler(scenario, dist)
+
+
+def _side_lp(engine, side, widen=1):
+    """A fresh solver for one side of the engine's LP, every entry times `widen`."""
+    merged = merge_columns(engine.system)
+    costs = merged.min_costs if side == "min" else [-c for c in merged.max_costs]
+    return ExactSimplex(merged.columns.T * widen, [c * widen for c in costs])
+
+
+def _replicate_tables(name, seed, count, six):
+    """`count` bootstrap tables of `name`: at the data's stratum sizes, or 6 a stratum."""
+    engine = _bootstrap_engine(name)
+    n_per_z = dict(engine.dist.n_per_z)
+    sizes = dict.fromkeys(n_per_z, 6) if six else n_per_z
+    return engine.tables(np.random.SeedSequence(seed).spawn(count), sizes)
+
+
+def _start_pool(lp, B, scale):
+    """Optimal bases of the feasible tables of B: the recent bases after them."""
+    for row in B.tolist():
+        try:
+            lp.resolve_b(row, scale)
+        except Infeasible:
+            pass
+    return list(lp._recent)
+
+
+def _check_lockstep(lp, starts, B, scale):
+    """resolve_many against resolve_b's dual simplex run from each table's start.
+
+    Returns the outcomes, None for each infeasible table.
+    """
+    got = lp.resolve_many(starts, B, scale)
+    assert len(got) == len(B)
+    for start, row, out in zip(starts, B.tolist(), got):
+        lp._recent[:] = [start]
+        try:
+            want = lp.resolve_b(row, scale)
+        except Infeasible:
+            assert out is None
+            continue
+        assert out is not None
+        assert (out.basis, out.vertex.d, out.levels, out.pivots, out.value) == (
+            want.basis, want.vertex.d, want.levels, want.pivots, want.value
+        )
+        assert out.vertex.M.tolist() == want.vertex.M.tolist()
+    return got
+
+
+def _lockstep_run(name, side, seed, count, six, widen=1):
+    """Starts from the pool in turn, so tables start from different bases."""
+    lp = _side_lp(_bootstrap_engine(name), side, widen)
+    B, scale = _replicate_tables(name, seed, count, six)
+    pool = _start_pool(lp, B, scale)
+    if not pool:  # no feasible table
+        return lp, None
+    starts = [pool[k % len(pool)] for k in range(len(B))]
+    return lp, _check_lockstep(lp, starts, B, scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(["peanut-ternary", "homocysteine-3", "incompatible"]),
+    side=st.sampled_from(["min", "max"]),
+    seed=st.integers(0, 2**32 - 1),
+    six=st.booleans(),
+)
+def test_lockstep_takes_resolve_bs_pivots_on_drawn_tables(name, side, seed, six):
+    # Six draws a stratum leave empty cells: degenerate and incompatible tables.
+    assume(_lockstep_run(name, side, seed, 24, six)[1] is not None)
+
+
+@pytest.mark.parametrize("side", ["min", "max"])
+def test_lockstep_takes_resolve_bs_pivots_on_homocysteine_bootstrap_tables(side):
+    _, got = _lockstep_run("homocysteine-3", side, 1, 64, six=False)
+    assert max(out.pivots for out in got) >= 3
+
+
+@pytest.mark.parametrize(
+    "name, six", [("homocysteine-3", True), ("peanut-ternary", True), ("incompatible", False)]
+)
+def test_lockstep_gives_resolve_bs_infeasible_verdicts(name, six):
+    _, got = _lockstep_run(name, "min", 1, 48, six)
+    assert any(out is None for out in got)
+    assert any(out is not None for out in got)
+
+
+def test_lockstep_takes_blands_pivots_after_a_degenerate_run(monkeypatch):
+    # At a limit of 1 every degenerate pivot switches both implementations to
+    # Bland's leaving rule; some tables then take other pivots than at the
+    # default limit, so the switch is exercised.
+    default = _lockstep_run("homocysteine-3", "max", 2, 64, six=True)[1]
+    monkeypatch.setattr(exactlp, "_DEGENERATE_LIMIT", 1)
+    bland = _lockstep_run("homocysteine-3", "max", 2, 64, six=True)[1]
+    assert [out is None for out in default] == [out is None for out in bland]
+    assert any(
+        a is not None and (a.basis, a.pivots) != (b.basis, b.pivots)
+        for a, b in zip(default, bland)
+    )
+
+
+def test_lockstep_falls_back_to_python_ints_when_widened():
+    # Every entry and cost times 2**40: M's entries pass 2**62, so every
+    # product and update runs in dtype=object, through the same pivots.
+    lp, got = _lockstep_run("homocysteine-3", "min", 3, 32, six=False, widen=_WIDE)
+    assert any(out.pivots for out in got)
+    assert all(out.vertex.M.dtype == object for out in got)
+    _, small = _lockstep_run("homocysteine-3", "min", 3, 32, six=False)
+    assert [(a.basis, a.pivots, a.value) for a in got] == [
+        (b.basis, b.pivots, b.value) for b in small
+    ]
+
+
+@pytest.mark.parametrize("block", [exactlp._SCREEN_ROWS, 7])
+def test_screen_reports_each_tables_shortfall(monkeypatch, block):
+    # The sum of the basis's negative levels over d, 0 where it fits, in one
+    # product or in blocks of 7 tables.
+    monkeypatch.setattr(exactlp, "_SCREEN_ROWS", block)
+    lp = _side_lp(_bootstrap_engine("homocysteine-3"), "min")
+    B, scale = _replicate_tables("homocysteine-3", 5, 30, six=True)
+    vx = _start_pool(lp, B, scale)[0]
+    b_bits = int(B.sum(axis=1).max()).bit_length()
+    fits, nums, short = lp.screen(vx, B, b_bits)
+    levels = [[_dot(enumerate(row), rhs) for row in vx.M.tolist()] for rhs in B.tolist()]
+    want = [float(Fraction(-sum(min(x, 0) for x in lv), vx.d)) for lv in levels]
+    assert short.tolist() == want
+    assert 0 < fits.sum() < len(B) and len(nums) == fits.sum()
+    assert all(s == 0 for s, ok in zip(want, fits) if ok)
+    assert [len(a) for a in lp.screen(vx, B[:0], b_bits)] == [0, 0, 0]
+
+
+class _AstypeSpy(np.ndarray):
+    """An array that records the dtype of every `astype` call on it."""
+
+    seen: list = []
+
+    def astype(self, dtype, *args, **kwargs):
+        _AstypeSpy.seen.append(np.dtype(dtype))
+        return super().astype(dtype, *args, **kwargs)
+
+
+@pytest.mark.parametrize("bits", [53, 54])
+def test_float64_products_stop_at_53_bits(monkeypatch, bits):
+    # Left entries of bits - 27 bits and right column L1 norms of 27 bits:
+    # the product's one large entry is (2**(bits-27) - 1) * (2**27 - 2) + 1,
+    # odd, so float64 holds it only below 2**53.
+    big = 2 ** (bits - 27) - 1
+    left = np.array([[big, 1], [1, 0]], dtype=np.int64).view(_AstypeSpy)
+    right = np.array([[2**27 - 2, 0], [1, 1]], dtype=np.int64)
+    monkeypatch.setattr(_AstypeSpy, "seen", [])
+    got = _exact_product(left, right, exactlp._bits(left) + (2**27 - 1).bit_length())
+    want = big * (2**27 - 2) + 1
+    assert got.tolist() == [[want, 1], [2**27 - 2, 0]]
+    assert got.dtype == np.int64
+    # The float64 tier converts the left side in and the product back out.
+    tiers = [np.float64, np.int64] if bits == 53 else [np.int64]
+    assert _AstypeSpy.seen == [np.dtype(t) for t in tiers]
+    assert (float(want) == want) == (bits == 53)
+
+
+def test_vector_products_stay_in_integers(monkeypatch):
+    left = np.array([3, 4], dtype=np.int64).view(_AstypeSpy)
+    monkeypatch.setattr(_AstypeSpy, "seen", [])
+    got = _exact_product(left, np.eye(2, dtype=np.int64), 4)
+    assert got.tolist() == [3, 4] and _AstypeSpy.seen == [np.dtype(np.int64)]

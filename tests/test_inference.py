@@ -27,6 +27,7 @@ from coarseiv.datasets import (
     peanut_scenario,
     scenario_preset,
 )
+from coarseiv import bounds, exactlp
 from coarseiv.bounds import BoundsSolver
 from coarseiv.exactlp import ExactSimplex, Infeasible
 from coarseiv.inference import (
@@ -404,6 +405,23 @@ def test_batch_equals_per_table_solves(name):
     assert rescued
 
 
+@pytest.mark.parametrize(
+    "screen_rows, round_cap", [(7, bounds._ROUND_CAP), (exactlp._SCREEN_ROWS, 2)]
+)
+@pytest.mark.parametrize("name", ["homocysteine-3", "incompatible"])
+def test_batch_in_small_blocks_and_rounds_gives_the_same_values(
+    monkeypatch, name, screen_rows, round_cap
+):
+    # Screen products over blocks of 7 pending tables, or lockstep rounds
+    # capped at 2 tables, give every table the bounds of a solve of its own.
+    monkeypatch.setattr(exactlp, "_SCREEN_ROWS", screen_rows)
+    monkeypatch.setattr(bounds, "_ROUND_CAP", round_cap)
+    engine = _engine(name)
+    sizes = dict.fromkeys(engine.dist.n_per_z, 6)
+    B, scale = engine.tables(np.random.SeedSequence(8).spawn(40), sizes)
+    assert _batched(engine.system, B, scale) == _per_table(engine.system, B, scale)
+
+
 @pytest.mark.parametrize("name", ["peanut-ternary", "homocysteine-3", "incompatible"])
 def test_batch_fallback_to_python_ints_gives_the_same_values(name):
     # Scaled by 2**40 the screen's int64 product would overflow: row L1
@@ -432,7 +450,7 @@ def test_the_screen_never_answers_a_table_with_a_nonzero_inert_row():
     crafted = sum(columns[var] if var < n else units[var - n] for var in vx.basis).tolist()
     assert [sum(map(mul, row, crafted)) for row in vx.M] == [vx.d] * len(vx.M)
     assert any(var >= n for var in vx.basis)
-    fits, _ = probe._lo.screen(vx, np.array([crafted]), sum(crafted).bit_length())
+    fits, _, _ = probe._lo.screen(vx, np.array([crafted]), sum(crafted).bit_length())
     assert not fits.any()
     tables = np.array([B[0].tolist(), crafted], dtype=np.int64)
     batched = _batched(engine.system, tables, scale)

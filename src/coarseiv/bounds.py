@@ -56,8 +56,9 @@ TRANSCRIPTION_NOTE = (
 )
 
 # Most pending right-hand sides `BoundsSolver.solve_batch` resolves in one
-# lockstep round (`ExactSimplex.resolve_many`).
-_ROUND_CAP = 64
+# lockstep round (`ExactSimplex.resolve_many`).  Rounds of 64 or 128 were no
+# faster on the bootstrap and held larger temporaries.
+_ROUND_CAP = 32
 
 
 class InfeasibleDistribution(RuntimeError):
@@ -142,10 +143,9 @@ class BoundsSolver:
     whatever basis attains it, so each new optimal basis is screened
     against every pending right-hand side in one exact product, and answers
     all those it is primal feasible for.  The rest are solved in rounds of
-    1, 2, 4, ... up to ``_ROUND_CAP`` right-hand sides: a round of one warm
-    by `resolve_b`, a larger round by the lockstep dual simplex
-    (`ExactSimplex.resolve_many`), each right-hand side starting from the
-    least infeasible basis screened against it.
+    1, 2, 4, ... up to ``_ROUND_CAP`` right-hand sides by the lockstep dual
+    simplex (`ExactSimplex.resolve_many`), each right-hand side starting
+    from the least infeasible basis screened against it.
     """
 
     def __init__(self, system: ConstraintSystem):
@@ -267,11 +267,11 @@ class BoundsSolver:
         it is primal feasible for and records, for the others, how
         infeasible it is there.  The rows still pending are resolved in
         rounds of 1, 2, 4, ... up to ``_ROUND_CAP`` rows, first pending
-        first: a round of one by `ExactSimplex.resolve_b`, a larger one by
-        `ExactSimplex.resolve_many`, each row starting from the least
-        infeasible basis screened against it (ties to the later one).  A row
-        whose lower LP is infeasible takes the slack path once, through
-        `resolve_b`, and leaves both sides.
+        first, by `ExactSimplex.resolve_many`, each row starting from the
+        least infeasible basis screened against it (ties to the later one).
+        A row whose lower LP is infeasible goes once through `resolve_b`,
+        which gives its Farkas certificate, takes the slack path and leaves
+        both sides.
         """
         R = len(B)
         if (B < 0).any():
@@ -312,17 +312,14 @@ class BoundsSolver:
             size = 1
             while pending[side].size:
                 rows, pending[side] = pending[side][:size], pending[side][size:]
-                if size == 1:
-                    outs = [None]
-                else:
-                    outs = lp.resolve_many(starts[side][rows].tolist(), B[rows], scale)
+                outs = lp.resolve_many(starts[side][rows].tolist(), B[rows], scale)
                 starts[side][rows] = None
                 size = min(2 * size, _ROUND_CAP)
                 # Tables of one round can reach the same optimal basis; one
                 # screen of it is enough.
                 new_bases = set()
                 for i, out in zip(rows.tolist(), outs):
-                    if out is None:
+                    if out is None:  # infeasible: resolve_b raises with a certificate
                         b = B[i].tolist()
                         try:
                             out = lp.resolve_b(b, scale)

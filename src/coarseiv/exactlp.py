@@ -52,9 +52,9 @@ values, and how far it is from feasible for each of the others.
 `resolve_many` runs the dual simplex for many right-hand sides in lockstep,
 each from its own start basis, with `resolve_b`'s pivot rules: one state
 array of shape (K, m, m + 1), one product per step for all pivot rows and
-reduced costs, one for the directions, and one broadcast Bareiss update,
-divided in float64 where the quotient is exact.  `resolve_b` stays on the
-scalar loop, which is cheaper for one right-hand side.
+reduced costs, one for the directions, and one broadcast Bareiss update.
+`resolve_b` stays on the scalar loop, which is cheaper for one right-hand
+side.
 
 An `LpOutcome` carries the optimal value as one Fraction; the primal solution
 and the dual vector are built from the optimal basis on first access.
@@ -392,11 +392,8 @@ class ExactSimplex:
         A step makes one product [M_r | 0; -y | d].[A; c] for the pivot
         rows and the reduced costs of all tables (y = c_B.M, itself one
         stacked product), one stacked product for the directions
-        w = M.A_j, and one broadcast Bareiss update, divided in float64 when
-        bits(max |w|) + bits(max |T|) <= 52, where the quotient is exact.
-        When the reduced costs and pivot rows are exact float64s, the ratio
-        test is a float64 minimum, whose ties hold every exact minimiser;
-        a table with several ties settles them by cross-multiplication.
+        w = M.A_j, and one broadcast Bareiss update.  The ratio test of each
+        table is `resolve_b`'s exact loop over its candidate columns.
 
         Returns one outcome per row, or None where b~ is infeasible (a
         negative level with no entering column, or a nonzero inert row at
@@ -462,18 +459,9 @@ class ExactSimplex:
                 if not len(T):
                     return out
                 at, M = np.arange(len(T)), T[:, :, :-1]
-            if p_bits <= _FLOAT64_BITS:
-                ratio = np.divide(rc, -alpha, out=np.full(alpha.shape, np.inf), where=candidates)
-                least = ratio.min(axis=1)
-                candidates = ratio == least[:, None]
-                enter = candidates.argmax(axis=1)
-                # A least ratio of 0 is exact (rc_j = 0) for every tie.
-                exact = np.flatnonzero((least > 0) & (np.count_nonzero(candidates, axis=1) > 1))
-            else:
-                enter = np.zeros(len(T), dtype=np.int64)
-                exact = at
-            for k in exact.tolist():
-                enter[k] = _min_ratio(np.flatnonzero(candidates[k]), alpha[k], rc[k])[0]
+            enter = np.array(
+                [_min_ratio(np.flatnonzero(c), a, r)[0] for c, a, r in zip(candidates, alpha, rc)]
+            )
             degenerate = rc[at, enter] == 0
             w = _exact_product(M, self.A[:, enter].T[:, :, None], t_bits + self._l1_bits)[:, :, 0]
             wr = w[at, rows]
@@ -483,18 +471,11 @@ class ExactSimplex:
             Tr = T[at, rows]
             Tr[flip] = -Tr[flip]
             wr[flip] = -wr[flip]
-            w_bits = _bits(w) + t_bits
-            dtype = _dtype(w_bits)
+            dtype = _dtype(_bits(w) + t_bits)
             T = T.astype(dtype, copy=False)  # the kernel's own array: updated in place
             T *= wr.astype(dtype)[:, None, None]
             T -= w.astype(dtype)[:, :, None] * Tr.astype(dtype)[:, None, :]
-            if w_bits < _FLOAT64_BITS:
-                # Every |w_r t - w_i t_r| is below 2**53, so the float64
-                # quotient is the exact one: twice as fast as int64 // by a
-                # divisor per table.
-                np.copyto(T, T / d[:, None, None], casting="unsafe")
-            else:
-                T //= d.astype(dtype)[:, None, None]
+            T //= d.astype(dtype)[:, None, None]
             T[at, rows] = Tr
             d = wr
             basis[at, rows] = enter

@@ -130,16 +130,17 @@ class BoundResult:
 class BoundsSolver:
     """Reusable exact bound solver with warm starts across right-hand sides.
 
-    Simulation loops call :meth:`solve_b` repeatedly.  After the first
-    (cold) solve, each new right-hand side is answered by
-    `ExactSimplex.resolve_b`, the dual simplex from the least infeasible of
-    the most recent optimal bases (zero pivots when one still fits): a
-    certified optimum, typically an order of magnitude cheaper than a cold
-    solve.  The right-hand side may be given as rationals or,
+    :meth:`solve_b` answers one right-hand side at a time (the `bounds`
+    command, the bootstrap's point estimate, the oracle's tightness audit).
+    After the first (cold) solve, each new right-hand side is answered by
+    `ExactSimplex.resolve_b`, the dual simplex from the last optimal basis
+    (zero pivots when it still fits): a certified optimum, typically an
+    order of magnitude cheaper than a cold solve.  The right-hand side may be given as rationals or,
     with ``scale=N``, as integers meaning b / N.
 
-    The bootstrap knows all its right-hand sides up front and calls
-    :meth:`solve_batch` once.  A bound's value is the unique LP optimum
+    The bootstrap and the oracle's validity and equivalence audits know all
+    their right-hand sides up front and call :meth:`solve_batch` once per
+    system.  A bound's value is the unique LP optimum
     whatever basis attains it, so each new optimal basis is screened
     against every pending right-hand side in one exact product, and answers
     all those it is primal feasible for.  The rest are solved in rounds of
@@ -241,6 +242,15 @@ class BoundsSolver:
             lp_optima=((lo, self.merged.min_reps), (hi, self.merged.max_reps)),
         )
 
+    def _solve(self, b: Sequence[int], scale: int, slack: bool) -> BoundResult:
+        # `solve_b` at integers b over `scale`; `solve_batch`'s first row comes
+        # here too, so the batch never goes through the public per-row call.
+        try:
+            lo = self._lo.resolve_b(b, scale)
+        except Infeasible as exc:
+            return self._rescue(b, scale, exc, slack)
+        return self._result(b, scale, lo)
+
     # - public API -
 
     def solve_b(
@@ -248,11 +258,7 @@ class BoundsSolver:
     ) -> BoundResult:
         if scale is None:
             b, scale = integer_rhs(b)
-        try:
-            lo = self._lo.resolve_b(b, scale)
-        except Infeasible as exc:
-            return self._rescue(b, scale, exc, slack)
-        return self._result(b, scale, lo)
+        return self._solve(b, scale, slack)
 
     def solve_batch(
         self, B: np.ndarray, scale: int
@@ -261,9 +267,10 @@ class BoundsSolver:
 
         Returns (lowers, uppers, rescued), one entry per row: the bounds
         ``solve_b(row, slack=True, scale=scale)`` gives, and whether it
-        applied the slack projection.  Row 0 goes through `solve_b`.  Then,
-        one side at a time, each new optimal basis is screened against every
-        pending row at once (`ExactSimplex.screen`), which answers each row
+        applied the slack projection.  Row 0 is solved as `solve_b` solves
+        it, without calling it.  Then, one side at a time, each new optimal
+        basis is screened against every pending row at once
+        (`ExactSimplex.screen`), which answers each row
         it is primal feasible for and records, for the others, how
         infeasible it is there.  The rows still pending are resolved in
         rounds of 1, 2, 4, ... up to ``_ROUND_CAP`` rows, first pending
@@ -303,7 +310,7 @@ class BoundsSolver:
             starts[side][todo[closer]] = vx
             pending[side] = todo
 
-        first = self.solve_b(B[0].tolist(), slack=True, scale=scale)
+        first = self._solve(B[0].tolist(), scale, slack=True)
         rescued[0] = "slack_total" in first.diagnostics
         for side, value in enumerate(first.interval):
             values[side][0] = value
@@ -525,9 +532,18 @@ def _closed_form_result(
 
 
 def closed_form_ternary_contrast(
-    dist: ObservedDistribution, x: str, x_prime: str, x_other: str
+    dist: ObservedDistribution,
+    x: str,
+    x_prime: str,
+    x_other: str,
+    *,
+    term_sets: tuple[SymbolicBoundSet, SymbolicBoundSet] | None = None,
 ) -> BoundResult:
-    """Evaluate the ten-term contrast bounds exactly."""
+    """Evaluate the ten-term contrast bounds exactly.
+
+    `term_sets`, if given, are ``ternary_term_sets`` for dist's levels,
+    built once by a caller that evaluates many distributions.
+    """
     instruments = _require_two_instruments(dist)
     wanted = {x, x_prime, x_other}
     if len(wanted) != 3 or set(dist.exposure_levels) != wanted:
@@ -535,7 +551,7 @@ def closed_form_ternary_contrast(
             "ternary closed form needs exactly the three exposure levels "
             f"{sorted(wanted)}, got {list(dist.exposure_levels)}"
         )
-    lower_set, upper_set = ternary_term_sets(
+    lower_set, upper_set = term_sets or ternary_term_sets(
         instruments, x, x_prime, x_other, levels=dist.exposure_levels
     )
     scenario = Scenario(
@@ -546,11 +562,18 @@ def closed_form_ternary_contrast(
     return _closed_form_result(dist, lower_set, upper_set, scenario)
 
 
-def closed_form_classic(dist: ObservedDistribution, x: str, x_prime: str) -> BoundResult:
+def closed_form_classic(
+    dist: ObservedDistribution,
+    x: str,
+    x_prime: str,
+    *,
+    term_sets: tuple[SymbolicBoundSet, SymbolicBoundSet] | None = None,
+) -> BoundResult:
     """Evaluate the classic eight-term contrast bounds exactly.
 
     The distribution may carry one extra exposure level; the formulas place
-    no weight on its cells.
+    no weight on its cells.  `term_sets`, if given, are
+    ``classic_term_sets`` for dist's levels.
     """
     instruments = _require_two_instruments(dist)
     if x == x_prime or x not in dist.exposure_levels or x_prime not in dist.exposure_levels:
@@ -562,7 +585,7 @@ def closed_form_classic(dist: ObservedDistribution, x: str, x_prime: str) -> Bou
         raise InputError(
             "classic closed form supports at most one extra exposure level"
         )
-    lower_set, upper_set = classic_term_sets(
+    lower_set, upper_set = term_sets or classic_term_sets(
         instruments, x, x_prime, levels=dist.exposure_levels
     )
     scenario_levels = tuple(
@@ -579,8 +602,16 @@ def closed_form_classic(dist: ObservedDistribution, x: str, x_prime: str) -> Bou
     return _closed_form_result(dist, lower_set, upper_set, scenario)
 
 
-def closed_form_single_level(dist: ObservedDistribution, x: str) -> BoundResult:
-    """Evaluate the two-term counterfactual-risk bounds exactly."""
+def closed_form_single_level(
+    dist: ObservedDistribution,
+    x: str,
+    *,
+    term_sets: tuple[SymbolicBoundSet, SymbolicBoundSet] | None = None,
+) -> BoundResult:
+    """Evaluate the two-term counterfactual-risk bounds exactly.
+
+    `term_sets`, if given, are ``single_level_term_sets`` for dist's levels.
+    """
     instruments = _require_two_instruments(dist)
     if x not in dist.exposure_levels:
         raise InputError(f"{x!r} is not an exposure level of the distribution")
@@ -590,7 +621,7 @@ def closed_form_single_level(dist: ObservedDistribution, x: str) -> BoundResult:
             "(the level of interest plus the pooled remainder), got "
             f"{list(dist.exposure_levels)}"
         )
-    lower_set, upper_set = single_level_term_sets(
+    lower_set, upper_set = term_sets or single_level_term_sets(
         instruments, x, levels=dist.exposure_levels
     )
     scenario_levels = tuple(
@@ -611,24 +642,40 @@ def closed_form_for(scenario: Scenario):
     """The transcribed closed form that applies to the scenario, or None.
 
     Returns ``(form, evaluate, expected_tight)``: the form's name, a function
-    from an observed distribution to the form's `BoundResult`, and whether
-    the form is sharp under the scenario, so that it must equal the LP
-    bounds.  A closed form needs a two-level instrument; the estimand's
-    levels are clean by construction of `Scenario`.
+    from an observed distribution over the scenario's levels to the form's
+    `BoundResult`, and whether the form is sharp under the scenario, so that
+    it must equal the LP bounds.  The form's term sets are built here, once.
+    A closed form needs a two-level instrument; the estimand's levels are
+    clean by construction of `Scenario`.
     """
     est = scenario.estimand
     if scenario.instrument_arity != 2:
         return None
-    labels = scenario.level_labels()
+    zs, labels = scenario.instrument_levels, scenario.level_labels()
     n_clean = len(scenario.clean_labels())
     if est.kind == "risk_difference":
         x, xp = est.x, est.x_prime
         if len(labels) == 3 == n_clean:
             xo = next(l for l in labels if l not in (x, xp))
-            return ("ten-term", lambda dist: closed_form_ternary_contrast(dist, x, xp, xo), True)
+            sets = ternary_term_sets(zs, x, xp, xo, levels=labels)
+            return (
+                "ten-term",
+                lambda dist: closed_form_ternary_contrast(dist, x, xp, xo, term_sets=sets),
+                True,
+            )
         if len(labels) <= 3 and n_clean == 2:
-            return ("eight-term", lambda dist: closed_form_classic(dist, x, xp), True)
+            sets = classic_term_sets(zs, x, xp, levels=labels)
+            return (
+                "eight-term",
+                lambda dist: closed_form_classic(dist, x, xp, term_sets=sets),
+                True,
+            )
     elif est.kind == "counterfactual_risk" and len(labels) == 2:
         # The two-term form is sharp only with the companion level z-dependent.
-        return ("two-term", lambda dist: closed_form_single_level(dist, est.x), n_clean == 1)
+        sets = single_level_term_sets(zs, est.x, levels=labels)
+        return (
+            "two-term",
+            lambda dist: closed_form_single_level(dist, est.x, term_sets=sets),
+            n_clean == 1,
+        )
     return None

@@ -36,14 +36,13 @@ one pivot to the next.  Numbers leave as Python ints: the levels, value,
 solution and dual of an `LpOutcome`, and Farkas vectors.
 
 Warm starts are first-class.  `resolve_b` handles a change of b only
-(bootstrap replicates, distribution sweeps).  It keeps the ``_NEAREST`` most
-recent optimal bases and runs the dual simplex from the least infeasible of
-them for the new b (least sum of negative levels, ties to the more recent).
-The costs have not changed, so every such basis is still dual feasible, and
-one that is primal feasible for b (M.b~ >= 0, inert rows at zero) is
-optimal after zero pivots.  Phase 1 ignores c, so a cold solve keeps its
-post-phase-1 basis (`phase1`) and a solver with other costs over the same
-columns can start phase 2 from it (lower/upper bound pairs).
+(bootstrap replicates, distribution sweeps).  It runs the dual simplex
+for the new b from the last optimal basis.  The costs have not changed, so
+that basis is still dual feasible, and if it is primal feasible for b
+(M.b~ >= 0, inert rows at zero) it is optimal after zero pivots.  Phase 1
+ignores c, so a cold solve keeps its post-phase-1 basis (`phase1`) and a
+solver with other costs over the same columns can start phase 2 from it
+(lower/upper bound pairs).
 
 Two methods serve many right-hand sides known up front (a bootstrap batch).
 `screen` tests one optimal basis against all of them in one product
@@ -83,8 +82,6 @@ __all__ = [
 # Consecutive degenerate pivots tolerated before switching to Bland's rule.
 _DEGENERATE_LIMIT = 30
 _MAX_PIVOTS = 200_000
-# Most recent optimal bases from which `resolve_b` picks a dual simplex start.
-_NEAREST = 4
 # Bit budget of exact int64 arithmetic: a product has |v . a| <=
 # max|v| * |a|_1 < 2**62 when bit_length(max |v|) + bit_length(|a|_1) <= 62,
 # and a pivot has |w_r t - w_i t_r| < 2**63 when
@@ -309,8 +306,8 @@ class ExactSimplex:
         self._c_bits = (self.m * max(top, 1)).bit_length()
         # Solver state (populated by solve()).  T = [M | xt] holds M, d times
         # the basis inverse, and its levels xt = M . b~.  A pivot builds a new
-        # T and never writes into the old one, so the recent vertices hold
-        # views of M that later pivots leave alone.
+        # T and never writes into the old one, so the last vertex holds a
+        # view of M that later pivots leave alone.
         self._basis: list[int] = []  # variable id per row
         self._T: np.ndarray | None = None
         self._bits = 0  # bit length of max |T|
@@ -320,7 +317,7 @@ class ExactSimplex:
         self._N: int = 1  # common denominator of b
         self._pivots = 0
         self._inert: tuple[int, ...] = ()  # rows of inert artificials
-        self._recent: list[_Vertex] = []  # optimal bases, most recent first
+        self._last: _Vertex | None = None  # the last optimal basis
         self.phase1: _Vertex | None = None  # feasible basis of the last cold solve
 
     # -- public API ----------------------------------------------------------
@@ -334,7 +331,7 @@ class ExactSimplex:
         b, replaces phase 1; a start not primal feasible for b is an error.
         """
         self._load_b(b, scale)
-        self._recent.clear()
+        self._last = None
         self._pivots = 0
         if start is None:
             self._basis = list(range(self.n, self.n + self.m))
@@ -358,18 +355,17 @@ class ExactSimplex:
     ) -> LpOutcome:
         """Warm solve after a change of b only, by the dual simplex.
 
-        It starts from the least infeasible of the ``_NEAREST`` most recent
-        optimal bases, so a basis that still fits b is optimal after zero
-        pivots and becomes the most recent again.  With no optimal basis yet
-        this is `solve(b, scale, start)`.
+        It starts from the last optimal basis, so a basis that still fits b
+        is optimal after zero pivots.  With no optimal basis yet this is
+        `solve(b, scale, start)`.
         """
-        if not self._recent:
+        if self._last is None:
             return self.solve(b, scale, start)
         self._load_b(b, scale)
         self._pivots = 0
-        vx, xt = self._nearest_vertex()
+        vx = self._last
         self._basis, self._d = list(vx.basis), vx.d
-        self._load(vx.M, xt)
+        self._load(vx.M, _exact_product(vx.M, self._bt, _bits(vx.M) + self._bt_bits))
         self._run_dual()
         self._check_inert_rows()
         return self._remember(vx)
@@ -398,7 +394,7 @@ class ExactSimplex:
         Returns one outcome per row, or None where b~ is infeasible (a
         negative level with no entering column, or a nonzero inert row at
         the end); `resolve_b` gives such a row its Farkas certificate.  The
-        solver's own state, its recent bases included, is left alone.
+        solver's own state, its last basis included, is left alone.
         """
         K, m, n = len(B), self.m, self.n
         out: list[LpOutcome | None] = [None] * K
@@ -504,30 +500,14 @@ class ExactSimplex:
         self._T = np.column_stack([M, xt])
         self._bits = _bits(self._T)
 
-    def _nearest_vertex(self) -> tuple[_Vertex, np.ndarray]:
-        # The least infeasible of the recent bases and its levels M.b~: least
-        # sum of negative levels over d, compared exactly by cross-
-        # multiplication, ties to the more recent.  One product gives the
-        # levels of every recent basis.
-        Ms = np.stack([vx.M for vx in self._recent])
-        levels = _exact_product(Ms, self._bt, _bits(Ms) + self._bt_bits)
-        best, best_s, best_d = 0, 0, 0
-        for k, (vx, xt) in enumerate(zip(self._recent, levels.tolist())):
-            s = -sum(v for v in xt if v < 0)
-            if not k or s * best_d < best_s * vx.d:
-                best, best_s, best_d = k, s, vx.d
-        return self._recent[best], levels[best]
-
     def _remember(self, start: _Vertex | None = None) -> LpOutcome:
-        # Make the current (optimal) basis the most recent one.  A recent
-        # `start` that the run did not pivot away from moves to the front.
+        # Make the current (optimal) basis the last one: the `start` itself
+        # when the run did not pivot away from it.
         if start is not None and not self._pivots:
-            self._recent.remove(start)
             vx = start
         else:
             vx = _Vertex(tuple(self._basis), self._T[:, :-1], self._d)
-        self._recent.insert(0, vx)
-        del self._recent[_NEAREST:]
+        self._last = vx
         return self._outcome(vx, self._T[:, -1].tolist(), self._pivots, self._N)
 
     def _outcome(self, vx: _Vertex, levels: list[int], pivots: int, scale: int) -> LpOutcome:

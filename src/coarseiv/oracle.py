@@ -19,6 +19,11 @@ probabilities, and audits:
   changes the bounds, and the two-level-instrument term sets coincide with
   the transcribed closed forms.
 
+Every audit draws all its trial tables before it solves any, and the
+validity and equivalence audits solve each system's tables in one
+`BoundsSolver.solve_batch`; the tightness audit reads each trial's LP
+optima and so solves one table at a time.
+
 Sampling is exact-rational: uniform lattice points on the simplex (a random
 composition of a fixed denominator D) stand in for the continuous uniform
 (symmetric Dirichlet) law, because every downstream identity check needs the
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -90,54 +95,46 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def _compose(rng: np.random.Generator, k: int, denominator: int) -> list[int]:
+def _compose(rng: np.random.Generator, k: int, denominator: int) -> np.ndarray:
     """Uniform random composition: k nonnegative integers summing to denominator."""
     if k == 1:
-        return [denominator]
+        return np.array([denominator])
     cuts = np.sort(rng.choice(denominator + k - 1, size=k - 1, replace=False)) + 1
-    parts = np.diff(np.concatenate(([0], cuts, [denominator + k]))) - 1
-    return [int(v) for v in parts]
+    return np.diff(np.concatenate(([0], cuts, [denominator + k]))) - 1
 
 
-def _push_forward(
-    system: ConstraintSystem, weights: Iterable[tuple[int, Any]]
-) -> tuple[list, Any]:
-    """A q over the system's rows and c.q, for q given as (type, weight) pairs."""
-    columns, objective = system.columns, system.objective
-    acc = [0] * system.n_rows
-    value = 0
-    for j, w in weights:
-        if w:
-            for r, coef in columns[j]:
-                acc[r] += coef * w
-            value += objective[j] * w
-    return acc, value
+def _forward(system: ConstraintSystem) -> np.ndarray:
+    """[A^T | c] (types x rows + 1): weights q times it give A q and then c.q."""
+    return np.column_stack([system.type_matrix, system.objective])
 
 
 def _draw(
-    system: ConstraintSystem, rng: np.random.Generator, point_mass: bool = False
+    forward: np.ndarray, rng: np.random.Generator, point_mass: bool = False
 ) -> tuple[list[int], list[int], Fraction]:
-    """One model: its type weights and table A q, both integers over
-    `SIMPLEX_DENOMINATOR`, and its true estimand value.
+    """One model of the system whose `_forward` matrix is given: its type
+    weights and table A q, both integers over `SIMPLEX_DENOMINATOR`, and its
+    true estimand value.
 
     Every column carries the normalization row, so the table is the integer
-    right-hand side over the denominator.
+    right-hand side over the denominator.  The push-forward is one integer
+    product, exact in int64: the weights sum to the denominator and every
+    coefficient is -1, 0 or 1.
     """
-    k = system.n_variables
+    k = len(forward)
     if point_mass:
-        parts = [0] * k
+        parts = np.zeros(k, dtype=np.int64)
         parts[int(rng.integers(k))] = SIMPLEX_DENOMINATOR
     else:
         parts = _compose(rng, k, SIMPLEX_DENOMINATOR)
-    acc, value = _push_forward(system, enumerate(parts))
-    return parts, acc, Fraction(value, SIMPLEX_DENOMINATOR)
+    *acc, value = (parts @ forward).tolist()
+    return parts.tolist(), acc, Fraction(value, SIMPLEX_DENOMINATOR)
 
 
 def sample_scm(scenario: Scenario, seed: int, *, point_mass: bool = False) -> RandomScm:
     """Sample q uniformly on the response-type simplex; exact rationals."""
     _check_seed(seed)
     system = build_constraint_system(scenario)
-    parts, acc, true = _draw(system, _rng(seed), point_mass)
+    parts, acc, true = _draw(_forward(system), _rng(seed), point_mass)
     return RandomScm(
         scenario=scenario,
         q=tuple(Fraction(p, SIMPLEX_DENOMINATOR) for p in parts),
@@ -167,30 +164,33 @@ def _check_run(trials: int, seed: int) -> None:
 
 def _trials(
     scenario: Scenario, trials: int, seed: int
-) -> tuple[ConstraintSystem, Iterator[tuple]]:
-    """The scenario's system and, lazily, each trial solved under it.
-
-    Yields ``(t, parts, table, true value, result)`` per trial, where the
-    result is the matching LP's `BoundResult` or the `InfeasibleDistribution`
-    it raised.  A sampled table is feasible by construction, so the latter is
-    an engine fault that the caller records.
-    """
+) -> tuple[ConstraintSystem, list[tuple[int, list[int], list[int], Fraction]]]:
+    """The scenario's system and every trial's draw, ``(t, parts, table,
+    true value)``, each from its own generator ``_rng(seed, t)``."""
     _check_run(trials, seed)
     if scenario.estimand is None:
         raise InputError("scenario carries no estimand")
     system = build_constraint_system(scenario)
-    solver = BoundsSolver(system)
+    forward = _forward(system)
+    return system, [(t, *_draw(forward, _rng(seed, t))) for t in range(trials)]
 
-    def solved():
-        for t in range(trials):
-            parts, acc, true = _draw(system, _rng(seed, t))
-            try:
-                res = solver.solve_b(acc, scale=SIMPLEX_DENOMINATOR)
-            except InfeasibleDistribution as exc:
-                res = exc
-            yield t, parts, acc, true, res
 
-    return system, solved()
+def _solve_rows(solver: BoundsSolver, B: np.ndarray, scale: int) -> list:
+    """The bounds at each row of B, integers over `scale`, from one `solve_batch`.
+
+    Each entry is ``(lower, upper)``, or the `InfeasibleDistribution` that
+    `solve_b` raises on the row.  A sampled table is feasible by
+    construction, so a row the batch had to rescue is an engine fault: it
+    goes once more through `solve_b`, whose verdict stands.
+    """
+    lowers, uppers, rescued = solver.solve_batch(B, scale)
+    out: list = list(zip(lowers, uppers))
+    for i in np.flatnonzero(rescued).tolist():
+        try:
+            out[i] = solver.solve_b(B[i].tolist(), scale=scale).interval
+        except InfeasibleDistribution as exc:
+            out[i] = exc
+    return out
 
 
 # -- validity --------------------------------------------------------------------
@@ -233,73 +233,74 @@ def check_validity(scenario: Scenario, trials: int, seed: int) -> ValidityReport
     it is expected to be tight.  The eight-term form must also contain the
     ten-term one.
     """
-    system, solved = _trials(scenario, trials, seed)
+    system, draws = _trials(scenario, trials, seed)
     est = scenario.estimand
     referenced = set(est.referenced())
+    B = np.array([acc for _, _, acc, _ in draws], dtype=np.int64)
+    solved = _solve_rows(BoundsSolver(system), B, SIMPLEX_DENOMINATOR)
     weaker = []
     for lv in scenario.levels:
         if lv.clean and lv.label not in referenced:
             wsys = build_constraint_system(scenario.demote(lv.label))
-            weaker.append((lv.label, wsys, BoundsSolver(wsys)))
+            cols = [system.row_keys.index(key) for key in wsys.row_keys]
+            wsolved = _solve_rows(BoundsSolver(wsys), B[:, cols], SIMPLEX_DENOMINATOR)
+            weaker.append((lv.label, wsolved))
     closed = closed_form_for(scenario)
+    if closed is not None and closed[0] == "ten-term":
+        classic_sets = classic_term_sets(
+            scenario.instrument_levels, est.x, est.x_prime, levels=scenario.level_labels()
+        )
 
-    audits = ["matching"] + [f"demoted:{label}" for label, _, _ in weaker]
+    audits = ["matching"] + [f"demoted:{label}" for label, _ in weaker]
     if closed is not None:
         audits.append(_CLOSED_FORM_AUDITS[closed[0]])
 
     n_validity = n_nesting = n_closed = 0
     failures: list[dict] = []
-    for t, parts, acc, true, res in solved:
+    for (t, parts, acc, true), res in zip(draws, solved):
         if isinstance(res, InfeasibleDistribution):
             n_validity += 1
             _note(failures, trial=t, audit="matching", error=str(res), q_parts=parts)
             continue
-        if not res.lower <= true <= res.upper:
+        lower, upper = res
+        if not lower <= true <= upper:
             n_validity += 1
-            _note(failures, trial=t, audit="matching", lower=res.lower, upper=res.upper,
+            _note(failures, trial=t, audit="matching", lower=lower, upper=upper,
                   true=true, q_parts=parts)
 
-        acc_of = dict(zip(system.row_keys, acc))
-        for label, wsys, wsolver in weaker:
-            try:
-                wres = wsolver.solve_b(
-                    [acc_of[key] for key in wsys.row_keys], scale=SIMPLEX_DENOMINATOR
-                )
-            except InfeasibleDistribution as exc:
+        for label, wsolved in weaker:
+            wres = wsolved[t]
+            if isinstance(wres, InfeasibleDistribution):
                 n_validity += 1
-                _note(failures, trial=t, audit=f"demoted:{label}", error=str(exc),
+                _note(failures, trial=t, audit=f"demoted:{label}", error=str(wres),
                       q_parts=parts)
                 continue
-            if not wres.lower <= true <= wres.upper:
+            wlower, wupper = wres
+            if not wlower <= true <= wupper:
                 n_validity += 1
-                _note(failures, trial=t, audit=f"demoted:{label}", lower=wres.lower,
-                      upper=wres.upper, true=true, q_parts=parts)
-            if wres.lower > res.lower or wres.upper < res.upper:
+                _note(failures, trial=t, audit=f"demoted:{label}", lower=wlower,
+                      upper=wupper, true=true, q_parts=parts)
+            if wlower > lower or wupper < upper:
                 n_nesting += 1
                 _note(failures, trial=t, audit=f"demoted:{label}", kind="nesting",
-                      strong=(res.lower, res.upper), weak=(wres.lower, wres.upper))
+                      strong=res, weak=wres)
 
         if closed is not None:
             form, evaluate, expected_tight = closed
             dist = system.distribution(acc, SIMPLEX_DENOMINATOR)
             cf = evaluate(dist)
-            ok = (
-                cf.lower <= res.lower
-                and res.upper <= cf.upper
-                and cf.lower <= true <= cf.upper
-            )
+            ok = cf.lower <= lower and upper <= cf.upper and cf.lower <= true <= cf.upper
             if expected_tight:
-                ok = ok and (cf.lower, cf.upper) == (res.lower, res.upper)
+                ok = ok and cf.interval == res
             detail = {}
             if form == "ten-term":
-                classic = closed_form_classic(dist, est.x, est.x_prime)
+                classic = closed_form_classic(dist, est.x, est.x_prime, term_sets=classic_sets)
                 ok = ok and classic.lower <= cf.lower and cf.upper <= classic.upper
-                detail["classic"] = (classic.lower, classic.upper)
+                detail["classic"] = classic.interval
             if not ok:
                 n_closed += 1
                 _note(failures, trial=t, audit="closed-form", kind=form,
-                      closed_form=(cf.lower, cf.upper), lp=(res.lower, res.upper),
-                      true=true, **detail)
+                      closed_form=cf.interval, lp=res, true=true, **detail)
 
     return ValidityReport(
         scenario=scenario,
@@ -337,11 +338,18 @@ def _certificate_ok(
     target: Fraction,
     scale: int,
 ) -> bool:
-    """Primal certificate: weights q >= 0 with A q == b / scale and c.q == target."""
+    """Primal certificate: weights q >= 0 with A q == b / scale and c.q == target.
+
+    A q is checked in integers over the lcm of q's denominators.
+    """
     if any(v < 0 for v in certificate.values()):
         return False
-    acc, value = _push_forward(system, certificate.items())
-    return [v * scale for v in acc] == list(b) and value == target
+    weights = certificate.values()
+    den = lcm(*(v.denominator for v in weights))
+    q = np.array([v.numerator * (den // v.denominator) for v in weights], dtype=object)
+    acc = (q @ system.type_matrix[list(certificate)]).tolist()
+    value = sum(system.objective[j] * w for j, w in certificate.items())
+    return [v * scale for v in acc] == [v * den for v in b] and value == target
 
 
 def _dual_ok(
@@ -362,10 +370,8 @@ def _dual_ok(
     y = [v.numerator * (den // v.denominator) for v in dual]
     if Fraction(sum(map(mul, y, b)), den * scale) != sign * target:
         return False
-    return all(
-        sign * den * c >= sum(coef * y[r] for r, coef in col)
-        for col, c in zip(system.columns, system.objective)
-    )
+    prices = system.type_matrix @ np.array(y, dtype=object)
+    return bool((sign * den * np.array(system.objective, dtype=object) >= prices).all())
 
 
 def check_tightness(scenario: Scenario, trials: int, seed: int) -> TightnessReport:
@@ -377,14 +383,17 @@ def check_tightness(scenario: Scenario, trials: int, seed: int) -> TightnessRepo
     so these four checks are the whole audit.  A trial whose LP wrongly
     reports its table infeasible has no certificates: all four fail.
     """
-    system, solved = _trials(scenario, trials, seed)
+    system, draws = _trials(scenario, trials, seed)
+    solver = BoundsSolver(system)
     n_checked = n_failed = 0
     failures: list[dict] = []
-    for t, parts, acc, _, res in solved:
+    for t, parts, acc, _ in draws:
         n_checked += 4
-        if isinstance(res, InfeasibleDistribution):
+        try:
+            res = solver.solve_b(acc, scale=SIMPLEX_DENOMINATOR)
+        except InfeasibleDistribution as exc:
             n_failed += 4
-            _note(failures, trial=t, error=str(res), q_parts=parts)
+            _note(failures, trial=t, error=str(exc), q_parts=parts)
             continue
         sides = (
             ("lower", 1, res.lower, res.lower_certificate),
@@ -470,6 +479,13 @@ def _scrambled_rhs(
     return out
 
 
+def _feasible(solved):
+    """A `_solve_rows` entry's bounds; its infeasibility verdict is raised."""
+    if isinstance(solved, InfeasibleDistribution):
+        raise solved
+    return solved
+
+
 def _run_family(
     name: str,
     base: Scenario,
@@ -504,40 +520,51 @@ def _run_family(
                 and term_sets_equal(i_hi, t_hi)
             )
 
-    base_solver = BoundsSolver(base_sys)
-    ill_solver = BoundsSolver(ill_sys)
     extra_label = ill.level_labels()[-1]
     closed = closed_form_for(ill)
-    n_mismatch = 0
-    failures: list[dict] = []
+    ill_forward, base_forward = _forward(ill_sys), _forward(base_sys)
+    pad = [base_sys.row_keys.index(key) if key in base_sys.row_keys else None
+           for key in ill_sys.row_keys]
+    plain, scrambled, padded, unpadded = [], [], [], []
     for t in range(trials):
         rng = _rng(seed, index, t)
-        # (a) weakest-scenario sample: scramble invariance + closed form.
-        _, acc, _ = _draw(ill_sys, rng)
-        res = ill_solver.solve_b(acc, scale=SIMPLEX_DENOMINATOR)
-        b_scr = _scrambled_rhs(ill_sys, acc, extra_label, rng)
-        res_scr = ill_solver.solve_b(b_scr, scale=SIMPLEX_DENOMINATOR * 720)
-        if (res.lower, res.upper) != (res_scr.lower, res_scr.upper):
+        # (a) a weakest-scenario sample, plain and with the extra level's
+        # outcome mass scrambled; (b) a without-extra-level sample, also
+        # zero-padded to the weakest scenario's rows.
+        _, acc, _ = _draw(ill_forward, rng)
+        plain.append(acc)
+        scrambled.append(_scrambled_rhs(ill_sys, acc, extra_label, rng))
+        _, acc2, _ = _draw(base_forward, rng)
+        unpadded.append(acc2)
+        padded.append([0 if r is None else acc2[r] for r in pad])
+    # The scrambled rows are over 720 times the others' scale: one batch
+    # takes all three kinds at that common scale.
+    ill_rows = np.array(plain + scrambled + padded, dtype=np.int64)
+    ill_rows[:trials] *= 720
+    ill_rows[2 * trials:] *= 720
+    ill_solved = _solve_rows(BoundsSolver(ill_sys), ill_rows, SIMPLEX_DENOMINATOR * 720)
+    base_solved = _solve_rows(
+        BoundsSolver(base_sys), np.array(unpadded, dtype=np.int64), SIMPLEX_DENOMINATOR
+    )
+    n_mismatch = 0
+    failures: list[dict] = []
+    for t, acc in enumerate(plain):
+        # In the order the per-trial solves ran, an infeasibility verdict
+        # ends the audit as `solve_b`'s exception did.
+        res, res_scr = _feasible(ill_solved[t]), _feasible(ill_solved[trials + t])
+        if res != res_scr:
             n_mismatch += 1
-            _note(failures, trial=t, kind="scramble", plain=(res.lower, res.upper),
-                  scrambled=(res_scr.lower, res_scr.upper))
+            _note(failures, trial=t, kind="scramble", plain=res, scrambled=res_scr)
         if closed is not None:
             # Every family's closed form is sharp under its weakest scenario.
             cf = closed[1](ill_sys.distribution(acc, SIMPLEX_DENOMINATOR))
-            if (cf.lower, cf.upper) != (res.lower, res.upper):
+            if cf.interval != res:
                 n_mismatch += 1
-                _note(failures, trial=t, kind="closed-form", lp=(res.lower, res.upper),
-                      cf=(cf.lower, cf.upper))
-        # (b) without-extra-level sample, zero-padded.
-        _, acc2, _ = _draw(base_sys, rng)
-        res2 = base_solver.solve_b(acc2, scale=SIMPLEX_DENOMINATOR)
-        acc2_of = dict(zip(base_sys.row_keys, acc2))
-        b_pad = [acc2_of.get(key, 0) for key in ill_sys.row_keys]
-        res_pad = ill_solver.solve_b(b_pad, scale=SIMPLEX_DENOMINATOR)
-        if (res2.lower, res2.upper) != (res_pad.lower, res_pad.upper):
+                _note(failures, trial=t, kind="closed-form", lp=res, cf=cf.interval)
+        res2, res_pad = _feasible(base_solved[t]), _feasible(ill_solved[2 * trials + t])
+        if res2 != res_pad:
             n_mismatch += 1
-            _note(failures, trial=t, kind="zero-pad", base=(res2.lower, res2.upper),
-                  padded=(res_pad.lower, res_pad.upper))
+            _note(failures, trial=t, kind="zero-pad", base=res2, padded=res_pad)
 
     return FamilyReport(
         name=name,
@@ -562,11 +589,24 @@ def check_equivalences(trials: int, seed: int) -> EquivalenceReport:
     transcribed closed forms, term by term.
     """
     _check_run(trials, seed)
+    return EquivalenceReport(
+        trials=trials,
+        seed=seed,
+        families=tuple(
+            _run_family(name, base, transcribed, trials, seed, i)
+            for i, (name, base, transcribed) in enumerate(_families())
+        ),
+    )
+
+
+def _families() -> tuple:
+    """The audited families: (name, all-clean base scenario, transcribed term
+    sets or None).  Each adds a z-dependent level to its base."""
     z2 = ("z0", "z1")
     z3 = ("z0", "z1", "z2")
     contrast = Estimand(kind="risk_difference", x="x", x_prime="xp")
     risk = Estimand(kind="counterfactual_risk", x="x")
-    families = (
+    return (
         ("two-level-IV contrast", _clean_scenario(z2, ("x", "xp"), contrast),
          classic_term_sets(z2, "x", "xp")),
         ("two-level-IV single risk", _clean_scenario(z2, ("x",), risk),
@@ -574,14 +614,6 @@ def check_equivalences(trials: int, seed: int) -> EquivalenceReport:
         ("three-level-IV two clean levels", _clean_scenario(z3, ("x", "xp"), contrast), None),
         ("three-level-IV three clean levels",
          _clean_scenario(z3, ("x", "xp", "xpp"), contrast), None),
-    )
-    return EquivalenceReport(
-        trials=trials,
-        seed=seed,
-        families=tuple(
-            _run_family(name, base, transcribed, trials, seed, i)
-            for i, (name, base, transcribed) in enumerate(families)
-        ),
     )
 
 

@@ -15,9 +15,11 @@ Response types whose constraint columns are identical differ only in their
 objective coefficient, so only each group's extreme coefficients matter.
 `merge_columns` builds the engine's LP, one column per group, straight from
 the scenario, as one int64 array with a row per distinct column and a
-column per constraint row, filled by one scatter.  The per-type sparse
-(row, coef) columns and the objective are enumerated only on first read,
-for the oracle's brute force and `dump-lp`.
+column per constraint row, filled by one scatter.  Every response type's
+column, for the oracle's brute force, is one int64 array filled the same
+way (`ConstraintSystem.type_matrix`), built on first read; the per-type
+sparse (row, coef) columns that `dump-lp` prints are read off it.  Both
+scatters read one outcome-bit layout (`_bit_places`).
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ class ConstraintSystem:
     the explicit normalization row.  Columns carry coefficient 1 in exactly
     one cell row per instrument level plus the normalization row.  Variable j
     is (exposure_types[j // n_out], outcome_types[j % n_out]), n_out =
-    len(outcome_types); the per-type fields are enumerated on first read.
+    len(outcome_types); the per-type fields are built on first read.
     """
 
     scenario: Scenario
@@ -119,21 +121,33 @@ class ConstraintSystem:
         return tuple(enumerate_outcome_types(self.scenario))
 
     @cached_property
-    def columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Sparse (row, coef) entries per response type."""
+    def type_matrix(self) -> np.ndarray:
+        """A as one int64 array (response types x rows): row j is type j's column.
+
+        Filled by one scatter, as `merge_columns` fills its distinct columns:
+        type e * n_out + o puts its unit of mass, under each instrument level
+        z, in the cell row of (z, x_e(z), 0) plus the outcome bit that o
+        holds at (x_e(z), z), and in the normalization row.
+        """
         scenario = self.scenario
-        labels, zs = scenario.level_labels(), scenario.instrument_levels
-        clean, zdep = scenario.clean_labels(), scenario.zdep_labels()
-        row_of = {key: i for i, key in enumerate(self.row_keys)}
-        columns = []
-        for etype in self.exposure_types:
-            for o in self.outcome_types:
-                col = []
-                for z, x in enumerate(labels[i] for i in etype.assignment):
-                    y = o.clean_bits[clean.index(x)] if x in clean else o.zdep_bits[zdep.index(x)][z]
-                    col.append((row_of[zs[z], x, y], 1))
-                columns.append(tuple(col) + ((row_of["normalization"], 1),))
-        return tuple(columns)
+        k_z, k_x = scenario.instrument_arity, len(scenario.levels)
+        weight, n_bits = _bit_places(scenario)
+        maps = np.array(list(itertools.product(range(k_x), repeat=k_z)), dtype=np.int64)
+        z = np.arange(k_z)
+        rows = 2 * (z * k_x + maps)  # (exposure maps x k_z): the row of (z, x_e(z), 0)
+        read = np.array(weight, dtype=np.int64)[maps, z]  # the place value read there
+        bits = (np.arange(1 << n_bits)[:, None] & read[:, None, :]) != 0
+        matrix = np.zeros((self.n_variables, self.n_rows), dtype=np.int64)
+        np.put_along_axis(matrix, (rows[:, None, :] + bits).reshape(-1, k_z), 1, axis=1)
+        matrix[:, -1] = 1  # the normalization row
+        matrix.setflags(write=False)  # shared by every reader of the system
+        return matrix
+
+    @cached_property
+    def columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Sparse (row, coef) entries per response type, in row order."""
+        rows = np.nonzero(self.type_matrix)[1].reshape(self.n_variables, -1).tolist()
+        return tuple(tuple((r, 1) for r in col) for col in rows)
 
     @cached_property
     def objective(self) -> tuple[int, ...]:
@@ -165,9 +179,11 @@ class ConstraintSystem:
         """The computationally meaningful content, for bit-identity checks.
 
         Deliberately excludes the well_defining flags (reporting only) but
-        includes everything that shapes the LP: row keys, columns, objective.
+        includes everything that shapes the LP: row keys, the type matrix
+        (its shape and entries), objective.
         """
-        return (self.row_keys, self.columns, self.objective)
+        matrix = self.type_matrix
+        return (self.row_keys, matrix.shape, matrix.tobytes(), self.objective)
 
     def to_document(self) -> dict:
         """Serializable description for dump-lp."""
@@ -229,6 +245,26 @@ def build_constraint_system(
 # -- the engine's LP ----------------------------------------------------------------
 
 
+def _bit_places(scenario: Scenario) -> tuple[list[list[int]], int]:
+    """The outcome-bit layout: ``weight[x][z]``, the place value in the
+    outcome-type index of the bit a unit at level x under instrument level z
+    reads, and the number of outcome bits.
+
+    Clean bits come first, most significant, then each z-dependent level's
+    bit per instrument level, in `enumerate_outcome_types`' product order.
+    """
+    k_z, levels = scenario.instrument_arity, scenario.levels
+    n_clean = len(scenario.clean_labels())
+    n_bits = n_clean + k_z * (len(levels) - n_clean)
+    place = [1 << i for i in reversed(range(n_bits))]
+    clean_place, zdep_place = iter(place[:n_clean]), iter(place[n_clean:])
+    weight = [
+        [next(clean_place)] * k_z if lv.clean else [next(zdep_place) for _ in range(k_z)]
+        for lv in levels
+    ]
+    return weight, n_bits
+
+
 @dataclass(frozen=True, eq=False)
 class MergedSystem:
     """Identical-column groups of a constraint system.
@@ -257,15 +293,7 @@ def merge_columns(system: ConstraintSystem) -> MergedSystem:
     """
     scenario, levels = system.scenario, system.scenario.levels
     k_z, k_x = scenario.instrument_arity, len(levels)
-    n_clean = len(scenario.clean_labels())
-    n_bits = n_clean + k_z * (k_x - n_clean)
-    # weight[x][z]: the place value, in the outcome-type index, of the bit read at (x, z).
-    place = [1 << i for i in reversed(range(n_bits))]
-    clean_place, zdep_place = iter(place[:n_clean]), iter(place[n_clean:])
-    weight = [
-        [next(clean_place)] * k_z if lv.clean else [next(zdep_place) for _ in range(k_z)]
-        for lv in levels
-    ]
+    weight, n_bits = _bit_places(scenario)
     level_of = {lv.label: x for x, lv in enumerate(levels)}
     referenced = system.estimand.referenced()  # (x,) or (x_prime, x)
     coef = {weight[level_of[label]][0]: c for label, c in zip(referenced, (1, -1))}

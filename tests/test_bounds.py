@@ -30,6 +30,7 @@ from coarseiv.datasets import (
     peanut_scenario,
     scenario_preset,
 )
+from coarseiv import oracle
 from coarseiv.oracle import sample_scm
 from coarseiv.response import build_constraint_system
 
@@ -158,6 +159,51 @@ def test_closed_form_for_evaluates_the_transcribed_form(preset):
     assert cf.interval == direct.interval == numeric_bounds(
         build_constraint_system(scenario), dist
     ).interval
+
+
+def _closed_form_scenarios():
+    named = [(name, scenario_preset(name)[1]) for name in PRESET_NAMES]
+    for name, base, _ in oracle._families():
+        named += [
+            (name, base),
+            (f"{name} + ill-defining", oracle._with_extra(base, False)),
+            (f"{name} + instrument-affected", oracle._with_extra(base, True)),
+        ]
+    return [(name, s) for name, s in named if closed_form_for(s) is not None]
+
+
+def _standalone_closed_form(form, scenario, dist):
+    est = scenario.estimand
+    if form == "ten-term":
+        xo = next(l for l in scenario.level_labels() if l not in (est.x, est.x_prime))
+        return closed_form_ternary_contrast(dist, est.x, est.x_prime, xo)
+    if form == "eight-term":
+        return closed_form_classic(dist, est.x, est.x_prime)
+    return closed_form_single_level(dist, est.x)
+
+
+def _fields(res):
+    return (res.lower, res.upper, res.method, res.scenario, res.estimand, res.term_sets,
+            res.diagnostics, res.notes)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [s for _, s in _closed_form_scenarios()],
+    ids=[name for name, _ in _closed_form_scenarios()],
+)
+def test_closed_form_for_equals_the_standalone_closed_form(scenario):
+    # closed_form_for builds the form's term sets once; each evaluation
+    # must still give what the standalone function builds from scratch.
+    form, evaluate, _ = closed_form_for(scenario)
+    for seed in range(4):
+        dist = sample_scm(scenario, seed).dist
+        assert _fields(evaluate(dist)) == _fields(_standalone_closed_form(form, scenario, dist))
+
+
+def test_closed_form_scenarios_cover_every_form():
+    forms = {closed_form_for(s)[0] for _, s in _closed_form_scenarios()}
+    assert forms == {"ten-term", "eight-term", "two-term"}
 
 
 # -- certificates -------------------------------------------------------------------

@@ -755,13 +755,19 @@ def test_verify_documents_are_byte_identical(capsys, command):
 
 
 def _shift_lower(monkeypatch, shift=Fraction(1, 720)):
-    solve_b = BoundsSolver.solve_b
+    # Validity and the equivalences read the batch, tightness reads solve_b.
+    solve_b, solve_batch = BoundsSolver.solve_b, BoundsSolver.solve_batch
 
     def shifted(self, *args, **kwargs):
         res = solve_b(self, *args, **kwargs)
         return dataclasses.replace(res, lower=res.lower + shift)
 
+    def shifted_batch(self, B, scale):
+        lowers, uppers, rescued = solve_batch(self, B, scale)
+        return [v + shift for v in lowers], uppers, rescued
+
     monkeypatch.setattr(BoundsSolver, "solve_b", shifted)
+    monkeypatch.setattr(BoundsSolver, "solve_batch", shifted_batch)
 
 
 def test_verify_document_with_a_shifted_bound_is_pinned(capsys, monkeypatch):
@@ -798,15 +804,21 @@ def test_verify_failure_records_do_not_depend_on_the_trial_count(capsys, monkeyp
 
 def test_verify_tightness_fails_on_an_engine_infeasibility(capsys, monkeypatch):
     # A sampled table is feasible by construction: an infeasibility verdict
-    # on it is a failed audit (exit 1), not infeasible data (exit 3).
-    solve_b = BoundsSolver.solve_b
+    # on it is a failed audit (exit 1), not infeasible data (exit 3).  The
+    # batch hands the faulty rows back as rescued and solve_b raises on them.
+    solve_b, solve_batch = BoundsSolver.solve_b, BoundsSolver.solve_batch
 
     def faulty(self, b, *args, **kwargs):
         if b[0] % 2:
             raise InfeasibleDistribution({"normalization": Fraction(1)}, Fraction(1))
         return solve_b(self, b, *args, **kwargs)
 
+    def faulty_batch(self, B, scale):
+        lowers, uppers, rescued = solve_batch(self, B, scale)
+        return lowers, uppers, [r or bool(b0 % 2) for r, b0 in zip(rescued, B[:, 0].tolist())]
+
     monkeypatch.setattr(BoundsSolver, "solve_b", faulty)
+    monkeypatch.setattr(BoundsSolver, "solve_batch", faulty_batch)
     for suite in ("validity", "tightness"):
         code, out, err = run_cli(
             capsys, "verify", "--preset", "homocysteine-3", "--suite", suite,

@@ -14,10 +14,8 @@ from coarseiv.bounds import merge_columns
 from coarseiv.data import Estimand, ExposureLevel, RawRecord, Scenario, tabulate
 from coarseiv.datasets import scenario_preset
 from coarseiv.exactlp import (
-    _NEAREST,
     ExactSimplex,
     Infeasible,
-    _Vertex,
     _exact_product,
     independent_rows,
     integer_rhs,
@@ -332,13 +330,18 @@ def test_integer_and_rational_rhs_agree():
 
 
 def test_previously_seen_rhs_is_answered_without_pivots():
+    # The last optimal basis fits the right-hand side it was found for:
+    # asked again, that b takes zero pivots and keeps the basis, uncopied.
     system, dist, columns, costs = _homocysteine_lp()
     lp = ExactSimplex(_dense(system.n_rows, columns), costs)
-    (b0, n0), (b1, n1) = _rhs_sequence(system, dist, seed=3, count=2)
-    first = lp.solve(b0, scale=n0)
-    lp.resolve_b(b1, scale=n1)
-    again = lp.resolve_b(b0, scale=n0)
-    assert again.pivots == 0 and again.value == first.value
+    rhs = _oracle_rhs_sequence(system, seed=4, count=10)
+    first = lp.solve(*rhs[0])
+    for b, scale in rhs:
+        out = lp.resolve_b(b, scale=scale)
+        again = lp.resolve_b(b, scale=scale)
+        assert again.pivots == 0 and again.value == out.value
+        assert again.vertex is out.vertex is lp._last
+    assert lp.resolve_b(*rhs[0]).value == first.value
 
 
 def _record_dual_starts(monkeypatch):
@@ -352,17 +355,6 @@ def _record_dual_starts(monkeypatch):
 
     monkeypatch.setattr(ExactSimplex, "_run_dual", recording)
     return starts
-
-
-def _infeasibility(vx, bt):
-    """Sum of the negative levels of B^-1 b~, as an exact fraction."""
-    levels = (sum(a * v for a, v in zip(row, bt)) for row in vx.M.tolist())
-    return sum((Fraction(-x, vx.d) for x in levels if x < 0), Fraction(0))
-
-
-def _least_infeasible(lp, bt):
-    # min keeps the first of equal keys: ties go to the more recent basis.
-    return min(lp._recent, key=lambda vx: _infeasibility(vx, bt))
 
 
 def _oracle_rhs_sequence(system, seed, count):
@@ -384,44 +376,18 @@ def _oracle_rhs_sequence(system, seed, count):
     return out
 
 
-def test_miss_starts_from_least_infeasible_recent_basis(monkeypatch):
-    system, dist, columns, costs = _homocysteine_lp()
-    m = system.n_rows
-    lp = ExactSimplex(_dense(m, columns), costs)
-    (b0, n0), *rest = _oracle_rhs_sequence(system, seed=2, count=12)
-    lp.solve(b0, scale=n0)
-    for b, scale in rest[:-1]:
-        lp.resolve_b(b, scale=scale)
-    b, scale = rest[-1]
-    ranked = sorted(lp._recent, key=lambda vx: _infeasibility(vx, b))
-    best, worst = ranked[0], ranked[-1]
-    assert 0 < _infeasibility(best, b) < _infeasibility(worst, b)
-    # The most recent basis is the worst; the best comes next, then an equally
-    # infeasible copy of it with M and d doubled, which the tie must not pick.
-    twin = _Vertex(best.basis, 2 * best.M, 2 * best.d)
-    lp._recent[:] = [worst, best, twin]
-    starts = _record_dual_starts(monkeypatch)
-    out = lp.resolve_b(b, scale=scale)
-    assert starts == [(best.basis, best.d)]
-    cold = ExactSimplex(_dense(m, columns), costs).solve(b, scale=scale)
-    assert out.value == cold.value
-    _check_certificates(columns, costs, b, scale, out)
-
-
 @pytest.mark.parametrize("side", ["min", "max"])
-def test_far_apart_resolves_start_from_least_infeasible_basis(monkeypatch, side):
+def test_far_apart_resolves_start_from_the_last_basis(monkeypatch, side):
     system, dist, columns, costs = _homocysteine_lp(side)
     m = system.n_rows
     lp = ExactSimplex(_dense(m, columns), costs)
     starts = _record_dual_starts(monkeypatch)
-    n_pivoted = n_not_front = 0
+    n_pivoted = 0
     for k, (b, scale) in enumerate(_oracle_rhs_sequence(system, seed=13, count=60)):
         n_starts = len(starts)
-        if k:
-            # Every warm resolve runs the dual simplex once, from the least
-            # infeasible recent basis.
-            expected = _least_infeasible(lp, b)
-            n_not_front += expected is not lp._recent[0]
+        # Every warm resolve runs the dual simplex once, from the last
+        # optimal basis.
+        expected = lp._last
         out = lp.resolve_b(b, scale=scale)
         if k:
             assert starts[n_starts:] == [(expected.basis, expected.d)]
@@ -431,29 +397,7 @@ def test_far_apart_resolves_start_from_least_infeasible_basis(monkeypatch, side)
         cold = ExactSimplex(_dense(m, columns), costs).solve(b, scale=scale)
         assert out.value == cold.value
         _check_certificates(columns, costs, b, scale, out)
-    assert n_pivoted >= 20 and n_not_front >= 5
-
-
-def test_repeated_rhs_moves_its_basis_to_the_front_without_a_copy():
-    system, dist, columns, costs = _homocysteine_lp()
-    lp = ExactSimplex(_dense(system.n_rows, columns), costs)
-    rhs = _oracle_rhs_sequence(system, seed=4, count=10)
-    values = {0: lp.solve(*rhs[0]).value}
-    n_repeats = 0
-    # b1, b0, b2, b1, b3, b2, ...: each b is asked again one solve later.
-    for k in range(1, len(rhs)):
-        for i in (k, k - 1):
-            before = list(lp._recent)
-            out = lp.resolve_b(*rhs[i])
-            if i in values:
-                assert out.pivots == 0 and out.value == values[i]
-                assert out.vertex in before
-                assert lp._recent == [out.vertex] + [v for v in before if v is not out.vertex]
-                n_repeats += 1
-            values[i] = out.value
-            assert len(lp._recent) <= _NEAREST
-            assert len({vx.basis for vx in lp._recent}) == len(lp._recent)
-    assert n_repeats == len(rhs) - 1 and len(lp._recent) == _NEAREST
+    assert n_pivoted >= 20
 
 
 @pytest.mark.parametrize("b2", [3, 1])
@@ -850,9 +794,9 @@ def test_widened_columns_pivot_through_python_ints(draw):
     wide = ExactSimplex(*_widened(3, columns, costs))
     got = _trace(wide, rhs)
     assert _up_to_scale(got) == _up_to_scale(_trace(ExactSimplex(_dense(3, columns), costs), rhs))
-    for vx in wide._recent:
-        if sum(var < wide.n for var in vx.basis) >= 2:
-            assert vx.M.dtype == object and exactlp._bits(vx.M) > exactlp._INT64_BITS
+    vx = wide._last
+    if vx is not None and sum(var < wide.n for var in vx.basis) >= 2:
+        assert vx.M.dtype == object and exactlp._bits(vx.M) > exactlp._INT64_BITS
 
 
 def test_widened_columns_on_homocysteine_keep_bases_and_pivots():
@@ -863,8 +807,8 @@ def test_widened_columns_on_homocysteine_keep_bases_and_pivots():
     want = _trace(small, rhs)
     assert _up_to_scale(_trace(wide, rhs)) == _up_to_scale(want)
     assert any(isinstance(t[0], tuple) and t[1] > 0 for t in want[1:])
-    assert all(vx.M.dtype == object for vx in wide._recent)
-    assert all(vx.M.dtype == np.int64 for vx in small._recent)
+    assert wide._last.M.dtype == object
+    assert small._last.M.dtype == np.int64
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -960,13 +904,16 @@ def _replicate_tables(name, seed, count, six):
 
 
 def _start_pool(lp, B, scale):
-    """Optimal bases of the feasible tables of B: the recent bases after them."""
+    """The last four distinct optimal bases of the feasible tables of B, last first."""
+    pool = {}
     for row in B.tolist():
         try:
-            lp.resolve_b(row, scale)
+            vx = lp.resolve_b(row, scale).vertex
         except Infeasible:
-            pass
-    return list(lp._recent)
+            continue
+        pool.pop(vx.basis, None)
+        pool[vx.basis] = vx
+    return list(pool.values())[:-5:-1]
 
 
 def _check_lockstep(lp, starts, B, scale):
@@ -977,7 +924,7 @@ def _check_lockstep(lp, starts, B, scale):
     got = lp.resolve_many(starts, B, scale)
     assert len(got) == len(B)
     for start, row, out in zip(starts, B.tolist(), got):
-        lp._recent[:] = [start]
+        lp._last = start
         try:
             want = lp.resolve_b(row, scale)
         except Infeasible:

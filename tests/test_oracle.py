@@ -7,6 +7,7 @@ import pytest
 
 from coarseiv.bounds import BoundsSolver, InfeasibleDistribution, numeric_bounds
 from coarseiv.data import Estimand, ExposureLevel, InputError, Scenario
+from coarseiv import oracle
 from coarseiv.datasets import (
     homocysteine_scenario,
     peanut_distribution,
@@ -113,13 +114,24 @@ def test_check_validity_runs_the_eight_term_audit(levels):
 
 
 def _shift_bound(monkeypatch, side, shift=Fraction(1, 720)):
-    solve_b = BoundsSolver.solve_b
+    # Both ways a bound leaves the solver: validity and the equivalences
+    # read the batch, tightness reads solve_b.
+    solve_b, solve_batch = BoundsSolver.solve_b, BoundsSolver.solve_batch
 
     def shifted(self, *args, **kwargs):
         res = solve_b(self, *args, **kwargs)
         return dataclasses.replace(res, **{side: getattr(res, side) + shift})
 
+    def shifted_batch(self, B, scale):
+        lowers, uppers, rescued = solve_batch(self, B, scale)
+        if side == "lower":
+            lowers = [v + shift for v in lowers]
+        else:
+            uppers = [v + shift for v in uppers]
+        return lowers, uppers, rescued
+
     monkeypatch.setattr(BoundsSolver, "solve_b", shifted)
+    monkeypatch.setattr(BoundsSolver, "solve_batch", shifted_batch)
 
 
 @pytest.mark.parametrize("levels", sorted(EIGHT_TERM_LEVEL_SETS))
@@ -181,17 +193,33 @@ def test_check_tightness_fails_a_bound_off_the_optimum(monkeypatch, side, shift)
     assert {f["side"] for f in report.failures} == {side}
 
 
-def _infeasible_on_odd_tables(monkeypatch):
+def _infeasible_on_odd_tables(monkeypatch, faulty_system=lambda system: True):
     # Every sampled table is feasible, so an infeasibility verdict is an
-    # engine fault.  It fires on tables whose first cell count is odd.
-    solve_b = BoundsSolver.solve_b
+    # engine fault.  It fires on tables whose first cell count, over
+    # SIMPLEX_DENOMINATOR, is odd, in the solvers of the systems
+    # `faulty_system` picks: the batch hands such a row back as rescued, and
+    # solve_b raises on it.  The exception carries the table it fired on.
+    solve_b, solve_batch = BoundsSolver.solve_b, BoundsSolver.solve_batch
+
+    def odd(b0, scale):
+        return bool(b0 * SIMPLEX_DENOMINATOR // scale % 2)
 
     def faulty(self, b, *args, **kwargs):
-        if b[0] % 2:
-            raise InfeasibleDistribution({"normalization": Fraction(1)}, Fraction(1))
+        scale = kwargs.get("scale", SIMPLEX_DENOMINATOR)
+        if faulty_system(self.system) and odd(b[0], scale):
+            exc = InfeasibleDistribution({"normalization": Fraction(1)}, Fraction(1))
+            exc.table = [Fraction(v, scale) for v in b]
+            raise exc
         return solve_b(self, b, *args, **kwargs)
 
+    def faulty_batch(self, B, scale):
+        lowers, uppers, rescued = solve_batch(self, B, scale)
+        if faulty_system(self.system):
+            rescued = [r or odd(b0, scale) for r, b0 in zip(rescued, B[:, 0].tolist())]
+        return lowers, uppers, rescued
+
     monkeypatch.setattr(BoundsSolver, "solve_b", faulty)
+    monkeypatch.setattr(BoundsSolver, "solve_batch", faulty_batch)
 
 
 def test_check_tightness_records_an_engine_infeasibility(monkeypatch):
@@ -212,6 +240,75 @@ def test_check_tightness_records_an_engine_infeasibility(monkeypatch):
     assert [(f["trial"], f["q_parts"]) for f in matching] == [
         (f["trial"], f["q_parts"]) for f in report.failures
     ]
+
+
+def _odd_table_records(scenario, trials, seed, audits):
+    # The records the per-trial path wrote under the odd-table fault: each
+    # trial whose table's first cell count is odd fails each audit named.
+    forward = oracle._forward(build_constraint_system(scenario))
+    error = str(InfeasibleDistribution({"normalization": Fraction(1)}, Fraction(1)))
+    records = []
+    for t in range(trials):
+        parts, acc, _ = oracle._draw(forward, oracle._rng(seed, t))
+        if acc[0] % 2:
+            records += [
+                {"trial": t, "audit": a, "error": error, "q_parts": parts} for a in audits
+            ]
+    return records
+
+
+def test_a_rescued_matching_row_keeps_its_failure_record(monkeypatch):
+    monkeypatch.setattr(oracle, "_MAX_FAILURES", 100)
+    _infeasible_on_odd_tables(monkeypatch)
+    scenario = homocysteine_scenario(3)
+    report = check_validity(scenario, 12, seed=1)
+    expected = _odd_table_records(scenario, 12, 1, ["matching"])
+    assert 0 < len(expected) < 12
+    # A faulty matching row skips its demoted audits, as the per-trial path did.
+    assert list(report.failures) == expected
+    assert report.n_validity_violations == len(expected)
+    assert report.n_nesting_violations == report.n_closed_form_violations == 0
+
+
+def test_rescued_demoted_rows_keep_their_failure_records(monkeypatch):
+    monkeypatch.setattr(oracle, "_MAX_FAILURES", 100)
+    scenario = homocysteine_scenario(4)
+    _infeasible_on_odd_tables(
+        monkeypatch, lambda system: system.scenario.levels != scenario.levels
+    )
+    report = check_validity(scenario, 12, seed=1)
+    demoted = [a for a in report.audits if a.startswith("demoted:")]
+    assert len(demoted) == 2
+    expected = _odd_table_records(scenario, 12, 1, demoted)
+    assert 0 < len(expected) < 24
+    assert list(report.failures) == expected
+    assert report.n_validity_violations == len(expected)
+
+
+def test_a_rescued_family_row_raises_where_the_per_trial_solve_did(monkeypatch):
+    # A family records no infeasibility: the first faulty solve in the
+    # per-trial order (plain, scrambled, base, zero-padded) raises out of
+    # the audit.  A scrambled row is faulty with its plain one, a padded
+    # row with its base one.  On seed 0 that is trial 0's base table, while
+    # trial 1's plain table comes first in the batch's row order.
+    _infeasible_on_odd_tables(monkeypatch)
+    _, base, _ = oracle._families()[0]
+    ill = build_constraint_system(oracle._with_extra(base, False))
+    plain_forward = oracle._forward(ill)
+    base_forward = oracle._forward(build_constraint_system(base))
+    first = None
+    for t in range(8):
+        rng = oracle._rng(0, 0, t)
+        _, acc, _ = oracle._draw(plain_forward, rng)
+        oracle._scrambled_rhs(ill, acc, "m", rng)
+        _, acc2, _ = oracle._draw(base_forward, rng)
+        first = next((b for b in (acc, acc2) if b[0] % 2), None)
+        if first is not None:
+            break
+    assert first is not None
+    with pytest.raises(InfeasibleDistribution) as raised:
+        check_equivalences(trials=8, seed=0)
+    assert raised.value.table == [Fraction(v, SIMPLEX_DENOMINATOR) for v in first]
 
 
 def test_certificate_checker_rejects_tampering():

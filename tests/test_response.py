@@ -3,9 +3,10 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from coarseiv import response
+from coarseiv import oracle, response
 from coarseiv.data import (
     Estimand,
     ExposureLevel,
@@ -13,6 +14,7 @@ from coarseiv.data import (
     ObservedDistribution,
     Scenario,
 )
+from coarseiv.datasets import PRESET_NAMES, scenario_preset
 from coarseiv.response import (
     CapExceeded,
     build_constraint_system,
@@ -223,3 +225,71 @@ def test_mass_conservation_identity():
                 if r != norm_row and z_pos * cells_per_z <= r < (z_pos + 1) * cells_per_z
             ]
             assert len(block) == 1
+
+
+# -- the type matrix ------------------------------------------------------------------
+
+
+def _enumerated_rows(system):
+    # Each response type's rows, read off its exposure and outcome maps:
+    # the cell (z, x_e(z), y) of each instrument level z in order, where y is
+    # the clean bit of x_e(z) or its bit at z, then the normalization row.
+    scenario = system.scenario
+    labels, zs = scenario.level_labels(), scenario.instrument_levels
+    clean, zdep = scenario.clean_labels(), scenario.zdep_labels()
+    row_of = {key: i for i, key in enumerate(system.row_keys)}
+    for etype in system.exposure_types:
+        for o in system.outcome_types:
+            rows = []
+            for z, x in enumerate(labels[i] for i in etype.assignment):
+                y = o.clean_bits[clean.index(x)] if x in clean else o.zdep_bits[zdep.index(x)][z]
+                rows.append(row_of[zs[z], x, y])
+            yield rows + [row_of["normalization"]]
+
+
+def _preset_and_family_scenarios():
+    for name in PRESET_NAMES:
+        yield name, scenario_preset(name)[1]
+    for name, base, _ in oracle._families():
+        yield name, base
+        yield f"{name} + ill-defining", oracle._with_extra(base, False)
+        yield f"{name} + instrument-affected", oracle._with_extra(base, True)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [s for _, s in _preset_and_family_scenarios()],
+    ids=[name for name, _ in _preset_and_family_scenarios()],
+)
+def test_type_matrix_is_the_enumerated_columns(scenario):
+    system = build_constraint_system(scenario)
+    rows = list(_enumerated_rows(system))
+    expected = np.zeros((system.n_variables, system.n_rows), dtype=np.int64)
+    for j, col in enumerate(rows):
+        expected[j, col] = 1
+    assert system.type_matrix.dtype == np.int64
+    assert np.array_equal(system.type_matrix, expected)
+    # The sparse columns, and dump-lp's rows of each type, in the same order.
+    assert system.columns == tuple(tuple((r, 1) for r in col) for col in rows)
+    assert system.to_document()["columns"] == [[[r, 1] for r in col] for col in rows]
+
+
+def test_lp_payload_tells_apart_which_levels_are_z_dependent():
+    # Same rows, type count and objective; only the matrix differs.
+    def scenario(zdep_label, well_defining=False):
+        levels = [ExposureLevel("x"), ExposureLevel("xp")] + [
+            ExposureLevel(label, well_defining=well_defining, z_dependent=True)
+            if label == zdep_label
+            else ExposureLevel(label)
+            for label in ("a", "b")
+        ]
+        estimand = Estimand("risk_difference", x="x", x_prime="xp")
+        return Scenario(("z0", "z1"), tuple(levels), estimand)
+
+    sys_a, sys_b = (build_constraint_system(scenario(label)) for label in "ab")
+    assert sys_a.row_keys == sys_b.row_keys
+    assert sys_a.n_variables == sys_b.n_variables
+    assert sys_a.objective == sys_b.objective
+    assert sys_a.lp_payload() != sys_b.lp_payload()
+    # Ill-defining and instrument-affected versions of one level coincide.
+    assert build_constraint_system(scenario("a", True)).lp_payload() == sys_a.lp_payload()

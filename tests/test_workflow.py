@@ -77,9 +77,16 @@ def test_tier1_job_traces_every_benchmark_workload():
     # A traced pass checks traced against untraced outputs and that the
     # spans a workload exists to exercise fire.
     workloads = {w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]}
-    traced = set()
+    traced, held_out = set(), set()
     for step in _jobs()["tier1"]["steps"]:
         argv = shlex.split(step.get("run", ""))
         if "perfbench/run.py" in argv and argv[argv.index("--trace") + 1] == "1":
-            traced.add(argv[argv.index("--workload") + 1])
+            workload = argv[argv.index("--workload") + 1]
+            traced.add(workload)
+            if argv[argv.index("--seed") + 1] != "1":
+                held_out.add(workload)
     assert workloads and workloads <= traced
+    # Which tables a batch solves in which round depends on the draws, so
+    # the workloads that solve batches (the bootstrap and the oracle) are
+    # traced on a held-out seed too.
+    assert {"resample", "audit"} <= held_out

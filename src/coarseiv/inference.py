@@ -17,6 +17,14 @@ proportion; m = n, which keeps every stratum's size, except under m-out-of-n.
 Drawing records with replacement within strata induces the same distribution
 on the tables, and all analyses depend on data only through the tables.
 
+Replicate k of a run draws from its own PCG64 generator, seeded as the k-th
+child that the run seed's ``SeedSequence`` spawns.  `spawn_states` computes
+every child's seeding words in one vectorised pass of numpy's SeedSequence
+hash (O'Neill's ``seed_seq_fe``) over the spawn keys, and `pcg64_generator`
+hands a row of them to ``PCG64``, so each replicate draws exactly the
+stream that the spawned child gives, without a SeedSequence object per
+replicate.
+
 Every replicate recomputes the bounds through the exact LP solver, never
 through a shortcut estimator.  Each size's replicate tables are drawn
 first, as integer counts over one common scale, and solved as one batch
@@ -34,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import ceil, lcm
 from typing import Sequence
 
@@ -56,7 +65,9 @@ __all__ = [
     "IntervalResult",
     "m_out_of_n_ci",
     "parametric_multinomial_ci",
+    "pcg64_generator",
     "percentile_ci",
+    "spawn_states",
 ]
 
 
@@ -146,19 +157,29 @@ class IntervalResult:
 
 
 def _exact_quantile(values: list[Fraction], q: Fraction) -> Fraction:
-    """Linear-interpolation quantile, exact over rationals."""
-    # The float sort only orders the list; the exact sort then fixes the
-    # order of values closer than float precision, in about linear time on
-    # input this nearly sorted.
-    v = sorted(sorted(values, key=float))
-    if len(v) == 1:
-        return v[0]
-    h = q * (len(v) - 1)
+    """Linear-interpolation quantile, exact over rationals.
+
+    ``float`` of a Fraction is correctly rounded, so it never reverses two
+    values: the k-th smallest float is the float of the k-th smallest
+    value.  One float partition finds the two order statistics the rule
+    reads, and an exact sort of the values that share each one's float, the
+    only ones floats cannot order, picks the value.
+    """
+    n = len(values)
+    h = q * (n - 1)
     lo = int(h)  # floor: h >= 0
     frac = h - lo
+    floats = np.array([float(v) for v in values])
+    kth = np.partition(floats, [lo, min(lo + 1, n - 1)])
+
+    def order_statistic(k: int) -> Fraction:
+        ties = sorted(values[i] for i in np.flatnonzero(floats == kth[k]).tolist())
+        return ties[k - int(np.count_nonzero(floats < kth[k]))]
+
+    low = order_statistic(lo)
     if frac == 0:
-        return v[lo]
-    return v[lo] + frac * (v[lo + 1] - v[lo])
+        return low
+    return low + frac * (order_statistic(lo + 1) - low)
 
 
 def _tails(spec: BootstrapSpec) -> tuple[Fraction, Fraction]:
@@ -182,6 +203,127 @@ def _proportional_allocation(n_per_z: dict[str, int], m: int) -> dict[str, int]:
         for i in range(remaining):
             alloc[order[i % len(order)]] += 1
     return alloc
+
+
+# numpy's SeedSequence constants (O'Neill's seed_seq_fe): the entropy pool is
+# four uint32 words, each word hashed with a multiplier that advances by
+# _MULT_A from _INIT_A while mixing and by _MULT_B from _INIT_B while
+# generating the state.
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words32(n: int) -> list[int]:
+    """A non-negative int as numpy's little-endian uint32 words; 0 is one word."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def spawn_states(
+    seed: int, prefix: tuple[int, ...] = (), start: int | None = None, count: int = 1
+) -> np.ndarray:
+    """PCG64 seeding words of ``count`` SeedSequence children, one row each.
+
+    Row i is ``generate_state(4, np.uint64)`` of the ``SeedSequence`` with
+    entropy ``seed`` and ``spawn_key=prefix + (start + i,)``, or with
+    ``start`` None of ``spawn_key=prefix`` (every row alike).  So with
+    ``prefix=()`` rows ``start .. start + count - 1`` are the children that
+    the seed's ``SeedSequence.spawn`` hands out in that order.  The hash's
+    multipliers do not depend on the data, so each step runs once over a
+    column of every row.
+    """
+    fixed = _words32(seed)
+    if (prefix or start is not None) and len(fixed) < _POOL_SIZE:
+        # numpy pads the run entropy only when there is a spawn key.
+        fixed += [0] * (_POOL_SIZE - len(fixed))
+    for part in prefix:
+        fixed += _words32(part)
+    if start is None:
+        return _seed_state(np.tile(np.array(fixed, dtype=np.uint32), (count, 1)))
+    if start + count > 2**64:
+        raise ValueError("spawn keys of 2**64 or more are not supported")
+    blocks = []
+    end = start + count
+    while start < end:
+        # Keys below 2**32 are one word, the rest two.
+        n_words = len(_words32(start))
+        stop = min(end, 2 ** (32 * n_words))
+        keys = np.arange(start, stop, dtype=np.uint64)
+        entropy = np.empty((stop - start, len(fixed) + n_words), dtype=np.uint32)
+        entropy[:, : len(fixed)] = fixed
+        for j in range(n_words):
+            entropy[:, len(fixed) + j] = keys >> np.uint64(32 * j) & np.uint64(_MASK32)
+        blocks.append(_seed_state(entropy))
+        start = stop
+    return np.concatenate(blocks)
+
+
+def _seed_state(entropy: np.ndarray) -> np.ndarray:
+    """numpy's ``mix_entropy`` and ``generate_state(4, np.uint64)`` for every
+    row of an (n, words) uint32 entropy array, in uint32 arithmetic that
+    wraps as numpy's C code does."""
+    n, width = entropy.shape
+    mult = _INIT_A
+
+    def hashmix(value):
+        nonlocal mult
+        value = value ^ np.uint32(mult)
+        mult = mult * _MULT_A & _MASK32
+        value = value * np.uint32(mult)
+        return value ^ value >> np.uint32(16)
+
+    def mix(x, y):
+        out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return out ^ out >> np.uint32(16)
+
+    with np.errstate(over="ignore"):
+        zero = np.zeros(n, dtype=np.uint32)
+        pool = [hashmix(entropy[:, i] if i < width else zero) for i in range(_POOL_SIZE)]
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for src in range(_POOL_SIZE, width):
+            for dst in range(_POOL_SIZE):
+                pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+        mult = _INIT_B
+        state = np.empty((n, 2 * _POOL_SIZE), dtype=np.uint64)
+        for i in range(2 * _POOL_SIZE):
+            value = pool[i % _POOL_SIZE] ^ np.uint32(mult)
+            mult = mult * _MULT_B & _MASK32
+            value = value * np.uint32(mult)
+            state[:, i] = value ^ value >> np.uint32(16)
+    # Little-endian pairs of uint32 words make each uint64.
+    return state[:, 0::2] | state[:, 1::2] << np.uint64(32)
+
+
+@cache
+def _seed_state_type() -> type:
+    """A seed sequence that hands PCG64 seeding words computed ahead.
+
+    Made on first use, so that importing the package does not import
+    ``numpy.random``.
+    """
+
+    class SeedState(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedState
+
+
+def pcg64_generator(words: np.ndarray) -> np.random.Generator:
+    """The generator ``Generator(PCG64(seq))`` of the SeedSequence ``seq``
+    whose row of `spawn_states` is ``words``; numpy seeds PCG64 from it."""
+    return np.random.Generator(np.random.PCG64(_seed_state_type()(words)))
 
 
 class _Resampler:
@@ -208,25 +350,26 @@ class _Resampler:
             for z in scenario.instrument_levels
         }
 
-    def tables(
-        self, seeds: Sequence[np.random.SeedSequence], sizes: dict[str, int]
-    ) -> tuple[np.ndarray, int]:
-        """One resampled table per seed, as the rows of B over a common scale.
+    def tables(self, states: np.ndarray, sizes: dict[str, int]) -> tuple[np.ndarray, int]:
+        """One resampled table per row of ``states`` (`spawn_states`), as the
+        rows of B over a common scale.
 
-        Cell (z, x, y) reads count * (scale // n_z) and normalization reads
-        scale, so every row is an integer right-hand side b~ = scale * b.
+        Row k draws each stratum's multinomial, in stratum order, from
+        ``pcg64_generator(states[k])``.  Cell (z, x, y) reads count *
+        (scale // n_z) and normalization reads scale, so every row is an
+        integer right-hand side b~ = scale * b.
         """
         scale = lcm(*sizes.values())
         draws = {
-            z: np.empty((len(seeds), len(self.cells)), dtype=np.int64)
+            z: np.empty((len(states), len(self.cells)), dtype=np.int64)
             for z in self.scenario.instrument_levels
         }
-        for k, child in enumerate(seeds):
-            rng = np.random.Generator(np.random.PCG64(child))
+        for k, words in enumerate(states):
+            rng = pcg64_generator(words)
             for z, counts in draws.items():
                 counts[k] = rng.multinomial(sizes[z], self.pvals[z])
         dtype = np.int64 if scale <= np.iinfo(np.int64).max else object
-        B = np.zeros((len(seeds), self.system.n_rows), dtype=dtype)
+        B = np.zeros((len(states), self.system.n_rows), dtype=dtype)
         B[:, self.system.row_keys.index("normalization")] = scale
         for z, counts in draws.items():
             B[:, self.cell_rows[z]] = counts.astype(dtype) * (scale // sizes[z])
@@ -244,8 +387,10 @@ def _bootstrap(
     """Resample at each total size in ``m_grid`` (default: just n).
 
     Size j solves, as one batch, the R = ``spec.replicates`` tables drawn
-    from children j*R .. (j+1)*R - 1 of ``SeedSequence(spec.seed)``.  The
-    interval reported is the one closest (max endpoint difference) to its
+    from children j*R .. (j+1)*R - 1 of the ``SeedSequence`` of
+    ``spec.seed``; one `spawn_states` call gives the size's seeding words,
+    and `_Resampler.tables` seeds a generator from each row.  The interval
+    reported is the one closest (max endpoint difference) to its
     successor's.  Only an m grid, the m-out-of-n bootstrap, reports ``m``.
     """
     engine = _Resampler(scenario, dist)
@@ -253,7 +398,6 @@ def _bootstrap(
     n_per_z = dict(engine.dist.n_per_z)
     grid = m_grid or [sum(n_per_z.values())]
     R = spec.replicates
-    seeds = np.random.SeedSequence(spec.seed).spawn(R * len(grid))
     q_lo, q_hi = _tails(spec)
     intervals: list[tuple[Fraction, Fraction]] = []
     sizes: list[dict[str, int]] = []
@@ -261,7 +405,7 @@ def _bootstrap(
     for j, m in enumerate(grid):
         sizes.append(_proportional_allocation(n_per_z, m))
         lowers, uppers, rescued = engine.solver.solve_batch(
-            *engine.tables(seeds[j * R : (j + 1) * R], sizes[j])
+            *engine.tables(spawn_states(spec.seed, (), j * R, R), sizes[j])
         )
         intervals.append((_exact_quantile(lowers, q_lo), _exact_quantile(uppers, q_hi)))
         n_infeasible += sum(rescued)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -56,6 +56,7 @@ from .data import (
     ObservedDistribution,
     Scenario,
 )
+from .inference import pcg64_generator, spawn_states
 from .response import ConstraintSystem, build_constraint_system
 from .symbolic import derive_symbolic, term_sets_equal
 
@@ -88,11 +89,20 @@ class RandomScm:
 def _rng(seed: int, *key: int) -> np.random.Generator:
     """Generator of the SeedSequence child ``key`` of ``seed``.
 
-    ``_rng(seed, t)`` is seeded as the t-th child that ``SeedSequence(seed)``
-    spawns, so trial t draws the same model whatever the number of trials.
+    ``_rng(seed, t)`` is seeded as the t-th child that the seed's
+    ``SeedSequence`` spawns, so trial t draws the same model whatever the
+    number of trials.  ``_rng(seed)`` is the seed's own sequence.  The
+    seeding words come from `inference.spawn_states`, as for `_rngs`.
     """
-    seq = np.random.SeedSequence(seed, spawn_key=key)
-    return np.random.Generator(np.random.PCG64(seq))
+    return pcg64_generator(spawn_states(seed, key)[0])
+
+
+def _rngs(
+    seed: int, prefix: tuple[int, ...], count: int
+) -> Iterator[np.random.Generator]:
+    """``_rng(seed, *prefix, t)`` for t < count, seeded from one
+    `inference.spawn_states` batch."""
+    return map(pcg64_generator, spawn_states(seed, prefix, 0, count))
 
 
 def _compose(rng: np.random.Generator, k: int, denominator: int) -> np.ndarray:
@@ -164,15 +174,26 @@ def _check_run(trials: int, seed: int) -> None:
 
 def _trials(
     scenario: Scenario, trials: int, seed: int
-) -> tuple[ConstraintSystem, list[tuple[int, list[int], list[int], Fraction]]]:
-    """The scenario's system and every trial's draw, ``(t, parts, table,
-    true value)``, each from its own generator ``_rng(seed, t)``."""
+) -> tuple[ConstraintSystem, np.ndarray, np.ndarray, list[Fraction]]:
+    """The scenario's system and every trial's draw, trial t from its own
+    generator ``_rng(seed, t)``, as `_draw` makes it: the type weights and
+    the tables, one row per trial, and the true values.
+
+    The weights are kept only for failure records: they sum to
+    `SIMPLEX_DENOMINATOR`, so int16 holds them.
+    """
     _check_run(trials, seed)
     if scenario.estimand is None:
         raise InputError("scenario carries no estimand")
     system = build_constraint_system(scenario)
     forward = _forward(system)
-    return system, [(t, *_draw(forward, _rng(seed, t))) for t in range(trials)]
+    parts = np.empty((trials, len(forward)), dtype=np.int16)
+    acc = np.empty((trials, forward.shape[1]), dtype=np.int64)
+    for t, rng in enumerate(_rngs(seed, (), trials)):
+        parts[t] = weights = _compose(rng, len(forward), SIMPLEX_DENOMINATOR)
+        acc[t] = weights @ forward
+    truths = [Fraction(v, SIMPLEX_DENOMINATOR) for v in acc[:, -1].tolist()]
+    return system, parts, acc[:, :-1], truths
 
 
 def _solve_rows(solver: BoundsSolver, B: np.ndarray, scale: int) -> list:
@@ -233,10 +254,9 @@ def check_validity(scenario: Scenario, trials: int, seed: int) -> ValidityReport
     it is expected to be tight.  The eight-term form must also contain the
     ten-term one.
     """
-    system, draws = _trials(scenario, trials, seed)
+    system, parts, B, truths = _trials(scenario, trials, seed)
     est = scenario.estimand
     referenced = set(est.referenced())
-    B = np.array([acc for _, _, acc, _ in draws], dtype=np.int64)
     solved = _solve_rows(BoundsSolver(system), B, SIMPLEX_DENOMINATOR)
     weaker = []
     for lv in scenario.levels:
@@ -257,29 +277,30 @@ def check_validity(scenario: Scenario, trials: int, seed: int) -> ValidityReport
 
     n_validity = n_nesting = n_closed = 0
     failures: list[dict] = []
-    for (t, parts, acc, true), res in zip(draws, solved):
+    for t, (true, res) in enumerate(zip(truths, solved)):
         if isinstance(res, InfeasibleDistribution):
             n_validity += 1
-            _note(failures, trial=t, audit="matching", error=str(res), q_parts=parts)
+            _note(failures, trial=t, audit="matching", error=str(res),
+                  q_parts=parts[t].tolist())
             continue
         lower, upper = res
         if not lower <= true <= upper:
             n_validity += 1
             _note(failures, trial=t, audit="matching", lower=lower, upper=upper,
-                  true=true, q_parts=parts)
+                  true=true, q_parts=parts[t].tolist())
 
         for label, wsolved in weaker:
             wres = wsolved[t]
             if isinstance(wres, InfeasibleDistribution):
                 n_validity += 1
                 _note(failures, trial=t, audit=f"demoted:{label}", error=str(wres),
-                      q_parts=parts)
+                      q_parts=parts[t].tolist())
                 continue
             wlower, wupper = wres
             if not wlower <= true <= wupper:
                 n_validity += 1
                 _note(failures, trial=t, audit=f"demoted:{label}", lower=wlower,
-                      upper=wupper, true=true, q_parts=parts)
+                      upper=wupper, true=true, q_parts=parts[t].tolist())
             if wlower > lower or wupper < upper:
                 n_nesting += 1
                 _note(failures, trial=t, audit=f"demoted:{label}", kind="nesting",
@@ -287,7 +308,7 @@ def check_validity(scenario: Scenario, trials: int, seed: int) -> ValidityReport
 
         if closed is not None:
             form, evaluate, expected_tight = closed
-            dist = system.distribution(acc, SIMPLEX_DENOMINATOR)
+            dist = system.distribution(B[t].tolist(), SIMPLEX_DENOMINATOR)
             cf = evaluate(dist)
             ok = cf.lower <= lower and upper <= cf.upper and cf.lower <= true <= cf.upper
             if expected_tight:
@@ -383,17 +404,17 @@ def check_tightness(scenario: Scenario, trials: int, seed: int) -> TightnessRepo
     so these four checks are the whole audit.  A trial whose LP wrongly
     reports its table infeasible has no certificates: all four fail.
     """
-    system, draws = _trials(scenario, trials, seed)
+    system, parts, B, _ = _trials(scenario, trials, seed)
     solver = BoundsSolver(system)
     n_checked = n_failed = 0
     failures: list[dict] = []
-    for t, parts, acc, _ in draws:
+    for t, acc in enumerate(B.tolist()):
         n_checked += 4
         try:
             res = solver.solve_b(acc, scale=SIMPLEX_DENOMINATOR)
         except InfeasibleDistribution as exc:
             n_failed += 4
-            _note(failures, trial=t, error=str(exc), q_parts=parts)
+            _note(failures, trial=t, error=str(exc), q_parts=parts[t].tolist())
             continue
         sides = (
             ("lower", 1, res.lower, res.lower_certificate),
@@ -526,8 +547,7 @@ def _run_family(
     pad = [base_sys.row_keys.index(key) if key in base_sys.row_keys else None
            for key in ill_sys.row_keys]
     plain, scrambled, padded, unpadded = [], [], [], []
-    for t in range(trials):
-        rng = _rng(seed, index, t)
+    for rng in _rngs(seed, (index,), trials):
         # (a) a weakest-scenario sample, plain and with the extra level's
         # outcome mass scrambled; (b) a without-extra-level sample, also
         # zero-padded to the weakest scenario's rows.

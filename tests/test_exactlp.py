@@ -21,7 +21,7 @@ from coarseiv.exactlp import (
     integer_rhs,
     verify_farkas,
 )
-from coarseiv.inference import _Resampler
+from coarseiv.inference import _Resampler, spawn_states
 
 
 _TRANSPORT_COLUMNS = [((0, 1),), ((0, 1), (1, 1)), ((1, 1),)]
@@ -900,7 +900,7 @@ def _replicate_tables(name, seed, count, six):
     engine = _bootstrap_engine(name)
     n_per_z = dict(engine.dist.n_per_z)
     sizes = dict.fromkeys(n_per_z, 6) if six else n_per_z
-    return engine.tables(np.random.SeedSequence(seed).spawn(count), sizes)
+    return engine.tables(spawn_states(seed, (), 0, count), sizes)
 
 
 def _start_pool(lp, B, scale):

@@ -40,7 +40,9 @@ from coarseiv.inference import (
     _Resampler,
     m_out_of_n_ci,
     parametric_multinomial_ci,
+    pcg64_generator,
     percentile_ci,
+    spawn_states,
 )
 
 SMALL = dict(replicates=60, seed=11)
@@ -120,6 +122,31 @@ def test_exact_quantile_orders_values_closer_than_float_precision():
         want = exact[lo] if h == lo else exact[lo] + (h - lo) * (exact[lo + 1] - exact[lo])
         assert _exact_quantile(vals, q) == want
     assert _exact_quantile(vals, Fraction(1, 5)) == 1 + eps
+
+
+def _sorted_quantile(values, q):
+    """The quantile rule on the fully sorted list."""
+    v = sorted(values)
+    h = q * (len(v) - 1)
+    lo = int(h)
+    return v[lo] if h == lo else v[lo] + (h - lo) * (v[lo + 1] - v[lo])
+
+
+# Values a hair apart: each rounds to the float of its base.
+_near = st.builds(
+    lambda base, k: base + Fraction(k, 10**30),
+    st.sampled_from([Fraction(-1, 3), Fraction(0), Fraction(1, 7), Fraction(2, 3)]),
+    st.integers(-3, 3),
+)
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.one_of(_near, st.fractions(min_value=-1, max_value=1)), min_size=1, max_size=40),
+    st.fractions(min_value=0, max_value=1),
+)
+def test_exact_quantile_equals_the_sorted_rule(vals, q):
+    assert _exact_quantile(vals, q) == _sorted_quantile(vals, q)
 
 
 def test_proportional_allocation_matches_stratum_shares():
@@ -398,7 +425,7 @@ def test_batch_equals_per_table_solves(name):
     n_per_z = dict(engine.dist.n_per_z)
     rescued = 0
     for sizes in (n_per_z, dict.fromkeys(n_per_z, 6)):
-        B, scale = engine.tables(np.random.SeedSequence(3).spawn(40), sizes)
+        B, scale = engine.tables(spawn_states(3, (), 0, 40), sizes)
         expected = _per_table(engine.system, B, scale)
         assert _batched(engine.system, B, scale) == expected
         rescued += sum(r for _, _, r in expected)
@@ -418,7 +445,7 @@ def test_batch_in_small_blocks_and_rounds_gives_the_same_values(
     monkeypatch.setattr(bounds, "_ROUND_CAP", round_cap)
     engine = _engine(name)
     sizes = dict.fromkeys(engine.dist.n_per_z, 6)
-    B, scale = engine.tables(np.random.SeedSequence(8).spawn(40), sizes)
+    B, scale = engine.tables(spawn_states(8, (), 0, 40), sizes)
     assert _batched(engine.system, B, scale) == _per_table(engine.system, B, scale)
 
 
@@ -428,7 +455,7 @@ def test_batch_fallback_to_python_ints_gives_the_same_values(name):
     # norms reach 2**59 on peanut, and the homocysteine tables no longer
     # fit int64 at all.
     engine = _engine(name)
-    B, scale = engine.tables(np.random.SeedSequence(5).spawn(40), dict(engine.dist.n_per_z))
+    B, scale = engine.tables(spawn_states(5, (), 0, 40), dict(engine.dist.n_per_z))
     wide, wide_scale = B.astype(object) * 2**40, scale * 2**40
     if wide_scale < 2**63:
         wide = wide.astype(np.int64)
@@ -438,7 +465,7 @@ def test_batch_fallback_to_python_ints_gives_the_same_values(name):
 
 def test_the_screen_never_answers_a_table_with_a_nonzero_inert_row():
     engine = _engine("homocysteine-3")
-    B, scale = engine.tables(np.random.SeedSequence(9).spawn(1), dict(engine.dist.n_per_z))
+    B, scale = engine.tables(spawn_states(9, (), 0, 1), dict(engine.dist.n_per_z))
     probe = BoundsSolver(engine.system)
     vx = probe.solve_b(B[0].tolist(), slack=True, scale=scale).lp_optima[0][0].vertex
     columns = probe.merged.columns
@@ -471,3 +498,62 @@ def test_crossed_interval_result_is_rejected():
             seed=1,
             tail_mode="pointwise",
         )
+
+
+# -- seeding ----------------------------------------------------------------------------
+
+
+def _numpy_state(seed, key):
+    return np.random.SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)
+
+
+SEEDS = [0, 1, 41, 97, 2**32 - 1, 2**32, 2**64 + 3, 2**127 + 1, 2**200 + 7]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("prefix", [(), (3,), (2**33, 5)])
+def test_spawn_states_equal_numpys_seed_sequence(seed, prefix):
+    got = spawn_states(seed, prefix, 0, 50)
+    assert got.shape == (50, 4) and got.dtype == np.uint64
+    assert np.array_equal(got, [_numpy_state(seed, prefix + (k,)) for k in range(50)])
+    # The key range crosses 2**32, where a key becomes two words.
+    start = 2**32 - 7
+    got = spawn_states(seed, prefix, start, 20)
+    assert np.array_equal(got, [_numpy_state(seed, prefix + (start + i,)) for i in range(20)])
+    # With no last key the key is the prefix itself, empty included.
+    assert np.array_equal(spawn_states(seed, prefix), [_numpy_state(seed, prefix)])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 97])
+def test_spawn_states_are_the_spawned_children(seed):
+    children = np.random.SeedSequence(seed).spawn(30)
+    got = spawn_states(seed, (), 10, 20)
+    assert np.array_equal(got, [c.generate_state(4, np.uint64) for c in children[10:]])
+    for words, child in zip(got, children[10:]):
+        ours, theirs = pcg64_generator(words), np.random.Generator(np.random.PCG64(child))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert ours.integers(0, 2**63, 8).tolist() == theirs.integers(0, 2**63, 8).tolist()
+
+
+def test_spawn_states_refuse_keys_of_three_words():
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        spawn_states(1, (), 2**64 - 1, 2)
+
+
+@pytest.mark.parametrize("name", ["peanut-ternary", "homocysteine-3"])
+def test_tables_draw_what_each_spawned_childs_generator_draws(name):
+    dist, scenario = scenario_preset(name)
+    engine = _Resampler(scenario, dist)
+    sizes = dict(engine.dist.n_per_z)
+    B, scale = engine.tables(spawn_states(7, (), 0, 25), sizes)
+    # The per-child path the tables were first drawn with.
+    normalization = engine.system.row_keys.index("normalization")
+    for row, child in zip(B.tolist(), np.random.SeedSequence(7).spawn(25)):
+        rng = np.random.Generator(np.random.PCG64(child))
+        want = [0] * engine.system.n_rows
+        want[normalization] = scale
+        for z in scenario.instrument_levels:
+            counts = rng.multinomial(sizes[z], engine.pvals[z]).tolist()
+            for r, c in zip(engine.cell_rows[z], counts):
+                want[r] = c * (scale // sizes[z])
+        assert row == want

@@ -133,10 +133,11 @@ class BoundsSolver:
     :meth:`solve_b` answers one right-hand side at a time (the `bounds`
     command, the bootstrap's point estimate, the oracle's tightness audit).
     After the first (cold) solve, each new right-hand side is answered by
-    `ExactSimplex.resolve_b`, the dual simplex from the last optimal basis
-    (zero pivots when it still fits): a certified optimum, typically an
-    order of magnitude cheaper than a cold solve.  The right-hand side may be given as rationals or,
-    with ``scale=N``, as integers meaning b / N.
+    `ExactSimplex.resolve_b`, one table of the lockstep dual simplex run
+    from the last optimal basis (zero pivots when it still fits): a
+    certified optimum, typically an order of magnitude cheaper than a cold
+    solve.  The right-hand side may be given as rationals or, with
+    ``scale=N``, as integers meaning b / N.
 
     The bootstrap and the oracle's validity and equivalence audits know all
     their right-hand sides up front and call :meth:`solve_batch` once per
@@ -276,9 +277,8 @@ class BoundsSolver:
         rounds of 1, 2, 4, ... up to ``_ROUND_CAP`` rows, first pending
         first, by `ExactSimplex.resolve_many`, each row starting from the
         least infeasible basis screened against it (ties to the later one).
-        A row whose lower LP is infeasible goes once through `resolve_b`,
-        which gives its Farkas certificate, takes the slack path and leaves
-        both sides.
+        A row whose LP is infeasible comes back from `resolve_many` with its
+        Farkas certificate, takes the slack path and leaves both sides.
         """
         R = len(B)
         if (B < 0).any():
@@ -326,17 +326,13 @@ class BoundsSolver:
                 # screen of it is enough.
                 new_bases = set()
                 for i, out in zip(rows.tolist(), outs):
-                    if out is None:  # infeasible: resolve_b raises with a certificate
-                        b = B[i].tolist()
-                        try:
-                            out = lp.resolve_b(b, scale)
-                        except Infeasible as exc:
-                            res = self._rescue(b, scale, exc, slack=True)
-                            values[0][i], values[1][i], rescued[i] = res.lower, res.upper, True
-                            other = pending[1 - side]
-                            pending[1 - side] = other[other != i]
-                            starts[1 - side][i] = None
-                            continue
+                    if isinstance(out, Infeasible):
+                        res = self._rescue(B[i].tolist(), scale, out, slack=True)
+                        values[0][i], values[1][i], rescued[i] = res.lower, res.upper, True
+                        other = pending[1 - side]
+                        pending[1 - side] = other[other != i]
+                        starts[1 - side][i] = None
+                        continue
                     values[side][i] = out.value if side == 0 else -out.value
                     if out.basis not in new_bases:
                         new_bases.add(out.basis)

@@ -35,25 +35,23 @@ and in Python ints otherwise.  The solver carries bit_length(max |T|) from
 one pivot to the next.  Numbers leave as Python ints: the levels, value,
 solution and dual of an `LpOutcome`, and Farkas vectors.
 
-Warm starts are first-class.  `resolve_b` handles a change of b only
-(bootstrap replicates, distribution sweeps).  It runs the dual simplex
-for the new b from the last optimal basis.  The costs have not changed, so
-that basis is still dual feasible, and if it is primal feasible for b
-(M.b~ >= 0, inert rows at zero) it is optimal after zero pivots.  Phase 1
-ignores c, so a cold solve keeps its post-phase-1 basis (`phase1`) and a
-solver with other costs over the same columns can start phase 2 from it
-(lower/upper bound pairs).
+Warm starts are first-class.  A change of b only (bootstrap replicates,
+distribution sweeps) is solved by the dual simplex from an optimal basis.
+The costs have not changed, so that basis is still dual feasible, and if
+it is primal feasible for b (M.b~ >= 0, inert rows at zero) it is optimal
+after zero pivots.  Phase 1 ignores c, so a cold solve keeps its
+post-phase-1 basis (`phase1`) and a solver with other costs over the same
+columns can start phase 2 from it (lower/upper bound pairs).
 
-Two methods serve many right-hand sides known up front (a bootstrap batch).
-`screen` tests one optimal basis against all of them in one product
+There is one dual simplex, `resolve_many`.  It runs for many right-hand
+sides in lockstep, each from its own start basis: one state array of
+shape (K, m, m + 1), one product per step for all pivot rows and reduced
+costs, one for the directions, and one broadcast Bareiss update.  An
+infeasible right-hand side comes back as its `Infeasible`.  `resolve_b`
+is one table of it, started from the last optimal basis.  `screen` tests
+one optimal basis against many right-hand sides in one product
 [M; c_B.M].B^T and returns the ones the basis is optimal for, with their
 values, and how far it is from feasible for each of the others.
-`resolve_many` runs the dual simplex for many right-hand sides in lockstep,
-each from its own start basis, with `resolve_b`'s pivot rules: one state
-array of shape (K, m, m + 1), one product per step for all pivot rows and
-reduced costs, one for the directions, and one broadcast Bareiss update.
-`resolve_b` stays on the scalar loop, which is cheaper for one right-hand
-side.
 
 An `LpOutcome` carries the optimal value as one Fraction; the primal solution
 and the dual vector are built from the optimal basis on first access.
@@ -95,7 +93,7 @@ _SCREEN_ROWS = 512
 
 
 class Infeasible(Exception):
-    """Raised when A x = b, x >= 0 has no solution.
+    """Raised when A x = b, x >= 0 has no solution (`resolve_many` returns it).
 
     Carries a Farkas certificate: a rational row vector pi with
     pi . A_j <= 0 for every column j and pi . b > 0.
@@ -251,10 +249,10 @@ def _exact_product(left: np.ndarray, right: np.ndarray, bits: int) -> np.ndarray
     return left.astype(object) @ right.astype(object, copy=False)
 
 
-def _min_ratio(candidates: np.ndarray, alpha: np.ndarray, rc: np.ndarray) -> tuple[int, int]:
+def _min_ratio(candidates: np.ndarray, alpha: np.ndarray, rc: np.ndarray) -> int:
     # The dual ratio test over `candidates` (ascending columns with
     # alpha_j < 0): the first j minimising rc_j / -alpha_j, compared exactly
-    # by cross-multiplication, and its rc_j.
+    # by cross-multiplication.
     enter = -1
     en = ea = 0  # reduced-cost numerator and |alpha| of current best
     for j, a, num in zip(
@@ -262,7 +260,7 @@ def _min_ratio(candidates: np.ndarray, alpha: np.ndarray, rc: np.ndarray) -> tup
     ):
         if enter < 0 or num * ea < en * -a:
             enter, en, ea = j, num, -a
-    return enter, en
+    return enter
 
 
 def _dtype(bits: int) -> type:
@@ -316,7 +314,6 @@ class ExactSimplex:
         self._bt_bits = 0  # bit length of sum(b~)
         self._N: int = 1  # common denominator of b
         self._pivots = 0
-        self._inert: tuple[int, ...] = ()  # rows of inert artificials
         self._last: _Vertex | None = None  # the last optimal basis
         self.phase1: _Vertex | None = None  # feasible basis of the last cold solve
 
@@ -342,46 +339,49 @@ class ExactSimplex:
         else:
             self._basis, self._d = list(start.basis), start.d
             self._load(start.M, _exact_product(start.M, self._bt, _bits(start.M) + self._bt_bits))
-        self._inert = tuple(i for i, var in enumerate(start.basis) if var >= self.n)
+        inert = [i for i, var in enumerate(start.basis) if var >= self.n]
         xt = self._T[:, -1]
-        if (xt < 0).any() or xt[list(self._inert)].any():
+        if (xt < 0).any() or xt[inert].any():
             raise RuntimeError("start basis is not primal feasible for b")
         self.phase1 = start
         self._primal_loop()
-        return self._remember()
+        self._last = _Vertex(tuple(self._basis), self._T[:, :-1], self._d)
+        return self._outcome(self._last, self._T[:, -1].tolist(), self._pivots, self._N)
 
     def resolve_b(
         self, b: Sequence, scale: int | None = None, start: _Vertex | None = None
     ) -> LpOutcome:
         """Warm solve after a change of b only, by the dual simplex.
 
-        It starts from the last optimal basis, so a basis that still fits b
-        is optimal after zero pivots.  With no optimal basis yet this is
-        `solve(b, scale, start)`.
+        One table of `resolve_many`, started from the last optimal basis,
+        whose optimum becomes the last basis: a basis that still fits b is
+        optimal after zero pivots and stays the last basis, uncopied.  An
+        infeasible b raises the `Infeasible` that `resolve_many` returns.
+        With no optimal basis yet this is `solve(b, scale, start)`.
         """
         if self._last is None:
             return self.solve(b, scale, start)
         self._load_b(b, scale)
-        self._pivots = 0
-        vx = self._last
-        self._basis, self._d = list(vx.basis), vx.d
-        self._load(vx.M, _exact_product(vx.M, self._bt, _bits(vx.M) + self._bt_bits))
-        self._run_dual()
-        self._check_inert_rows()
-        return self._remember(vx)
+        (out,) = self.resolve_many([self._last], self._bt[None], self._N)
+        if isinstance(out, Infeasible):
+            raise out
+        self._last = out.vertex
+        return out
 
     def resolve_many(
         self, starts: Sequence[_Vertex], B: np.ndarray, scale: int
-    ) -> list[LpOutcome | None]:
+    ) -> list[LpOutcome | Infeasible]:
         """Warm solves at the rows of B, in lockstep, each from its own start.
 
         Row k of B is a right-hand side b~ >= 0 over `scale`, and starts[k]
-        an optimal basis of this solver, so dual feasible for every b~.  Each
-        table takes the dual simplex pivots `resolve_b` takes from the same
-        start: the most negative level leaves (the first row on ties), the
-        entering column comes from the full dual ratio test (the first column
-        on ties), and after ``_DEGENERATE_LIMIT`` degenerate pivots in a row
-        the leaving row is the one with the smallest basic variable id.
+        an optimal basis of this solver, so dual feasible for every b~.
+        Every table follows one pivot rule: the most negative level leaves
+        (the first row on ties), the entering column comes from the full
+        dual ratio test (the first column on ties), and after
+        ``_DEGENERATE_LIMIT`` degenerate pivots in a row the leaving row is
+        the one with the smallest basic variable id.  The entering column
+        always comes from the full ratio test, since any other loses dual
+        feasibility; Bland's rule only changes the leaving row.
 
         The state is T = [M | xt] of every unfinished table, shape
         (K, m, m + 1), with d of shape (K,) and the basis of shape (K, m).
@@ -389,15 +389,18 @@ class ExactSimplex:
         rows and the reduced costs of all tables (y = c_B.M, itself one
         stacked product), one stacked product for the directions
         w = M.A_j, and one broadcast Bareiss update.  The ratio test of each
-        table is `resolve_b`'s exact loop over its candidate columns.
+        table is an exact loop over its candidate columns (`_min_ratio`).
 
-        Returns one outcome per row, or None where b~ is infeasible (a
-        negative level with no entering column, or a nonzero inert row at
-        the end); `resolve_b` gives such a row its Farkas certificate.  The
-        solver's own state, its last basis included, is left alone.
+        Returns one outcome per row; a table that takes no pivot keeps its
+        start as its vertex, uncopied.  An infeasible b~ gives an
+        `Infeasible` whose Farkas vector is a row of M over d: -M_r when
+        the leaving row r has no entering column, or, since the dual
+        simplex only repairs negative levels, M_i for the first inert row i
+        left at a positive level.  The solver's own state, its last basis
+        included, is left alone.
         """
         K, m, n = len(B), self.m, self.n
-        out: list[LpOutcome | None] = [None] * K
+        out: list[LpOutcome | Infeasible] = [None] * K
         if not K:
             return out
         Ms = np.stack([vx.M for vx in starts])
@@ -412,61 +415,67 @@ class ExactSimplex:
         bland = np.zeros(K, dtype=bool)
         step = 0
         while True:
-            xt = T[:, :, -1]
-            negative = xt < 0
-            done = ~negative.any(axis=1)
-            for k in np.flatnonzero(done).tolist():
-                levels = xt[k].tolist()
-                vx = _Vertex(tuple(basis[k].tolist()), T[k, :, :-1].copy(), int(d[k]))
-                if not any(x for x, var in zip(levels, vx.basis) if var >= n):
+            negative = T[:, :, -1] < 0
+            pending = negative.any(axis=1)
+            if not pending.all():
+                for k in np.flatnonzero(~pending).tolist():
+                    levels, dk = T[k, :, -1].tolist(), int(d[k])
+                    inert = [i for i, var in enumerate(basis[k].tolist()) if var >= n and levels[i]]
+                    if inert:  # nonzero on a redundant row: b~ is inconsistent with it
+                        i = inert[0]
+                        pi = tuple(Fraction(v, dk) for v in T[k, i, :-1].tolist())
+                        out[live[k]] = Infeasible(pi, Fraction(levels[i], dk * scale))
+                        continue
+                    if step:
+                        vx = _Vertex(tuple(basis[k].tolist()), T[k, :, :-1].copy(), dk)
+                    else:
+                        vx = starts[live[k]]
                     out[live[k]] = self._outcome(vx, levels, step, scale)
-            keep = ~done
-            if not keep.all():
                 T, basis, d, live, stall, bland, negative = (
-                    a[keep] for a in (T, basis, d, live, stall, bland, negative)
+                    a[pending] for a in (T, basis, d, live, stall, bland, negative)
                 )
-            if not len(T):
-                return out
+                if not len(T):
+                    return out
             step += 1
             if step > _MAX_PIVOTS:
                 raise RuntimeError("pivot limit exceeded")
-            rows = np.where(
-                bland,
-                np.argmin(np.where(negative, basis, n + m), axis=1),
-                np.argmin(T[:, :, -1], axis=1),
-            )
+            rows = T[:, :, -1].argmin(axis=1)
+            if bland.any():
+                rows = np.where(bland, np.where(negative, basis, n + m).argmin(axis=1), rows)
             at = np.arange(len(T))
             t_bits = _bits(T)
             M = T[:, :, :-1]
+            Tr = T[at, rows]
             y = _exact_product(self._c[basis][:, None, :], M, t_bits + self._c_bits)[:, 0]
-            V = np.concatenate([T[at, rows], np.column_stack([-y, d])])
+            V = np.concatenate([Tr, np.concatenate([-y, d[:, None]], axis=1)])
             V[: len(T), -1] = 0
             p_bits = max(t_bits + self._c_bits, _bits(d)) + self._norm_bits
             P = _exact_product(V, self._dense, p_bits)
             alpha, rc = P[: len(T)], P[len(T):]
             candidates = alpha < 0
-            stuck = ~candidates.any(axis=1)
-            if stuck.any():  # no entering column: infeasible
-                keep = ~stuck
-                T, basis, d, live, stall, bland, rows, alpha, rc, candidates = (
+            keep = candidates.any(axis=1)
+            if not keep.all():  # no entering column: infeasible
+                for k in np.flatnonzero(~keep).tolist():
+                    dk, r = int(d[k]), Tr[k].tolist()
+                    pi = tuple(Fraction(-v, dk) for v in r[:-1])
+                    out[live[k]] = Infeasible(pi, Fraction(-r[-1], dk * scale))
+                T, basis, d, live, stall, bland, rows, Tr, alpha, rc, candidates = (
                     a[keep]
-                    for a in (T, basis, d, live, stall, bland, rows, alpha, rc, candidates)
+                    for a in (T, basis, d, live, stall, bland, rows, Tr, alpha, rc, candidates)
                 )
                 if not len(T):
                     return out
                 at, M = np.arange(len(T)), T[:, :, :-1]
             enter = np.array(
-                [_min_ratio(np.flatnonzero(c), a, r)[0] for c, a, r in zip(candidates, alpha, rc)]
+                [_min_ratio(np.flatnonzero(c), a, r) for c, a, r in zip(candidates, alpha, rc)]
             )
             degenerate = rc[at, enter] == 0
             w = _exact_product(M, self.A[:, enter].T[:, :, None], t_bits + self._l1_bits)[:, :, 0]
             wr = w[at, rows]
             if not wr.all():
                 raise RuntimeError("zero pivot")
-            flip = wr < 0
-            Tr = T[at, rows]
-            Tr[flip] = -Tr[flip]
-            wr[flip] = -wr[flip]
+            Tr *= np.where(wr < 0, -1, 1)[:, None]  # keeps d = |wr| positive
+            wr = abs(wr)
             dtype = _dtype(_bits(w) + t_bits)
             T = T.astype(dtype, copy=False)  # the kernel's own array: updated in place
             T *= wr.astype(dtype)[:, None, None]
@@ -475,7 +484,7 @@ class ExactSimplex:
             T[at, rows] = Tr
             d = wr
             basis[at, rows] = enter
-            stall = np.where(degenerate, stall + 1, 0)
+            stall = (stall + 1) * degenerate
             bland = degenerate & (bland | (stall >= _DEGENERATE_LIMIT))
 
     # -- internals -----------------------------------------------------------
@@ -499,16 +508,6 @@ class ExactSimplex:
         # Make [M | xt] the current state.
         self._T = np.column_stack([M, xt])
         self._bits = _bits(self._T)
-
-    def _remember(self, start: _Vertex | None = None) -> LpOutcome:
-        # Make the current (optimal) basis the last one: the `start` itself
-        # when the run did not pivot away from it.
-        if start is not None and not self._pivots:
-            vx = start
-        else:
-            vx = _Vertex(tuple(self._basis), self._T[:, :-1], self._d)
-        self._last = vx
-        return self._outcome(vx, self._T[:, -1].tolist(), self._pivots, self._N)
 
     def _outcome(self, vx: _Vertex, levels: list[int], pivots: int, scale: int) -> LpOutcome:
         costs, n = self.costs, self.n
@@ -658,52 +657,3 @@ class ExactSimplex:
             else:
                 degenerate_streak = 0
                 bland = False
-
-    def _run_dual(self) -> None:
-        # The entering column always comes from the full dual ratio test —
-        # anything else loses dual feasibility, after which termination no
-        # longer implies optimality.  Bland mode only changes tie-breaking:
-        # leaving row by smallest basic variable id, entering column by
-        # smallest index among the ratio minimizers (already the default).
-        bland = False
-        stall = 0
-        while True:
-            xt = self._T[:, -1].tolist()
-            row = -1
-            worst = 0
-            if bland:
-                for i in range(self.m):
-                    if xt[i] < 0 and (row < 0 or self._basis[i] < self._basis[row]):
-                        row = i
-            else:
-                for i in range(self.m):
-                    if xt[i] < worst:
-                        worst = xt[i]
-                        row = i
-            if row < 0:
-                return
-            alpha = self._row(row)
-            rc = self._pricing(self._c, self._d)
-            candidates = np.flatnonzero(alpha < 0)
-            if not candidates.size:
-                pi = tuple(Fraction(-v, self._d) for v in self._T[row, :-1].tolist())
-                raise Infeasible(pi, Fraction(-xt[row], self._d * self._N))
-            enter, en = _min_ratio(candidates, alpha, rc)
-            degenerate = en == 0
-            self._pivot(row, enter, self._column(enter))
-            if degenerate:
-                stall += 1
-                if stall >= _DEGENERATE_LIMIT:
-                    bland = True
-            else:
-                stall = 0
-                bland = False
-
-    def _check_inert_rows(self) -> None:
-        # Dual simplex only repairs negative levels; a positive level on an
-        # inert artificial row means b is inconsistent with a redundant row.
-        for i in self._inert:
-            Mr = self._T[i].tolist()
-            if Mr[-1] > 0:
-                pi = tuple(Fraction(v, self._d) for v in Mr[:-1])
-                raise Infeasible(pi, Fraction(Mr[-1], self._d * self._N))

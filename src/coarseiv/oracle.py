@@ -500,13 +500,6 @@ def _scrambled_rhs(
     return out
 
 
-def _feasible(solved):
-    """A `_solve_rows` entry's bounds; its infeasibility verdict is raised."""
-    if isinstance(solved, InfeasibleDistribution):
-        raise solved
-    return solved
-
-
 def _run_family(
     name: str,
     base: Scenario,
@@ -569,20 +562,33 @@ def _run_family(
     n_mismatch = 0
     failures: list[dict] = []
     for t, acc in enumerate(plain):
-        # In the order the per-trial solves ran, an infeasibility verdict
-        # ends the audit as `solve_b`'s exception did.
-        res, res_scr = _feasible(ill_solved[t]), _feasible(ill_solved[trials + t])
-        if res != res_scr:
+        solved = {
+            "plain": ill_solved[t],
+            "scrambled": ill_solved[trials + t],
+            "base": base_solved[t],
+            "zero-pad": ill_solved[2 * trials + t],
+        }
+        # Every sampled table is feasible: an infeasibility verdict is a
+        # mismatch, and no comparison is made with that row.
+        feasible = set()
+        for row, res in solved.items():
+            if isinstance(res, InfeasibleDistribution):
+                n_mismatch += 1
+                _note(failures, trial=t, kind="infeasible", row=row, error=str(res))
+            else:
+                feasible.add(row)
+        res, res_scr = solved["plain"], solved["scrambled"]
+        if {"plain", "scrambled"} <= feasible and res != res_scr:
             n_mismatch += 1
             _note(failures, trial=t, kind="scramble", plain=res, scrambled=res_scr)
-        if closed is not None:
+        if closed is not None and "plain" in feasible:
             # Every family's closed form is sharp under its weakest scenario.
             cf = closed[1](ill_sys.distribution(acc, SIMPLEX_DENOMINATOR))
             if cf.interval != res:
                 n_mismatch += 1
                 _note(failures, trial=t, kind="closed-form", lp=res, cf=cf.interval)
-        res2, res_pad = _feasible(base_solved[t]), _feasible(ill_solved[2 * trials + t])
-        if res2 != res_pad:
+        res2, res_pad = solved["base"], solved["zero-pad"]
+        if {"base", "zero-pad"} <= feasible and res2 != res_pad:
             n_mismatch += 1
             _note(failures, trial=t, kind="zero-pad", base=res2, padded=res_pad)
 
@@ -606,7 +612,9 @@ def check_equivalences(trials: int, seed: int) -> EquivalenceReport:
     that applies, if any; zero-padding a distribution from the
     without-extra-level scenario must reproduce its bounds; under a
     two-level instrument the derived term sets must also equal the
-    transcribed closed forms, term by term.
+    transcribed closed forms, term by term.  Every sampled distribution is
+    feasible, so an infeasibility verdict on one is recorded as a mismatch
+    (``kind: "infeasible"``) that names its row.
     """
     _check_run(trials, seed)
     return EquivalenceReport(

@@ -347,13 +347,13 @@ def test_previously_seen_rhs_is_answered_without_pivots():
 def _record_dual_starts(monkeypatch):
     """Record (basis, d) of every dual simplex start; returns the growing list."""
     starts = []
-    run_dual = ExactSimplex._run_dual
+    resolve_many = ExactSimplex.resolve_many
 
-    def recording(self):
-        starts.append((tuple(self._basis), self._d))
-        return run_dual(self)
+    def recording(self, vertices, B, scale):
+        starts.extend((vx.basis, vx.d) for vx in vertices)
+        return resolve_many(self, vertices, B, scale)
 
-    monkeypatch.setattr(ExactSimplex, "_run_dual", recording)
+    monkeypatch.setattr(ExactSimplex, "resolve_many", recording)
     return starts
 
 
@@ -410,12 +410,19 @@ def test_redundant_row_inconsistency_raises_on_a_warm_resolve(monkeypatch, b2):
     lp = ExactSimplex(_dense(3, columns), [1, 2, 3, 1])
     for b in ([1, 1, 2], [0, 2, 2], [2, 0, 2], [1, 1, 2]):
         assert lp.resolve_b(b, scale=1).value == b[0] + b[1]
+    last = lp._last
     starts = _record_dual_starts(monkeypatch)
     b = [Fraction(1), Fraction(1), Fraction(b2)]
     with pytest.raises(Infeasible) as exc:
         lp.resolve_b(b)
     assert len(starts) == 1
     assert verify_farkas(_dense(3, columns), b, exc.value.farkas)
+    assert lp._last is last
+    # The lockstep dual simplex returns the certificate resolve_b raises.
+    (got,) = lp.resolve_many([last], np.array([[1, 1, b2]]), 1)
+    assert isinstance(got, Infeasible)
+    assert verify_farkas(_dense(3, columns), b, got.farkas)
+    assert (got.farkas, got.violation) == (exc.value.farkas, exc.value.violation)
     # The solver still answers feasible right-hand sides afterwards.
     assert lp.resolve_b([3, 1, 4], scale=2).value == Fraction(3 + 1, 2)
 
@@ -548,8 +555,10 @@ class _ColumnLoopSimplex(ExactSimplex):
 
     Pricing, ratio tests and pivots run on M and the levels as lists, the way
     the solver ran them before its dense int64 kernels, so the kernels are
-    checked against plain integer arithmetic.  The loops hand their state
-    back as dtype=object arrays for the shared warm-start code.
+    checked against plain integer arithmetic.  Its `resolve_b` is its own
+    one-table dual simplex, the reference for `resolve_many`.  The loops
+    hand their state back as dtype=object arrays for the shared cold-solve
+    code.
     """
 
     def __init__(self, n_rows, columns, costs):
@@ -634,8 +643,17 @@ class _ColumnLoopSimplex(ExactSimplex):
                 degenerate_streak = 0
                 bland = False
 
-    def _run_dual(self):
-        M, xt = self._lists()
+    def resolve_b(self, b, scale=None, start=None):
+        # The dual simplex on lists from the last optimal basis, then the
+        # inert rows, which it never repairs: a positive level there is
+        # infeasible.
+        if self._last is None:
+            return self.solve(b, scale, start)
+        self._load_b(b, scale)
+        vx = self._last
+        self._basis, self._d, self._pivots = list(vx.basis), vx.d, 0
+        M = vx.M.tolist()
+        xt = [_dot(enumerate(row), self._bt.tolist()) for row in M]
         bland = False
         stall = 0
         while True:
@@ -648,8 +666,7 @@ class _ColumnLoopSimplex(ExactSimplex):
                 elif xt[i] < worst:
                     worst, row = xt[i], i
             if row < 0:
-                self._store(M, xt)
-                return
+                break
             y = _pricing_vector(self._basis, M, self.costs, self.n)
             d = self._d
             Mr = M[row]
@@ -674,6 +691,14 @@ class _ColumnLoopSimplex(ExactSimplex):
             else:
                 stall = 0
                 bland = False
+        d = self._d
+        for i, var in enumerate(vx.basis):
+            if var >= self.n and xt[i] > 0:
+                pi = tuple(Fraction(v, d) for v in M[i])
+                raise Infeasible(pi, Fraction(xt[i], d * self._N))
+        if self._pivots:
+            self._last = exactlp._Vertex(tuple(self._basis), np.array(M, dtype=object), d)
+        return self._outcome(self._last, xt, self._pivots, self._N)
 
 
 def _trace(lp, rhs_sequence):
@@ -856,7 +881,7 @@ def test_one_cost_per_column_is_required(costs):
         ExactSimplex(_dense(2, _TRANSPORT_COLUMNS), costs)
 
 
-# -- the lockstep dual simplex against resolve_b's -----------------------------------
+# -- the lockstep dual simplex against the column loops' -----------------------------
 
 
 # All z0 records sit at one cell and z1 puts half its mass on the opposite
@@ -917,20 +942,23 @@ def _start_pool(lp, B, scale):
 
 
 def _check_lockstep(lp, starts, B, scale):
-    """resolve_many against resolve_b's dual simplex run from each table's start.
+    """resolve_many against the column-loop dual simplex run from each table's start.
 
-    Returns the outcomes, None for each infeasible table.
+    Returns the outcomes, an `Infeasible` for each infeasible table.
     """
     got = lp.resolve_many(starts, B, scale)
     assert len(got) == len(B)
+    columns = [tuple((r, v) for r, v in enumerate(col) if v) for col in lp.A.T.tolist()]
+    ref = _ColumnLoopSimplex(lp.m, columns, lp.costs)
     for start, row, out in zip(starts, B.tolist(), got):
-        lp._last = start
+        ref._last = start
         try:
-            want = lp.resolve_b(row, scale)
-        except Infeasible:
-            assert out is None
+            want = ref.resolve_b(row, scale)
+        except Infeasible as exc:
+            assert isinstance(out, Infeasible)
+            assert (out.farkas, out.violation) == (exc.farkas, exc.violation)
             continue
-        assert out is not None
+        assert not isinstance(out, Infeasible)
         assert (out.basis, out.vertex.d, out.levels, out.pivots, out.value) == (
             want.basis, want.vertex.d, want.levels, want.pivots, want.value
         )
@@ -972,8 +1000,8 @@ def test_lockstep_takes_resolve_bs_pivots_on_homocysteine_bootstrap_tables(side)
 )
 def test_lockstep_gives_resolve_bs_infeasible_verdicts(name, six):
     _, got = _lockstep_run(name, "min", 1, 48, six)
-    assert any(out is None for out in got)
-    assert any(out is not None for out in got)
+    assert any(isinstance(out, Infeasible) for out in got)
+    assert not all(isinstance(out, Infeasible) for out in got)
 
 
 def test_lockstep_takes_blands_pivots_after_a_degenerate_run(monkeypatch):
@@ -983,9 +1011,10 @@ def test_lockstep_takes_blands_pivots_after_a_degenerate_run(monkeypatch):
     default = _lockstep_run("homocysteine-3", "max", 2, 64, six=True)[1]
     monkeypatch.setattr(exactlp, "_DEGENERATE_LIMIT", 1)
     bland = _lockstep_run("homocysteine-3", "max", 2, 64, six=True)[1]
-    assert [out is None for out in default] == [out is None for out in bland]
+    infeasible = [isinstance(out, Infeasible) for out in default]
+    assert infeasible == [isinstance(out, Infeasible) for out in bland]
     assert any(
-        a is not None and (a.basis, a.pivots) != (b.basis, b.pivots)
+        not isinstance(a, Infeasible) and (a.basis, a.pivots) != (b.basis, b.pivots)
         for a, b in zip(default, bland)
     )
 

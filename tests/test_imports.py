@@ -1,6 +1,7 @@
 """Every name a `coarseiv` module imports is referenced in that module,
-every import sits at module level, where an import cycle fails at once, and
-every name in a module's `__all__` is defined or imported there."""
+every import sits at module level, where an import cycle fails at once,
+every name in a module's `__all__` is defined or imported there, and every
+private name the package defines is used somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -57,6 +58,50 @@ def _defined(tree: ast.Module) -> set[str]:
     return names
 
 
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Private name -> line of every function, method and class, and of every
+    module-level constant; dunders excepted."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(
+                (n.id, node.lineno) for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)
+            )
+    return {
+        name: line
+        for name, line in names.items()
+        if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+    }
+
+
+def _uses(tree: ast.Module) -> set[str]:
+    """Names the module reads, bare or as attributes, and the names it imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def _unused_private(trees: dict[str, ast.Module]) -> dict[str, list[str]]:
+    """Module -> its private names that no module of the package uses."""
+    used = set().union(*map(_uses, trees.values()))
+    out = {}
+    for name, tree in trees.items():
+        dead = sorted(set(_private_definitions(tree)) - used)
+        if dead:
+            out[name] = dead
+    return out
+
+
 def _nested_imports(tree: ast.Module) -> list[int]:
     """Lines of the imports inside a function body."""
     return sorted(
@@ -93,6 +138,34 @@ def test_module_all_names_only_what_it_defines(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     missing = _exported(tree) - _defined(tree)
     assert not missing, f"{path.name}: __all__ names undefined {sorted(missing)}"
+
+
+def test_every_private_name_is_used_in_the_package():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in ALL_MODULES}
+    dead = _unused_private(trees)
+    assert not dead, f"private names nothing in the package uses: {dead}"
+
+
+def test_checker_flags_an_unused_private_name():
+    tree = ast.parse(
+        "_LIMIT = 3\n"
+        "_SPARE = 4\n"
+        "class _Kept:\n"
+        "    def __init__(self):\n"
+        "        self._helper()\n"
+        "    def _helper(self):\n"
+        "        return _LIMIT\n"
+        "    def _orphan(self):\n"
+        "        pass\n"
+        "def _used():\n"
+        "    return _Kept()\n"
+        "def public(k):\n"
+        "    k._orphan = None\n"
+        "    return _used\n"
+    )
+    other = ast.parse("from .m import _SPARE\n")
+    assert _unused_private({"m.py": tree}) == {"m.py": ["_SPARE", "_orphan"]}
+    assert _unused_private({"m.py": tree, "n.py": other}) == {"m.py": ["_orphan"]}
 
 
 def test_checker_flags_an_unused_import():

@@ -360,24 +360,39 @@ def test_excessive_infeasibility_aborts():
 
 
 def test_each_incompatible_table_is_solved_once_under_slack(monkeypatch):
-    solvers, calls = [], []
-    init, resolve_b = BoundsSolver.__init__, ExactSimplex.resolve_b
+    # Verdicts are counted per table: each `resolve_b` call, and each table
+    # of a `resolve_many` call made outside `resolve_b`.
+    solvers, calls, inside = [], [], []
+    init = BoundsSolver.__init__
+    resolve_b, resolve_many = ExactSimplex.resolve_b, ExactSimplex.resolve_many
 
     def recording(self, *args, **kwargs):
         init(self, *args, **kwargs)
         solvers.append(self)
 
     def counting(self, *args, **kwargs):
+        inside.append(self)
         try:
             out = resolve_b(self, *args, **kwargs)
         except Infeasible:
             calls.append((self, "infeasible"))
             raise
+        finally:
+            inside.pop()
         calls.append((self, "solved"))
         return out
 
+    def counting_tables(self, *args, **kwargs):
+        outs = resolve_many(self, *args, **kwargs)
+        if not inside:
+            calls.extend(
+                (self, "infeasible" if isinstance(out, Infeasible) else "solved") for out in outs
+            )
+        return outs
+
     monkeypatch.setattr(BoundsSolver, "__init__", recording)
     monkeypatch.setattr(ExactSimplex, "resolve_b", counting)
+    monkeypatch.setattr(ExactSimplex, "resolve_many", counting_tables)
     spec = _spec(replicates=30, seed=7, max_infeasible_fraction=1.0)
     res = percentile_ci(INCOMPATIBLE_RECORDS, INCOMPATIBLE_SCENARIO, spec)
     assert res.n_infeasible == 25

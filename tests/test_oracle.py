@@ -1,6 +1,7 @@
 """Verification oracle: SCM sampling, audits, equivalences, collapse family."""
 
 import dataclasses
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from coarseiv.bounds import BoundsSolver, InfeasibleDistribution, numeric_bounds
 from coarseiv.data import Estimand, ExposureLevel, InputError, Scenario
 from coarseiv import oracle
+from coarseiv.cli import main
 from coarseiv.datasets import (
     homocysteine_scenario,
     peanut_distribution,
@@ -285,30 +287,38 @@ def test_rescued_demoted_rows_keep_their_failure_records(monkeypatch):
     assert report.n_validity_violations == len(expected)
 
 
-def test_a_rescued_family_row_raises_where_the_per_trial_solve_did(monkeypatch):
-    # A family records no infeasibility: the first faulty solve in the
-    # per-trial order (plain, scrambled, base, zero-padded) raises out of
-    # the audit.  A scrambled row is faulty with its plain one, a padded
-    # row with its base one.  On seed 0 that is trial 0's base table, while
-    # trial 1's plain table comes first in the batch's row order.
+def test_a_rescued_family_row_is_recorded_as_an_infeasible_mismatch(monkeypatch, capsys):
+    # Every sampled table is feasible, so an infeasibility verdict on a
+    # family's row is a mismatch that names the row, not an exit 3.  A
+    # scrambled row is faulty with its plain one, a padded row with its base
+    # one, and no comparison is made with a faulty row.
+    monkeypatch.setattr(oracle, "_MAX_FAILURES", 100)
     _infeasible_on_odd_tables(monkeypatch)
-    _, base, _ = oracle._families()[0]
-    ill = build_constraint_system(oracle._with_extra(base, False))
-    plain_forward = oracle._forward(ill)
-    base_forward = oracle._forward(build_constraint_system(base))
-    first = None
-    for t in range(8):
-        rng = oracle._rng(0, 0, t)
-        _, acc, _ = oracle._draw(plain_forward, rng)
-        oracle._scrambled_rhs(ill, acc, "m", rng)
-        _, acc2, _ = oracle._draw(base_forward, rng)
-        first = next((b for b in (acc, acc2) if b[0] % 2), None)
-        if first is not None:
-            break
-    assert first is not None
-    with pytest.raises(InfeasibleDistribution) as raised:
-        check_equivalences(trials=8, seed=0)
-    assert raised.value.table == [Fraction(v, SIMPLEX_DENOMINATOR) for v in first]
+    error = str(InfeasibleDistribution({"normalization": Fraction(1)}, Fraction(1)))
+    report = check_equivalences(trials=8, seed=0)
+    for i, (family, (_, base, _)) in enumerate(zip(report.families, oracle._families())):
+        ill = build_constraint_system(oracle._with_extra(base, False))
+        plain_forward = oracle._forward(ill)
+        base_forward = oracle._forward(build_constraint_system(base))
+        expected = []
+        for t in range(8):
+            rng = oracle._rng(0, i, t)
+            _, acc, _ = oracle._draw(plain_forward, rng)
+            oracle._scrambled_rhs(ill, acc, "m", rng)
+            _, acc2, _ = oracle._draw(base_forward, rng)
+            rows = ("plain", "scrambled") * (acc[0] % 2) + ("base", "zero-pad") * (acc2[0] % 2)
+            expected += [{"trial": t, "kind": "infeasible", "row": r, "error": error} for r in rows]
+        assert 0 < len(expected) < 32
+        assert list(family.failures) == expected
+        assert family.n_mismatches == len(expected)
+        assert not family.passed
+    argv = ["verify", "--preset", "homocysteine-3", "--suite", "equivalences"]
+    code = main([*argv, "--trials", "8", "--seed", "0"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert [f["n_mismatches"] for f in doc["results"]["equivalences"]["families"]] == [
+        f.n_mismatches for f in report.families
+    ]
 
 
 def test_certificate_checker_rejects_tampering():

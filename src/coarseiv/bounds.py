@@ -29,7 +29,14 @@ from .data import (
     Scenario,
     validate,
 )
-from .exactlp import ExactSimplex, Infeasible, LpOutcome, integer_rhs, verify_farkas
+from .exactlp import (
+    _FLOAT64_BITS,
+    ExactSimplex,
+    Infeasible,
+    LpOutcome,
+    integer_rhs,
+    verify_farkas,
+)
 from .response import CapExceeded, ConstraintSystem, merge_columns
 from .symbolic import SymbolicBoundSet, Term, _Gauge
 
@@ -144,10 +151,12 @@ class BoundsSolver:
     system.  A bound's value is the unique LP optimum
     whatever basis attains it, so each new optimal basis is screened
     against every pending right-hand side in one exact product, and answers
-    all those it is primal feasible for.  The rest are solved in rounds of
-    1, 2, 4, ... up to ``_ROUND_CAP`` right-hand sides by the lockstep dual
-    simplex (`ExactSimplex.resolve_many`), each right-hand side starting
-    from the least infeasible basis screened against it.
+    all those it is primal feasible for.  The rest are solved in rounds by
+    the lockstep dual simplex (`ExactSimplex.resolve_many`), each
+    right-hand side starting from the least infeasible basis screened
+    against it.  Rounds start at one right-hand side and double up to
+    ``_ROUND_CAP`` while their screens answer rows; a round whose screens
+    answered none is followed by one of ``_ROUND_CAP``.
     """
 
     def __init__(self, system: ConstraintSystem):
@@ -273,17 +282,25 @@ class BoundsSolver:
         basis is screened against every pending row at once
         (`ExactSimplex.screen`), which answers each row
         it is primal feasible for and records, for the others, how
-        infeasible it is there.  The rows still pending are resolved in
-        rounds of 1, 2, 4, ... up to ``_ROUND_CAP`` rows, first pending
-        first, by `ExactSimplex.resolve_many`, each row starting from the
-        least infeasible basis screened against it (ties to the later one).
+        infeasible it is there.  The screens read a float64 copy of B,
+        made once, when every row's L1 norm is below 2**53.  The rows still
+        pending are resolved in rounds, first pending first, by
+        `ExactSimplex.resolve_many`, each row starting from the least
+        infeasible basis screened against it (ties to the later one).  The
+        first round is one row; the next doubles it, up to ``_ROUND_CAP``,
+        if the round's screens answered a pending row, and is
+        ``_ROUND_CAP`` rows if they answered none.
         A row whose LP is infeasible comes back from `resolve_many` with its
         Farkas certificate, takes the slack path and leaves both sides.
         """
         R = len(B)
         if (B < 0).any():
             raise ValueError("b must be nonnegative")
+        if not R:
+            return [], [], []
         b_bits = int(B.sum(axis=1, dtype=object).max()).bit_length()
+        # The screens' right-hand sides, converted once when float64 holds them.
+        screened = B.astype(np.float64) if b_bits <= _FLOAT64_BITS else B
         sides = (self._lo, self._hi)
         values: tuple[list, list] = ([None] * R, [None] * R)
         rescued = [False] * R
@@ -293,13 +310,14 @@ class BoundsSolver:
         starts = (np.full(R, None), np.full(R, None))
         shortfall = (np.full(R, np.inf), np.full(R, np.inf))
 
-        def screen(side: int, vx) -> None:
+        def screen(side: int, vx) -> int:
             # Answer every pending row the optimal basis `vx` fits, and make
             # it the start of each other row it is the least infeasible for.
+            # Returns how many rows it answered.
             todo = pending[side]
             if not todo.size:
-                return
-            fits, nums, short = sides[side].screen(vx, B[todo], b_bits)
+                return 0
+            fits, nums, short = sides[side].screen(vx, screened[todo], b_bits)
             denom = (vx.d if side == 0 else -vx.d) * scale
             for j, num in zip(todo[fits].tolist(), nums.tolist()):
                 values[side][j] = Fraction(num, denom)
@@ -309,6 +327,7 @@ class BoundsSolver:
             shortfall[side][todo[closer]] = short[closer]
             starts[side][todo[closer]] = vx
             pending[side] = todo
+            return int(fits.sum())
 
         first = self._solve(B[0].tolist(), scale, slack=True)
         rescued[0] = "slack_total" in first.diagnostics
@@ -321,10 +340,10 @@ class BoundsSolver:
                 rows, pending[side] = pending[side][:size], pending[side][size:]
                 outs = lp.resolve_many(starts[side][rows].tolist(), B[rows], scale)
                 starts[side][rows] = None
-                size = min(2 * size, _ROUND_CAP)
                 # Tables of one round can reach the same optimal basis; one
                 # screen of it is enough.
                 new_bases = set()
+                answered = 0
                 for i, out in zip(rows.tolist(), outs):
                     if isinstance(out, Infeasible):
                         res = self._rescue(B[i].tolist(), scale, out, slack=True)
@@ -336,7 +355,9 @@ class BoundsSolver:
                     values[side][i] = out.value if side == 0 else -out.value
                     if out.basis not in new_bases:
                         new_bases.add(out.basis)
-                        screen(side, out.vertex)
+                        answered += screen(side, out.vertex)
+                # Small rounds pay off only while their screens answer rows.
+                size = min(2 * size, _ROUND_CAP) if answered else _ROUND_CAP
         lowers, uppers = values
         if any(map(gt, lowers, uppers)):
             raise AssertionError("LP returned crossed bounds")

@@ -30,6 +30,7 @@ from coarseiv.datasets import (
 from coarseiv import bounds, exactlp
 from coarseiv.bounds import BoundsSolver
 from coarseiv.exactlp import ExactSimplex, Infeasible
+from coarseiv.oracle import check_validity
 from coarseiv.inference import (
     BootstrapSpec,
     ExcessiveInfeasibility,
@@ -498,6 +499,86 @@ def test_the_screen_never_answers_a_table_with_a_nonzero_inert_row():
     batched = _batched(engine.system, tables, scale)
     assert batched == _per_table(engine.system, tables, scale)
     assert batched[1][2] is True
+
+
+def test_an_empty_batch_has_no_bounds():
+    engine = _engine("peanut-ternary")
+    B = np.zeros((0, engine.system.n_rows), dtype=np.int64)
+    assert BoundsSolver(engine.system).solve_batch(B, 1) == ([], [], [])
+
+
+def _record_rounds(monkeypatch):
+    """Per solver, each lockstep round of `solve_batch`: [tables, rows its screens answered].
+
+    A round is a `resolve_many` call made outside `resolve_b`; the screens
+    after it, up to the next round, are its own.
+    """
+    rounds, inside = {}, []
+    resolve_b, resolve_many, screen = (
+        ExactSimplex.resolve_b, ExactSimplex.resolve_many, ExactSimplex.screen
+    )
+
+    def marking(self, *args, **kwargs):
+        inside.append(self)
+        try:
+            return resolve_b(self, *args, **kwargs)
+        finally:
+            inside.pop()
+
+    def sizing(self, starts, B, scale):
+        if not inside:
+            rounds.setdefault(self, []).append([len(B), 0])
+        return resolve_many(self, starts, B, scale)
+
+    def answering(self, vx, B, b_bits):
+        out = screen(self, vx, B, b_bits)
+        if self in rounds:
+            rounds[self][-1][1] += int(out[0].sum())
+        return out
+
+    monkeypatch.setattr(ExactSimplex, "resolve_b", marking)
+    monkeypatch.setattr(ExactSimplex, "resolve_many", sizing)
+    monkeypatch.setattr(ExactSimplex, "screen", answering)
+    return rounds
+
+
+def _check_round_rule(rounds):
+    # The first round is one table; a round doubles the last while the
+    # last round's screens answered a row, else it is the cap.  Only a
+    # side's final round, which takes every row left, may be smaller.
+    cap = bounds._ROUND_CAP
+    for side in rounds.values():
+        assert side[0][0] == 1
+        rule = [min(2 * size, cap) if answered else cap for size, answered in side[:-1]]
+        assert [size for size, _ in side[1:-1]] == rule[:-1]
+        assert len(side) == 1 or side[-1][0] <= rule[-1]
+
+
+def test_bootstrap_rounds_double_while_their_screens_answer_rows(monkeypatch):
+    # Six draws a stratum: at the data's sizes one round finishes each side.
+    rounds = _record_rounds(monkeypatch)
+    engine = _engine("peanut-ternary")
+    sizes = dict.fromkeys(engine.dist.n_per_z, 6)
+    engine.solver.solve_batch(*engine.tables(spawn_states(2, (), 0, 2000), sizes))
+    assert len(rounds) == 2
+    for side in rounds.values():
+        assert [size for size, _ in side[:-1]] == [
+            min(2**i, bounds._ROUND_CAP) for i in range(len(side) - 1)
+        ]
+    assert max(len(side) for side in rounds.values()) >= 7
+    _check_round_rule(rounds)
+
+
+def test_validity_rounds_jump_to_the_cap_after_a_round_that_answered_nothing(monkeypatch):
+    rounds = _record_rounds(monkeypatch)
+    check_validity(scenario_preset("homocysteine-3")[1], 200, 1)
+    _check_round_rule(rounds)
+    cap = bounds._ROUND_CAP
+    assert any(
+        not answered and 2 * size < cap and following == cap
+        for side in rounds.values()
+        for (size, answered), (following, _) in zip(side, side[1:])
+    )
 
 
 def test_crossed_interval_result_is_rejected():

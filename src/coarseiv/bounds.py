@@ -29,14 +29,7 @@ from .data import (
     Scenario,
     validate,
 )
-from .exactlp import (
-    _FLOAT64_BITS,
-    ExactSimplex,
-    Infeasible,
-    LpOutcome,
-    integer_rhs,
-    verify_farkas,
-)
+from .exactlp import ExactSimplex, Infeasible, LpOutcome, integer_rhs, verify_farkas
 from .response import CapExceeded, ConstraintSystem, merge_columns
 from .symbolic import SymbolicBoundSet, Term, _Gauge
 
@@ -282,14 +275,12 @@ class BoundsSolver:
         basis is screened against every pending row at once
         (`ExactSimplex.screen`), which answers each row
         it is primal feasible for and records, for the others, how
-        infeasible it is there.  The screens read a float64 copy of B,
-        made once, when every row's L1 norm is below 2**53.  The rows still
-        pending are resolved in rounds, first pending first, by
-        `ExactSimplex.resolve_many`, each row starting from the least
-        infeasible basis screened against it (ties to the later one).  The
-        first round is one row; the next doubles it, up to ``_ROUND_CAP``,
-        if the round's screens answered a pending row, and is
-        ``_ROUND_CAP`` rows if they answered none.
+        infeasible it is there.  The rows still pending are resolved in
+        rounds, first pending first, by `ExactSimplex.resolve_many`, each
+        row starting from the least infeasible basis screened against it
+        (ties to the later one).  The first round is one row; the next
+        doubles it, up to ``_ROUND_CAP``, if the round's screens answered a
+        pending row, and is ``_ROUND_CAP`` rows if they answered none.
         A row whose LP is infeasible comes back from `resolve_many` with its
         Farkas certificate, takes the slack path and leaves both sides.
         """
@@ -299,8 +290,6 @@ class BoundsSolver:
         if not R:
             return [], [], []
         b_bits = int(B.sum(axis=1, dtype=object).max()).bit_length()
-        # The screens' right-hand sides, converted once when float64 holds them.
-        screened = B.astype(np.float64) if b_bits <= _FLOAT64_BITS else B
         sides = (self._lo, self._hi)
         values: tuple[list, list] = ([None] * R, [None] * R)
         rescued = [False] * R
@@ -317,7 +306,7 @@ class BoundsSolver:
             todo = pending[side]
             if not todo.size:
                 return 0
-            fits, nums, short = sides[side].screen(vx, screened[todo], b_bits)
+            fits, nums, short = sides[side].screen(vx, B[todo], b_bits)
             denom = (vx.d if side == 0 else -vx.d) * scale
             for j, num in zip(todo[fits].tolist(), nums.tolist()):
                 values[side][j] = Fraction(num, denom)

@@ -46,16 +46,15 @@ columns can start phase 2 from it (lower/upper bound pairs).
 There is one dual simplex, `resolve_many`.  It runs for many right-hand
 sides in lockstep, each from its own start basis: one state array of
 shape (K, m, m + 1), one product per step for all pivot rows and reduced
-costs, one ratio test for all tables (a float64 pick per table, confirmed
-by exact int64 cross-multiplication, with an exact loop as the fallback),
-one product for the directions, and one broadcast Bareiss update.  An
-infeasible right-hand side comes back as its `Infeasible`.  `resolve_b`
-is one table of it, started from the last optimal basis.  `screen` tests
-one optimal basis against many right-hand sides in one product
-[M; c_B.M].B^T and returns the ones the basis is optimal for, with their
-values, and how far it is from feasible for each of the others; when
-every level and shortfall sum stays below 2**53 it reads them straight
-off a float64 product.
+costs, one ratio test for all tables (from three tables on, a float64
+pick per table confirmed by exact int64 cross-multiplication; an exact
+loop below that and as the fallback), one product for the directions,
+and one broadcast Bareiss update.  An infeasible right-hand side comes
+back as its `Infeasible`.  `resolve_b` is one table of it, started from
+the last optimal basis.  `screen` tests one optimal basis against many
+right-hand sides in one product [M; c_B.M].B^T and returns the ones the
+basis is optimal for, with their values, and how far it is from feasible
+for each of the others.
 
 An `LpOutcome` carries the optimal value as one Fraction; the primal solution
 and the dual vector are built from the optimal basis on first access.
@@ -94,6 +93,9 @@ _INT64_BITS = 62
 _FLOAT64_BITS = 53
 # Right-hand sides per product in `ExactSimplex.screen`.
 _SCREEN_ROWS = 512
+# Live tables from which a lockstep step's ratio test runs vectorised
+# (`_ratio_test`); below it the per-table loop is faster.
+_RATIO_TABLES = 3
 
 
 class Infeasible(Exception):
@@ -272,9 +274,13 @@ def _ratio_test(candidates: np.ndarray, alpha: np.ndarray, rc: np.ndarray) -> np
     # ratio picks one column per row; it stands when its cross-multiplied
     # comparison with every candidate, in int64, finds no smaller ratio, and
     # the entering column is then the first candidate whose ratio equals it.
-    # Rows whose pick a rounding misordered, and inputs too wide for int64
-    # products, take the exact loop.
-    if alpha.dtype == object or _bits(alpha) + _bits(rc) > _INT64_BITS:
+    # Fewer than ``_RATIO_TABLES`` rows, inputs too wide for int64 products,
+    # and rows whose pick a rounding misordered take the exact loop.
+    if (
+        len(alpha) < _RATIO_TABLES
+        or alpha.dtype == object
+        or _bits(alpha) + _bits(rc) > _INT64_BITS
+    ):
         return np.array(
             [_min_ratio(np.flatnonzero(c), a, r) for c, a, r in zip(candidates, alpha, rc)]
         )
@@ -414,11 +420,12 @@ class ExactSimplex:
         A step makes one product [M_r | 0; -y | d].[A; c] for the pivot
         rows and the reduced costs of all tables (y = c_B.M, itself one
         stacked product), one stacked product for the directions
-        w = M.A_j, and one broadcast Bareiss update.  The ratio test runs
-        for all tables at once (`_ratio_test`): a float64 ratio picks a
-        column per table and an int64 cross-multiplied comparison with
-        every candidate confirms it; object or over-62-bit inputs, and a
-        pick a rounding misordered, take the exact loop (`_min_ratio`).
+        w = M.A_j, and one broadcast Bareiss update.  From
+        ``_RATIO_TABLES`` live tables on, the ratio test runs for all of
+        them at once (`_ratio_test`): a float64 ratio picks a column per
+        table and an int64 cross-multiplied comparison with every candidate
+        confirms it.  Fewer tables, object or over-62-bit inputs, and a
+        pick a rounding misordered take the exact loop (`_min_ratio`).
 
         Returns one outcome per row; a table that takes no pivot keeps its
         start as its vertex, uncopied.  An infeasible b~ gives an
@@ -555,43 +562,30 @@ class ExactSimplex:
         """The rows of B at which the optimal basis `vx` is optimal as it stands.
 
         Each row of B is a right-hand side b~ >= 0, and `b_bits` is at least
-        the bit length of every row's L1 norm.  B is an integer array or,
-        when `b_bits` <= 53, may be its float64 copy.  The costs have not
-        changed since `vx` was optimal, so it is optimal for every b~ it is
-        primal feasible for: M.b~ >= 0 with every inert row at zero.
-        Returns that mask over the rows; for the rows it selects, y.b~ with
-        y = c_B.M, the optimal value times d * N; and for every row the
-        basis's shortfall, the sum of its negative levels over d (a float64,
-        so only a guide for choosing a dual simplex start).  The product
-        [M; y].B^T runs in blocks of ``_SCREEN_ROWS`` rows of B, which
-        bounds its temporaries.  When every level and every partial sum of
-        a shortfall is an integer below 2**53 (`bits` + bit_length(m) <=
-        53), it runs in float64 and the levels, fits, values and
-        shortfalls are read off it as they are; otherwise it is exact by
-        `_exact_product` and the shortfalls are summed in integers.
+        the bit length of every row's L1 norm.  The costs have not changed
+        since `vx` was optimal, so it is optimal for every b~ it is primal
+        feasible for: M.b~ >= 0 with every inert row at zero.  Returns that
+        mask over the rows; for the rows it selects, y.b~ with y = c_B.M,
+        the optimal value times d * N; and for every row the basis's
+        shortfall, the sum of its negative levels over d (a float64, so
+        only a guide for choosing a dual simplex start).  The product
+        [M; y].B^T, exact by `_exact_product`, runs in blocks of
+        ``_SCREEN_ROWS`` rows of B, which bounds its temporaries.
         """
         y = _exact_product(self._c[list(vx.basis)], vx.M, _bits(vx.M) + self._c_bits)
         V = np.vstack([vx.M, y])
         bits = _bits(V) + b_bits
         inert = [i for i, var in enumerate(vx.basis) if var >= self.n]
-        sum_bits = bits + self.m.bit_length()
-        if sum_bits <= _FLOAT64_BITS:
-            V, B, dtype = V.astype(np.float64), B.astype(np.float64, copy=False), np.float64
-        else:
-            B, dtype = B.astype(_dtype(b_bits), copy=False), _dtype(sum_bits)
+        dtype = _dtype(bits + self.m.bit_length())
         fits, nums, short = [], [], []
         for top in range(0, max(len(B), 1), _SCREEN_ROWS):
-            Bt = B[top : top + _SCREEN_ROWS].T
-            P = V @ Bt if dtype is np.float64 else _exact_product(V, Bt, bits)
+            P = _exact_product(V, B[top : top + _SCREEN_ROWS].T, bits)
             levels = P[:-1]
             ok = (levels >= 0).all(axis=0) & (levels[inert] == 0).all(axis=0)
             fits.append(ok)
             nums.append(P[-1, ok])
-            # From 0, a sum of nothing but zeros is 0 and never -0.0.
-            short.append(np.minimum(levels, 0, out=levels).sum(axis=0, dtype=dtype, initial=0))
+            short.append(np.minimum(levels, 0, out=levels).sum(axis=0, dtype=dtype))
         fits, nums, short = map(np.concatenate, (fits, nums, short))
-        if dtype is np.float64:
-            nums = nums.astype(np.int64)
         return fits, nums, np.asarray(short, dtype=np.float64) / -float(vx.d)
 
     def _pricing(self, costs: np.ndarray, weight: int) -> np.ndarray:

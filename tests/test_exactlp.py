@@ -1130,13 +1130,16 @@ def _ratio_rows(draw):
 def test_vectorised_ratio_test_matches_the_loop_row_by_row(rows):
     # Ties, rc = 0 and ratios float64 does not tell apart: the first column of
     # the least exact ratio, in int64 where the products fit, as the loop says.
+    # Every stack runs vectorised, also the ones of one or two tables.
     alpha, rc = rows
     candidates = alpha < 0
     want = _loop_ratio_test(candidates, alpha, rc)
-    assert exactlp._ratio_test(candidates, alpha, rc).tolist() == want
-    if exactlp._bits(alpha) + exactlp._bits(rc) <= exactlp._INT64_BITS:
-        alpha, rc = alpha.astype(np.int64), rc.astype(np.int64)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exactlp, "_RATIO_TABLES", 1)
         assert exactlp._ratio_test(candidates, alpha, rc).tolist() == want
+        if exactlp._bits(alpha) + exactlp._bits(rc) <= exactlp._INT64_BITS:
+            alpha, rc = alpha.astype(np.int64), rc.astype(np.int64)
+            assert exactlp._ratio_test(candidates, alpha, rc).tolist() == want
 
 
 def test_ratio_test_breaks_ties_to_the_first_column():
@@ -1163,15 +1166,22 @@ def _loop_calls(monkeypatch):
 @pytest.mark.parametrize(
     "alpha, rc, dtype, loops",
     [
-        # Narrow int64: one vectorised pass.
-        ([[-1, -3, 2], [-2, -2, -1]], [[1, 2, 0], [3, 1, 1]], np.int64, 0),
-        # The same as Python ints: the loop, table by table.
-        ([[-1, -3, 2], [-2, -2, -1]], [[1, 2, 0], [3, 1, 1]], object, 2),
+        # Three narrow int64 tables: one vectorised pass.
+        ([[-1, -3, 2], [-2, -2, -1], [0, -1, -1]], [[1, 2, 0], [3, 1, 1], [5, 2, 2]], np.int64, 0),
+        # Two narrow int64 tables, below _RATIO_TABLES: the loop, table by table.
+        ([[-1, -3, 2], [-2, -2, -1]], [[1, 2, 0], [3, 1, 1]], np.int64, 2),
+        # Three tables as Python ints: the loop.
+        ([[-1, -3, 2], [-2, -2, -1], [0, -1, -1]], [[1, 2, 0], [3, 1, 1], [5, 2, 2]], object, 3),
         # int64, but 32 + 32 bits of cross-multiplied product: the loop.
-        ([[-(2**31), -1], [-1, -2]], [[2**31, 1], [1, 2]], np.int64, 2),
+        ([[-(2**31), -1], [-1, -2], [-1, -1]], [[2**31, 1], [1, 2], [1, 1]], np.int64, 3),
         # The near tie rounds to one float64, whose pick (column 0) is wrong:
         # that table only takes the loop.
-        ([[a for _, a in _NEAR_TIE], [-1, -2]], [[r for r, _ in _NEAR_TIE], [1, 1]], np.int64, 1),
+        (
+            [[a for _, a in _NEAR_TIE], [-1, -2], [-2, -1]],
+            [[r for r, _ in _NEAR_TIE], [1, 1], [1, 1]],
+            np.int64,
+            1,
+        ),
     ],
 )
 def test_ratio_test_takes_the_loop_for_wide_inputs_and_float_misorders(
@@ -1183,62 +1193,3 @@ def test_ratio_test_takes_the_loop_for_wide_inputs_and_float_misorders(
     assert len(calls) == loops
     monkeypatch.undo()
     assert got.tolist() == _loop_ratio_test(alpha < 0, alpha, rc)
-
-
-# -- the float64 screen against the integer one --------------------------------------
-
-
-def _screen_products(monkeypatch):
-    """Record the number of dimensions of the left side of each exact product."""
-    ndims = []
-    product = exactlp._exact_product
-
-    def spy(left, right, bits):
-        ndims.append(left.ndim)
-        return product(left, right, bits)
-
-    monkeypatch.setattr(exactlp, "_exact_product", spy)
-    return ndims
-
-
-@pytest.mark.parametrize("block", [exactlp._SCREEN_ROWS, 7])
-@pytest.mark.parametrize("name", ["peanut-ternary", "homocysteine-3"])
-def test_float64_screen_equals_the_integer_screen(monkeypatch, name, block):
-    # Same fits and values, and shortfalls equal bit for bit, from the float64
-    # copy of B, from B itself, and with the float64 tier switched off.
-    monkeypatch.setattr(exactlp, "_SCREEN_ROWS", block)
-    lp = _side_lp(_bootstrap_engine(name), "min")
-    B, scale = _replicate_tables(name, 5, 60, six=True)
-    b_bits = int(B.sum(axis=1).max()).bit_length()
-    pool = _start_pool(lp, B, scale)
-    ndims = _screen_products(monkeypatch)
-    got = [[lp.screen(vx, rhs, b_bits) for vx in pool] for rhs in (B.astype(np.float64), B)]
-    assert ndims == [1] * 2 * len(pool)  # y = c_B.M only: no exact block product
-    monkeypatch.setattr(exactlp, "_FLOAT64_BITS", 0)
-    want = [lp.screen(vx, B, b_bits) for vx in pool]
-    assert 2 in ndims
-    for outs in got:
-        for (fits, nums, short), (w_fits, w_nums, w_short) in zip(outs, want):
-            assert fits.tolist() == w_fits.tolist()
-            assert nums.dtype == np.int64 and nums.tolist() == w_nums.tolist()
-            assert short.tobytes() == w_short.tobytes()
-    assert any(0 < f.sum() < len(B) for f, _, _ in want)
-
-
-@pytest.mark.parametrize("total", [53, 54])
-def test_screen_leaves_float64_at_54_bits(monkeypatch, total):
-    # bits + bit_length(m) = 53 reads the float64 product; 54 takes the
-    # integer path, one exact product per block.
-    lp = _transport_lp()
-    lp.solve([3, 5])
-    vx = lp._last
-    V = np.vstack([vx.M, _exact_product(lp._c[list(vx.basis)], vx.M, 8)])
-    b_bits = total - exactlp._bits(V) - lp.m.bit_length()
-    B = np.array([[2 ** (b_bits - 1) - 1, 1], [1, 2 ** (b_bits - 1) - 3]], dtype=np.int64)
-    assert int(B.sum(axis=1).max()).bit_length() == b_bits
-    ndims = _screen_products(monkeypatch)
-    fits, nums, short = lp.screen(vx, B, b_bits)
-    assert ndims == ([1] if total == 53 else [1, 2])
-    assert fits.tolist() == [True, True] and short.tolist() == [0.0, 0.0]
-    # min x0 + 2 x1 with x0 + x1 = b0, x1 + x2 = b1 is b0 at x1 = 0.
-    assert [Fraction(v, vx.d) for v in nums.tolist()] == B[:, 0].tolist()

@@ -146,8 +146,9 @@ def _document(subcommand: str, config: dict, results: dict, diagnostics: dict) -
     }
 
 
-_EMIT_BATCH = 2048  # chunks per write, about 32 KB of a derive document
+_EMIT_BATCH = 2048  # chunks per write, about 72 KB of a derive document
 _INF = float("inf")
+_SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
 def _json_scalar(o) -> str:
@@ -171,6 +172,17 @@ def _json_scalar(o) -> str:
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
+def _leaf_text(o: dict, pad: str) -> str:
+    # A leaf, a non-empty dict whose values are all of the `_SCALARS` types,
+    # as `_emit` writes it at `pad`.
+    inner = pad + "  "
+    return "{" + inner + ("," + inner).join([
+        encode_basestring_ascii(key if isinstance(key, str) else _json_scalar(key)) + ": "
+        + (encode_basestring_ascii(value) if type(value) is str else _json_scalar(value))
+        for key, value in sorted(o.items())
+    ]) + pad + "}"
+
+
 def _emit(doc: dict) -> None:
     """Print `doc` exactly as `json.dumps(doc, sort_keys=True, indent=2)` would.
 
@@ -181,8 +193,18 @@ def _emit(doc: dict) -> None:
     in `sorted(items())` order with non-str keys converted as json converts
     them, and a TypeError for any other type.  The chunks are written every
     `_EMIT_BATCH` of them, so a large document is never held whole as text.
+
+    A dict item or list item whose value is one of the `_SCALARS` types is
+    one chunk, with no recursive call.  A leaf, a dict of such values, is
+    encoded item by item the first time it is met.  From the next time on,
+    its text at each indent is encoded whole once (`_leaf_text`) and reused,
+    so a number dict that a derivation shares among its terms is encoded
+    once per indent.  Leaves are told apart by id until the call returns;
+    `doc` holds them all as long, so no two share an id.
     """
     chunks: list[str] = []
+    met: set[int] = set()  # the id of each leaf met
+    texts: dict[tuple[int, int], str] = {}  # (id, indent) -> a met leaf's text
 
     def flush() -> None:
         sys.stdout.write("".join(chunks))
@@ -196,16 +218,33 @@ def _emit(doc: dict) -> None:
             if not o:
                 chunks.append("{}")
                 return
+            if id(o) in met:
+                place = (id(o), len(pad))
+                text = texts.get(place)
+                if text is None:
+                    text = texts[place] = _leaf_text(o, pad)
+                chunks.append(text)
+                return
+            leaf = True
             inner = pad + "  "
             sep = "{" + inner
             for key, value in sorted(o.items()):
                 key = key if isinstance(key, str) else _json_scalar(key)
-                chunks.append(sep + encode_basestring_ascii(key) + ": ")
-                encode(value, inner)
+                key = sep + encode_basestring_ascii(key) + ": "
+                if type(value) is str:
+                    chunks.append(key + encode_basestring_ascii(value))
+                elif type(value) in _SCALARS:
+                    chunks.append(key + _json_scalar(value))
+                else:
+                    leaf = False
+                    chunks.append(key)
+                    encode(value, inner)
                 sep = "," + inner
                 if len(chunks) >= _EMIT_BATCH:
                     flush()
             chunks.append(pad + "}")
+            if leaf:
+                met.add(id(o))
         elif isinstance(o, (list, tuple)):
             if not o:
                 chunks.append("[]")
@@ -213,8 +252,13 @@ def _emit(doc: dict) -> None:
             inner = pad + "  "
             sep = "[" + inner
             for value in o:
-                chunks.append(sep)
-                encode(value, inner)
+                if type(value) is str:
+                    chunks.append(sep + encode_basestring_ascii(value))
+                elif type(value) in _SCALARS:
+                    chunks.append(sep + _json_scalar(value))
+                else:
+                    chunks.append(sep)
+                    encode(value, inner)
                 sep = "," + inner
                 if len(chunks) >= _EMIT_BATCH:
                     flush()

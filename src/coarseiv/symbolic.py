@@ -19,6 +19,8 @@ then carry zero coefficients on the unshared cells).
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
@@ -41,6 +43,9 @@ Cell = tuple[str, str, int]  # (z, x, y)
 
 # Candidate pairs per containment product in _adjacent_pairs.
 _PAIR_CHUNK = 128
+# Witness rays per inserted row in _adjacent_pairs, used from 2 * _WITNESSES
+# rays on.
+_WITNESSES = 32
 
 
 @dataclass(frozen=True)
@@ -75,20 +80,44 @@ class _Gauge:
         starts = [k for k, c in enumerate(cells) if k == 0 or c[0] != cells[k - 1][0]]
         return cls(cells, tuple(zip(starts, starts[1:] + [len(cells)])), direction)
 
-    def term(self, constant, values: Sequence, denom: int = 1) -> Term:
-        """The canonical term (constant + sum values[k] * cells[k]) / denom."""
+    def shifted(self, constant, values: Sequence) -> tuple:
+        """(constant, ((cell, coefficient), ...)) of constant + sum values[k] *
+        cells[k] in this gauge, zero coefficients omitted."""
         pick = min if self.direction == "lower" else max
         coeffs = []
         for lo, hi in self.blocks:
             block = values[lo:hi]
             shift = pick(block)
             constant += shift
-            coeffs += [
-                (c, Fraction(v - shift, denom))
-                for c, v in zip(self.cells[lo:hi], block)
-                if v != shift
-            ]
-        return Term(constant=Fraction(constant, denom), coeffs=tuple(coeffs))
+            coeffs += [(c, v - shift) for c, v in zip(self.cells[lo:hi], block) if v != shift]
+        return constant, tuple(coeffs)
+
+    def term(self, constant, values: Sequence) -> Term:
+        """The canonical term constant + sum values[k] * cells[k]."""
+        constant, coeffs = self.shifted(constant, values)
+        return Term(constant=Fraction(constant), coeffs=tuple((c, Fraction(v)) for c, v in coeffs))
+
+    def terms(self, rows: Sequence[tuple[int, Sequence[int], int]]) -> tuple[Term, ...]:
+        """The distinct canonical terms (constant + sum values[k] * cells[k]) / t
+        of integer rows (constant, values, t > 0), sorted by (constant, coeffs).
+
+        Every row is scaled to the lcm L of the t, and the scaled rows are
+        shifted, deduplicated and sorted as integer tuples.  That is exact:
+        a / t1 < b / t2 iff a L / t1 < b L / t2.  Each distinct integer then
+        becomes one Fraction over L.
+        """
+        lcm = math.lcm(*{t for _, _, t in rows})
+        keys = set()
+        for constant, values, t in rows:
+            m = lcm // t
+            if m != 1:
+                constant, values = constant * m, [v * m for v in values]
+            keys.add(self.shifted(constant, values))
+        frac = functools.cache(lambda v: Fraction(v, lcm))
+        return tuple(
+            Term(constant=frac(constant), coeffs=tuple((c, frac(v)) for c, v in coeffs))
+            for constant, coeffs in sorted(keys)
+        )
 
 
 @dataclass(frozen=True)
@@ -151,17 +180,43 @@ def _adjacent_pairs(tight: np.ndarray, pos: np.ndarray, neg: np.ndarray, min_mee
     indices into `pos` and `neg`, in (kp, kn) order, and each pair's meet row.
     Two rays of a pointed cone are adjacent iff they share at least
     dim - 2 tight rows and no third ray is tight on all of those.
+
+    A ray contains a pair's meet iff it is tight on as many meet rows as the
+    meet has.  The pair's own two rays always do, so the pair is adjacent iff
+    the product of its meet with `tight` finds no third.  From
+    2 * _WITNESSES rays on, most candidate pairs are not adjacent, so the
+    _WITNESSES rays with the largest zero sets (np.argpartition on the
+    zero-set sizes) are tried first, in a small product over just those
+    rays.  A witness other than the pair's own rays that contains the meet
+    proves the pair not adjacent, and only the pairs no witness rejects go on
+    to the product over every ray.  That is exact whichever witnesses are
+    picked: a witness rejects only pairs the full product would reject too.
     """
     tp, tn = tight[pos], tight[neg]
     shared = tp @ tn.T  # each pair's meet size
     kp, kn = np.nonzero(shared >= min_meet)
-    adjacent = np.empty(len(kp), dtype=bool)
-    for s in range(0, len(kp), _PAIR_CHUNK):  # bounds the (pairs x rays) counts
-        p, n = kp[s:s + _PAIR_CHUNK], kn[s:s + _PAIR_CHUNK]
-        # A ray contains the meet iff it is tight on as many meet rows as the
-        # meet has; the pair itself always does.
-        contain = (tp[p] * tn[n]) @ tight.T == shared[p, n][:, None]
-        adjacent[s:s + _PAIR_CHUNK] = np.count_nonzero(contain, axis=1) == 2
+
+    def containing(k: np.ndarray, rays: np.ndarray) -> np.ndarray:
+        # How many of `rays` (columns: a ray's tight rows) contain each meet.
+        p, n = kp[k], kn[k]
+        return np.count_nonzero((tp[p] * tn[n]) @ rays == shared[p, n][:, None], axis=1)
+
+    todo = np.arange(len(kp))  # the pairs for the full product
+    if len(tight) >= 2 * _WITNESSES:
+        witness = np.argpartition(tight.sum(axis=1), -_WITNESSES)[-_WITNESSES:]
+        is_witness = np.zeros(len(tight), dtype=np.intp)
+        is_witness[witness] = 1
+        own = is_witness[pos][kp] + is_witness[neg][kn]  # witnesses in each pair
+        tw = tight[witness].T
+        unrejected = np.empty(len(kp), dtype=bool)
+        for s in range(0, len(kp), _PAIR_CHUNK):
+            k = todo[s:s + _PAIR_CHUNK]
+            unrejected[k] = containing(k, tw) == own[k]
+        todo = np.flatnonzero(unrejected)
+    adjacent = np.zeros(len(kp), dtype=bool)
+    for s in range(0, len(todo), _PAIR_CHUNK):  # bounds the (pairs x rays) counts
+        k = todo[s:s + _PAIR_CHUNK]
+        adjacent[k] = containing(k, tight.T) == 2
     kp, kn = kp[adjacent], kn[adjacent]
     return kp, kn, tp[kp] * tn[kn]
 
@@ -186,13 +241,16 @@ def _extreme_rays(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     Beside the rays, a float32 matrix `tight` (rays x inserted rows) holds 1
     where a ray satisfies an inserted row with equality and 0 elsewhere, so
     the adjacency test for a new row is a few matrix products
-    (_adjacent_pairs).  They are exact: every entry is 0 or 1, so every
-    partial sum is an integer no larger than the number of rows, and
-    float32 holds every integer up to 2^24 exactly, whatever the summation
-    order.  New rays follow the pairs in (positive, negative) order, so the
-    rays come out in the order of a pairwise scan.  A row with no ray on
-    one of its sides makes no pair, so it skips the adjacency test and the
-    combination.
+    (_adjacent_pairs): the candidate pairs' meets against a few witness rays
+    with large zero sets, which reject most pairs that are not adjacent, and
+    the pairs left against every ray.  They are exact: every entry is 0 or
+    1, so every partial sum is an integer no larger than the number of rows,
+    and float32 holds every integer up to 2^24 exactly, whatever the
+    summation order.  The witnesses only drop pairs the full product would
+    drop, so the rays do not depend on which are picked.  New rays follow
+    the pairs in (positive, negative) order, so the rays come out in the
+    order of a pairwise scan.  A row with no ray on one of its sides makes no
+    pair, so it skips the adjacency test and the combination.
     """
     rows = sorted(rows)
     dim = len(rows[0])
@@ -291,20 +349,18 @@ def derive_symbolic(system: ConstraintSystem) -> tuple[SymbolicBoundSet, Symboli
         # A ray's entry for each gauge cell; a pinned cell reads the 0
         # appended after t.
         entries = itemgetter(*[index.get(c, len(coords) + 1) for c in gauge.cells])
-        terms: set[Term] = set()
-        facts: set[Term] = set()
+        terms, facts = [], []
         for ray in _extreme_rays(cones[direction]):
             t = ray[-1]
-            term = gauge.term(ray[norm], entries(ray + (0,)), t or 1)
-            (terms if t > 0 else facts).add(term)
+            (terms if t > 0 else facts).append((ray[norm], entries(ray + (0,)), t or 1))
         return SymbolicBoundSet(
             direction=direction,
-            terms=tuple(sorted(terms, key=lambda t: (t.constant, t.coeffs))),
+            terms=gauge.terms(terms),
             provenance="derived",
             instrument_levels=scenario.instrument_levels,
             exposure_levels=scenario.level_labels(),
             estimand=system.estimand,
-            feasibility=tuple(sorted(facts, key=lambda t: (t.constant, t.coeffs))),
+            feasibility=gauge.terms(facts),
         )
 
     return build("lower"), build("upper")

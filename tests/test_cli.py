@@ -865,6 +865,12 @@ _EMIT_KEYS = st.sampled_from(
 )
 
 
+# A leaf: a non-empty dict whose values are all scalars.
+_EMIT_LEAF_DICTS = _EMIT_KEYS.flatmap(
+    lambda keys: st.dictionaries(keys, _EMIT_LEAVES, min_size=1, max_size=4)
+)
+
+
 def _emit_containers(children):
     return (
         st.lists(children, max_size=4)
@@ -872,6 +878,10 @@ def _emit_containers(children):
         | _EMIT_KEYS.flatmap(lambda keys: st.dictionaries(keys, children, max_size=4))
         # One sub-document shared by several parents.
         | st.tuples(children, st.integers(2, 3)).map(lambda t: {str(k): t[0] for k in range(t[1])})
+        # One leaf dict object at two depths and twice in one list.
+        | st.tuples(_EMIT_LEAF_DICTS, children).map(
+            lambda t: {"a": t[0], "b": [t[0], t[1], t[0]], "c": {"d": t[0]}}
+        )
     )
 
 
@@ -890,6 +900,16 @@ _EMIT_EDGES = {
 @example(_EMIT_EDGES)
 @example({"a": _EMIT_EDGES["keys"], "b": [_EMIT_EDGES["keys"]] * 2})
 def test_emit_matches_json_dumps(doc):
+    assert _emitted(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_emit_reuses_a_leaf_at_each_depth():
+    # The way a derive document shares one number dict among its terms.
+    leaf = {"exact": "1/2", "float": 0.5, "display": "0.50"}
+    doc = {"a": leaf, "b": [leaf, {"c": leaf, "d": [leaf, leaf, leaf]}, leaf], "e": {"f": leaf}}
+    assert _emitted(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    # The texts are kept for one call only.
+    leaf["float"] = 0.25
     assert _emitted(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 

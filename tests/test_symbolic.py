@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coarseiv import exactlp, symbolic
+from coarseiv import exactlp, oracle, symbolic
 from coarseiv.bounds import (
     classic_term_sets,
     numeric_bounds,
@@ -154,6 +154,37 @@ def test_duplicate_terms_are_rejected():
         )
 
 
+_GAUGE_CELLS = [(z, x, y) for z in Z2 for x in ("x", "xp") for y in (0, 1)]
+
+
+@st.composite
+def _term_rows(draw):
+    # Integer rows (constant, values, t) over mixed denominators, some of them
+    # the same term written over another t.
+    row = st.tuples(
+        st.integers(-6, 6),
+        st.lists(st.integers(-3, 3), min_size=len(_GAUGE_CELLS), max_size=len(_GAUGE_CELLS)),
+        st.integers(1, 6),
+    )
+    rows = draw(st.lists(row, max_size=12))
+    for constant, values, t in draw(st.lists(st.sampled_from(rows), max_size=4) if rows else st.just([])):
+        m = draw(st.integers(2, 4))
+        rows.append((constant * m, [v * m for v in values], t * m))
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_term_rows(), st.sampled_from(["lower", "upper"]))
+def test_integer_keyed_terms_equal_the_fraction_keyed_sort(rows, direction):
+    gauge = symbolic._Gauge.over(_GAUGE_CELLS, direction)
+    by_fractions = {
+        gauge.term(Fraction(constant, t), [Fraction(v, t) for v in values])
+        for constant, values, t in rows
+    }
+    expected = tuple(sorted(by_fractions, key=lambda term: (term.constant, term.coeffs)))
+    assert gauge.terms(rows) == expected
+
+
 # -- evaluation ----------------------------------------------------------------------
 
 
@@ -240,6 +271,53 @@ def test_extreme_rays_do_not_depend_on_the_row_order(cone, data):
     assert _extreme_rays(sorted(rows, reverse=True)) == rays
 
 
+@pytest.mark.parametrize("witnesses", [1, 2])
+@settings(max_examples=150, deadline=None)
+@given(cone=_pointed_cones())
+def test_witness_path_matches_brute_force(witnesses, cone):
+    # With 2 * _WITNESSES rays or more, witnesses screen the candidate pairs.
+    # The drawn cones never reach the 64 rays that turns it on by default.
+    rows, dim = cone
+    rays = _extreme_rays(rows)
+    with mock.patch.object(symbolic, "_WITNESSES", witnesses):
+        assert _extreme_rays(rows) == rays
+    assert set(rays) == _brute_force_rays(rows, dim)
+
+
+def _plain_adjacent_pairs(tight, pos, neg, min_meet):
+    # The containment test over every ray for every candidate pair.
+    tp, tn = tight[pos], tight[neg]
+    shared = tp @ tn.T
+    kp, kn = np.nonzero(shared >= min_meet)
+    adjacent = np.zeros(len(kp), dtype=bool)
+    for s in range(0, len(kp), 1024):
+        p, n = kp[s:s + 1024], kn[s:s + 1024]
+        contain = (tp[p] * tn[n]) @ tight.T == shared[p, n][:, None]
+        adjacent[s:s + 1024] = np.count_nonzero(contain, axis=1) == 2
+    kp, kn = kp[adjacent], kn[adjacent]
+    return kp, kn, tp[kp] * tn[kn]
+
+
+@pytest.mark.parametrize("direction", ["lower", "upper"])
+def test_witnessed_adjacency_equals_the_plain_containment_test(direction):
+    system = build_constraint_system(scenario_preset("homocysteine-3")[1])
+    rows = _dual_cones(system)[1][direction]
+    adjacent_pairs = symbolic._adjacent_pairs
+    witnessed = []
+
+    def spy(tight, pos, neg, min_meet):
+        got = adjacent_pairs(tight, pos, neg, min_meet)
+        for a, b in zip(got, _plain_adjacent_pairs(tight, pos, neg, min_meet)):
+            np.testing.assert_array_equal(a, b)
+        witnessed.append(len(tight) >= 2 * symbolic._WITNESSES)
+        return got
+
+    with mock.patch.object(symbolic, "_adjacent_pairs", spy):
+        rays = _extreme_rays(rows)
+    assert len(rays) == DUAL_CONE_RAYS["homocysteine-3"]
+    assert sum(witnessed) > len(witnessed) // 2
+
+
 @pytest.mark.parametrize("scale", [2**40, 2**62])
 @settings(max_examples=40, deadline=None)
 @given(cone=_pointed_cones())
@@ -267,22 +345,39 @@ def test_scaled_rows_give_the_same_rays(scale, cone):
 DUAL_CONE_RAYS = {"homocysteine-3": 273, "homocysteine-4": 507}
 
 
-@pytest.mark.parametrize("direction", ["lower", "upper"])
-@pytest.mark.parametrize("preset", sorted(DUAL_CONE_RAYS))
-def test_extreme_rays_of_the_homocysteine_cones(preset, direction):
-    # Cones far past the brute-force sizes, with hundreds of candidate pairs
-    # per inserted row, so the adjacency test crosses its chunk boundaries.
-    system = build_constraint_system(scenario_preset(preset)[1])
-    rows = _dual_cones(system)[1][direction]
+def _check_cone_rays(scenario, direction, n_rays):
+    # The rays are distinct, satisfy every row and are each tight on dim - 1
+    # independent rows.
+    rows = _dual_cones(build_constraint_system(scenario))[1][direction]
     dim = len(rows[0])
     rays = _extreme_rays(rows)
-    assert len(rays) == DUAL_CONE_RAYS[preset]
+    assert len(rays) == n_rays
     assert len(set(rays)) == len(rays)
     for ray in rays:
         values = [sum(map(mul, row, ray)) for row in rows]
         assert max(values) <= 0
         tight = [row for row, v in zip(rows, values) if v == 0]
         assert len(independent_rows(tight)[0]) == dim - 1
+
+
+@pytest.mark.parametrize("direction", ["lower", "upper"])
+@pytest.mark.parametrize("preset", sorted(DUAL_CONE_RAYS))
+def test_extreme_rays_of_the_homocysteine_cones(preset, direction):
+    # Cones far past the brute-force sizes, with hundreds of candidate pairs
+    # per inserted row, so the adjacency test crosses its chunk boundaries.
+    _check_cone_rays(scenario_preset(preset)[1], direction, DUAL_CONE_RAYS[preset])
+
+
+# Extreme rays a direction of the cones of audited families 3 and 4 (the
+# three-level ones, numbered from 1), each with an ill-defining level added.
+FAMILY_CONE_RAYS = {3: 93, 4: 279}
+
+
+@pytest.mark.parametrize("direction", ["lower", "upper"])
+@pytest.mark.parametrize("family", sorted(FAMILY_CONE_RAYS))
+def test_extreme_rays_of_the_ill_defined_family_cones(family, direction):
+    scenario = oracle._with_extra(oracle._families()[family - 1][1], False)
+    _check_cone_rays(scenario, direction, FAMILY_CONE_RAYS[family])
 
 
 # -- rendering -----------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .data import (
     Scenario,
     validate,
 )
-from .exactlp import ExactSimplex, Infeasible, LpOutcome, integer_rhs, verify_farkas
+from .exactlp import ExactSimplex, Infeasible, LpOutcome, _Vertex, integer_rhs, verify_farkas
 from .response import CapExceeded, ConstraintSystem, merge_columns
 from .symbolic import SymbolicBoundSet, Term, _Gauge
 
@@ -194,6 +194,26 @@ class BoundsSolver:
                 projected[row] += v if sign else -v
         return projected, out.value
 
+    def _slack_start(self) -> _Vertex:
+        # The optimal basis `project_slack` has just found, as a start for the
+        # lower LP at the projected table.  A basic slack +-e_r holds its row
+        # at the slack's value, which the projection removes: row r's
+        # artificial takes its place at level 0 (M's row negated for -e_r),
+        # and the slack LP's own artificials keep their rows.  The
+        # structural levels stay, so the start is feasible for the projection.
+        vx = self._slack_lp._last
+        n, slacks = len(self.merged.columns), 2 * len(self._cell_rows)
+        basis, signs = [], []
+        for var in vx.basis:
+            if n <= var < n + slacks:
+                k, negative = divmod(var - n, 2)
+                var, sign = n + self._cell_rows[k], -1 if negative else 1
+            else:
+                var, sign = var if var < n else var - slacks, 1
+            basis.append(var)
+            signs.append(sign)
+        return _Vertex(tuple(basis), vx.M * np.array(signs)[:, None], vx.d)
+
     def _rescue(self, b: Sequence[int], scale: int, exc: Infeasible, slack: bool) -> BoundResult:
         # Finish a solve whose lower LP raised `exc` on b~ / scale: raise the
         # checked certificate, or with `slack` bound at the slack projection.
@@ -210,7 +230,7 @@ class BoundsSolver:
             f"{total}); bounds are computed at the nearest compatible "
             "distribution and are not bounds for the raw data."
         )
-        lo = self._lo.resolve_b(b, scale)
+        lo = self._lo.resolve_b(b, scale, start=self._slack_start())
         slack_diagnostics = {"slack_total": total, "slack_certificate": wrapped.certificate}
         return self._result(b, scale, lo, slack_diagnostics, (note,))
 

@@ -35,13 +35,23 @@ and in Python ints otherwise.  The solver carries bit_length(max |T|) from
 one pivot to the next.  Numbers leave as Python ints: the levels, value,
 solution and dual of an `LpOutcome`, and Farkas vectors.
 
+A cold solve starts from a greedy triangular crash of the all-artificial
+basis (Bixby 1992, "Implementing the simplex method: the initial basis"):
+while some column has only positive entries, all on rows still held by
+their artificial at a positive level, the one with the largest step
+enters.  Each crash step is an ordinary phase-1 pivot that needs neither
+pricing nor a direction product, and the Dantzig phase 1 runs on from the
+crash basis.
+
 Warm starts are first-class.  A change of b only (bootstrap replicates,
 distribution sweeps) is solved by the dual simplex from an optimal basis.
 The costs have not changed, so that basis is still dual feasible, and if
 it is primal feasible for b (M.b~ >= 0, inert rows at zero) it is optimal
 after zero pivots.  Phase 1 ignores c, so a cold solve keeps its
 post-phase-1 basis (`phase1`) and a solver with other costs over the same
-columns can start phase 2 from it (lower/upper bound pairs).
+columns can start phase 2 from it (lower/upper bound pairs).  So can a
+solve from any feasible basis whose basic artificials are at zero, which
+are evicted first (the slack projection's optimum, in `bounds`).
 
 There is one dual simplex, `resolve_many`.  It runs for many right-hand
 sides in lockstep, each from its own start basis: one state array of
@@ -354,10 +364,15 @@ class ExactSimplex:
     def solve(
         self, b: Sequence, scale: int | None = None, start: _Vertex | None = None
     ) -> LpOutcome:
-        """Cold solve: phase 1 from the all-artificial basis, then phase 2.
+        """Cold solve: a crash basis, phase 1 from it, then phase 2.
 
-        `start`, the `phase1` basis of a solver over the same columns and this
-        b, replaces phase 1; a start not primal feasible for b is an error.
+        Phase 1 starts from the greedy triangular crash (`_crash`) of the
+        all-artificial basis.  `start`, a basis over these columns that is
+        primal feasible for b with every basic artificial at zero (the
+        `phase1` basis of a solver over the same columns and this b, or a
+        basis built from another LP's optimum), replaces phase 1; its
+        artificials are evicted as phase 1's are.  A start not primal
+        feasible for b is an error.
         """
         self._load_b(b, scale)
         self._last = None
@@ -366,16 +381,17 @@ class ExactSimplex:
             self._basis = list(range(self.n, self.n + self.m))
             self._d = 1
             self._load(np.eye(self.m, dtype=np.int64), self._bt)
+            self._crash()
             self._run_phase1()
-            start = _Vertex(tuple(self._basis), self._T[:, :-1], self._d)
         else:
             self._basis, self._d = list(start.basis), start.d
             self._load(start.M, _exact_product(start.M, self._bt, _bits(start.M) + self._bt_bits))
-        inert = [i for i, var in enumerate(start.basis) if var >= self.n]
-        xt = self._T[:, -1]
-        if (xt < 0).any() or xt[inert].any():
-            raise RuntimeError("start basis is not primal feasible for b")
-        self.phase1 = start
+            inert = [i for i, var in enumerate(start.basis) if var >= self.n]
+            xt = self._T[:, -1]
+            if (xt < 0).any() or xt[inert].any():
+                raise RuntimeError("start basis is not primal feasible for b")
+            self._evict_artificials()
+        self.phase1 = _Vertex(tuple(self._basis), self._T[:, :-1], self._d)
         self._primal_loop()
         self._last = _Vertex(tuple(self._basis), self._T[:, :-1], self._d)
         return self._outcome(self._last, self._T[:, -1].tolist(), self._pivots, self._N)
@@ -631,6 +647,51 @@ class ExactSimplex:
         self._pivots += 1
         if self._pivots > _MAX_PIVOTS:
             raise RuntimeError("pivot limit exceeded")
+
+    def _crash(self) -> None:
+        """Greedy triangular crash from the all-artificial basis (Bixby 1992).
+
+        A column is eligible when its nonzero entries are all positive and
+        every row it touches still holds its artificial at a positive level.
+        The eligible column with the largest step t_j = min_i level_i / a_ij
+        enters, the first on ties, and leaves on the first row that attains
+        the step; the crash stops when no column is eligible.  An eligible
+        column is zero on every row the crash has covered, so its direction
+        is w = d.A_j and its phase-1 reduced cost -d.sum_i a_ij < 0, and the
+        first row is `_primal_loop`'s tie rule among artificials: each step
+        is an ordinary phase-1 pivot, counted as one, and needs no pricing
+        or direction product.  Steps compare exactly as integers: with P
+        the lcm of the entries, P.d.t_j = min_i xt_i.(P / a_ij).
+        """
+        A = self.A
+        live = np.flatnonzero(A.any(axis=0) & (A >= 0).all(axis=0))
+        if not live.size:
+            return
+        # Each candidate column's touched rows, ascending, and the key P / a_ij
+        # of each, padded to the longest column by repeating its last entry.
+        sub = A[:, live].T
+        hit = sub != 0
+        cols, rows = np.nonzero(hit)
+        entries = sub[hit]
+        P = lcm(*set(entries.tolist())) if entries.max() > 1 else 1
+        counts = np.bincount(cols, minlength=live.size)
+        first = np.cumsum(counts) - counts
+        slot = first[:, None] + np.minimum(np.arange(counts.max()), counts[:, None] - 1)
+        at, keys = rows[slot], (P // entries.astype(_dtype(P.bit_length())))[slot]
+        # A covered row counts as level 0, so a column's step is 0 once it
+        # touches a covered row or an artificial at level 0.
+        uncovered = np.ones(self.m, dtype=np.int64)
+        while True:
+            levels = self._T[:, -1] * uncovered
+            ratio = levels.astype(_dtype(self._bits + P.bit_length()), copy=False)[at] * keys
+            steps = ratio.min(axis=1)
+            k = int(steps.argmax())
+            if not steps[k]:
+                return
+            row, j = int(at[k, ratio[k].argmin()]), int(live[k])
+            w = A[:, j].astype(_dtype(self._l1_bits + self._d.bit_length()), copy=False) * self._d
+            self._pivot(row, j, w)
+            uncovered[row] = 0
 
     def _run_phase1(self) -> None:
         self._primal_loop(phase1=True)

@@ -20,6 +20,7 @@ from coarseiv.bounds import (
     numeric_bounds,
 )
 from coarseiv.data import Estimand, ExposureLevel, ObservedDistribution, Scenario
+from coarseiv.exactlp import ExactSimplex
 from coarseiv.datasets import (
     PRESET_NAMES,
     homocysteine_distribution,
@@ -289,6 +290,49 @@ def test_slack_mode_recovers_bounds_with_warning_note():
     assert res.lower <= res.upper
     assert res.diagnostics["slack_total"] > 0
     assert any("SLACK PROJECTION APPLIED" in note for note in res.notes)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_rescue_starts_the_lower_lp_from_the_slack_optimum(monkeypatch, seed):
+    # The cold solves of a rescue: the lower LP at the raw table, which is
+    # infeasible, the slack LP, the lower LP at the projection from the
+    # slack optimum, and the upper LP from the lower LP's phase-1 basis.
+    rng = random.Random(seed)
+    scenario = _random_scenario(rng)
+    system = build_constraint_system(scenario)
+    b = system.rhs(_random_table(rng, scenario, incompatible=True))
+    solver = BoundsSolver(system)
+    calls = []
+    solve = ExactSimplex.solve
+
+    def recording(self, b, scale=None, start=None):
+        calls.append((self, start))
+        return solve(self, b, scale, start)
+
+    monkeypatch.setattr(ExactSimplex, "solve", recording)
+    res = solver.solve_b(b, slack=True)
+    lo, hi, slack = solver._lo, solver._hi, solver._slack_lp
+    assert [(lp, start is None) for lp, start in calls] == [
+        (lo, True), (slack, True), (lo, False), (hi, False)
+    ]
+    start = calls[2][1]
+    assert calls[3][1] is lo.phase1
+    # The start is a basis of the lower LP's columns [A | I]: M.B = d.I.
+    # It keeps the slack optimum's structural columns in their rows and
+    # puts artificials everywhere else.
+    m, n = lo.m, lo.n
+    units = np.eye(m, dtype=np.int64)
+    basic = np.column_stack([lo.A[:, v] if v < n else units[:, v - n] for v in start.basis])
+    assert (start.M.astype(object) @ basic.astype(object) == start.d * units).all()
+    optimum = slack._last.basis
+    assert [v if v < n else None for v in start.basis] == [v if v < n else None for v in optimum]
+    # No artificial left in the phase-1 basis can be evicted, and the bounds
+    # are the exact bounds at the projection.
+    for row, var in enumerate(lo.phase1.basis):
+        if var >= n:
+            assert not (lo.phase1.M[row].astype(object) @ lo.A.astype(object)).any()
+    fresh = BoundsSolver(system).solve_b(solver.project_slack(b)[0])
+    assert (res.lower, res.upper) == (fresh.lower, fresh.upper)
 
 
 def test_crossed_closed_form_interval_is_flagged():

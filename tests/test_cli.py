@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import functools
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -21,6 +22,8 @@ from hypothesis import strategies as st
 from coarseiv import cli, oracle, response
 from coarseiv.bounds import BoundsSolver, InfeasibleDistribution
 from coarseiv.cli import build_parser, main
+from coarseiv.datasets import PRESET_NAMES
+from coarseiv.exactlp import ExactSimplex
 from coarseiv.inference import BootstrapSpec
 
 PEANUT_LOWER = "-5073/31720"
@@ -205,12 +208,92 @@ def test_slack_flag_rescues_infeasible_summary(capsys, input_files):
     assert any("SLACK PROJECTION APPLIED" in n for n in notes)
 
 
+def _point_cases(tmp_path, count):
+    """The first `count` generated `point` benchmark cases, written under tmp_path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "point_inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_point_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module.generate(1, str(tmp_path))[:count]
+
+
+def _bounds_runs(capsys, argvs):
+    """Per command: its document without pivot counts, and its slack projections.
+
+    A projection is (system, b, projected b, L1 adjustment).
+    """
+    project = BoundsSolver.project_slack
+    projections = []
+
+    def recording(self, b):
+        projected, total = project(self, b)
+        projections.append((self.system, list(b), projected, total))
+        return projected, total
+
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BoundsSolver, "project_slack", recording)
+        for argv in argvs:
+            projections.clear()
+            doc = run_json(capsys, *argv)
+            del doc["diagnostics"]["pivots_lower"], doc["diagnostics"]["pivots_upper"]
+            runs.append((doc, list(projections)))
+    return runs
+
+
+def _check_slack_bounds(doc, projection):
+    # The document's LP interval is the exact interval at its projection,
+    # which is an L1-nearest compatible table.
+    system, b, projected, total = projection
+    assert sum(abs(p - v) for p, v in zip(projected, b)) == total
+    fresh = BoundsSolver(system).solve_b(projected)
+    lp = doc["results"]["lp"]
+    assert (lp["lower"]["exact"], lp["upper"]["exact"]) == (str(fresh.lower), str(fresh.upper))
+
+
+def test_the_crash_moves_only_pivot_counts_and_ties_among_nearest_tables(
+    capsys, monkeypatch, tmp_path, input_files
+):
+    # With the crash a no-op, every cold solve takes the all-artificial
+    # Dantzig phase 1 it took before the crash.  A bound at a table is the
+    # unique LP optimum, so every document is the same apart from its pivot
+    # counts, except where the slack projection moved: an incompatible table
+    # can have several L1-nearest compatible tables, and the slack LP's
+    # optimal vertex, which picks one, depends on the path.  There the
+    # adjustment and the infeasibility certificate stay, and each run's
+    # interval is the exact one at its own projection.
+    argvs = [("bounds", "--preset", name, "--slack") for name in PRESET_NAMES]
+    argvs += [
+        ("bounds", "--scenario", case.scenario_path, "--summary", case.summary_path, "--slack")
+        for case in _point_cases(tmp_path, 30)
+    ]
+    argvs.append(
+        ("bounds", "--scenario", input_files["scenario.yaml"],
+         "--summary", input_files["bad_summary.yaml"], "--slack")
+    )
+    crashed = _bounds_runs(capsys, argvs)
+    monkeypatch.setattr(ExactSimplex, "_crash", lambda self: None)
+    plain = _bounds_runs(capsys, argvs)
+    for (doc, projections), (want, want_projections) in zip(crashed, plain):
+        assert len(projections) == len(want_projections) <= 1
+        if [p[2] for p in projections] == [p[2] for p in want_projections]:
+            assert doc == want
+            continue
+        _check_slack_bounds(doc, projections[0])
+        _check_slack_bounds(want, want_projections[0])
+        for d in (doc, want):
+            del d["results"]["lp"]["lower"], d["results"]["lp"]["upper"], d["results"]["agreement"]
+        assert doc == want
+    assert sum(bool(p) for _, p in crashed) >= 5
+
+
 # SHA-256 of cold-path `bounds` documents.  They carry
 # `diagnostics.pivots_lower/pivots_upper`, so a faster pricing that moved a
 # pivot would fail here.
 COLD_BOUNDS_SHA256 = {
-    "homocysteine-4": "827e114c6870aae2d7b6eca5bcd8e35cfcc7994faee5e9fe7c437e2e7a3087a1",
-    "peanut-ternary": "5dd1f2a0f72db2178746c29012def3d1cdc7bb55c85ac42e45b4992555a7ef7c",
+    "homocysteine-4": "62f1e5296293bcabf0a6aaca3b72161b58a162a05102ec8947c45d0c7735c0e0",
+    "peanut-ternary": "385d2a66aebb48b52490ffcace5a36c3a5e40f9ee0cf23da5eedda037af4e638",
 }
 
 
@@ -235,7 +318,7 @@ def test_cold_slack_document_is_pinned(capsys, input_files):
     )
     del doc["config_echo"]
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
-    assert digest == "6f374fa994a6b9ce2e97b038921c6ec57612f1b04efff8110b17e2dcf1e9b758"
+    assert digest == "bf882392951c68ac79f9c7a6976bba240595d83a97bd91d4eed36792ff5df493"
 
 
 # -- exit codes ------------------------------------------------------------------------

@@ -453,19 +453,21 @@ def test_upper_solve_from_lower_phase1_basis_matches_cold_solve():
 
 
 @pytest.mark.parametrize(
-    "columns, b0, b1",
+    "columns, basis, b0, b1",
     [
-        # Phase 1 ends at basis (x1, x2): x2 = b1 - b0 < 0 at b1, a feasible b.
-        ([((0, 1),), ((0, 1), (1, 1)), ((1, 1),)], [3, 5], [5, 3]),
-        # Row 1 keeps an inert artificial, which b1 would put at level 1.
-        ([((0, 1), (1, 1))], [2, 2], [1, 2]),
+        # The basis (x1, x2) fits b0 and puts x2 = b1 - b0 < 0 at b1, a feasible b.
+        ([((0, 1),), ((0, 1), (1, 1)), ((1, 1),)], (1, 2), [3, 5], [5, 3]),
+        # x0 and row 1's artificial: row 1 is inert, and b1 would put it at level 1.
+        ([((0, 1), (1, 1))], (0, 2), [2, 2], [1, 2]),
     ],
 )
-def test_start_not_primal_feasible_for_b_raises(columns, b0, b1):
-    lp = ExactSimplex(_dense(2, columns), [0] * len(columns))
-    lp.solve(b0, scale=1)
+def test_start_not_primal_feasible_for_b_raises(columns, basis, b0, b1):
+    # Both bases have the matrix [[1, 0], [1, 1]], so M = d B^-1 = [[1, 0], [-1, 1]].
+    start = exactlp._Vertex(basis, np.array([[1, 0], [-1, 1]]), 1)
+    lp = ExactSimplex(_dense(2, columns), [1] * len(columns))
+    assert lp.solve(b0, scale=1, start=start).basis == basis
     with pytest.raises(RuntimeError, match="not primal feasible"):
-        ExactSimplex(_dense(2, columns), [1] * len(columns)).solve(b1, scale=1, start=lp.phase1)
+        ExactSimplex(_dense(2, columns), [1] * len(columns)).solve(b1, scale=1, start=start)
 
 
 def _fraction_rank(rows):
@@ -550,6 +552,20 @@ def _pivot_lists(M, xt, d, row, w):
     return abs(wr)
 
 
+def _eligible_steps(columns, basis, levels, n):
+    """Each crash-eligible column's step min_i level_i / a_ij, in Fractions.
+
+    A column is eligible when its entries are all positive and every row it
+    touches still holds its artificial at a positive level.  The levels are
+    d times the true ones, which scales every step alike.
+    """
+    steps = {}
+    for j, col in enumerate(columns):
+        if col and all(c > 0 and basis[r] >= n and levels[r] > 0 for r, c in col):
+            steps[j] = min(Fraction(levels[r], c) for r, c in col)
+    return steps
+
+
 class _ColumnLoopSimplex(ExactSimplex):
     """Reference: column-by-column loops over lists of Python ints.
 
@@ -578,6 +594,20 @@ class _ColumnLoopSimplex(ExactSimplex):
         self._d = _pivot_lists(M, xt, self._d, row, w)
         self._basis[row] = j
         self._pivots += 1
+
+    def _crash(self):
+        # The crash rule on lists: the eligible column with the largest step
+        # enters, the first on ties, and leaves on the first row attaining it.
+        M, xt = self._lists()
+        while True:
+            steps = _eligible_steps(self.columns, self._basis, xt, self.n)
+            if not steps:
+                break
+            top = max(steps.values())
+            j = min(k for k, t in steps.items() if t == top)
+            row = min(r for r, c in self.columns[j] if Fraction(xt[r], c) == top)
+            self._pivot_on(M, xt, row, j)
+        self._store(M, xt)
 
     def _run_phase1(self):
         self._primal_loop(phase1=True)
@@ -1193,3 +1223,143 @@ def test_ratio_test_takes_the_loop_for_wide_inputs_and_float_misorders(
     assert len(calls) == loops
     monkeypatch.undo()
     assert got.tolist() == _loop_ratio_test(alpha < 0, alpha, rc)
+
+
+# -- the crash basis ---------------------------------------------------------------
+
+
+def _crash_steps(lp, b, scale=None):
+    """Run `_crash` from the all-artificial basis at b; what each step saw.
+
+    Each step records the basis, levels and d before it, the entering column
+    and leaving row, the direction the crash passed to the pivot, and the
+    phase-1 reduced costs and the direction M.A_j priced at that state.
+    """
+    lp._load_b(b, scale)
+    lp._basis, lp._d, lp._pivots = list(range(lp.n, lp.n + lp.m)), 1, 0
+    lp._load(np.eye(lp.m, dtype=np.int64), lp._bt)
+    steps = []
+    pivot = lp._pivot
+
+    def recording(row, j, w):
+        steps.append(
+            dict(
+                basis=list(lp._basis),
+                levels=lp._T[:, -1].tolist(),
+                d=lp._d,
+                row=row,
+                j=j,
+                w=w.tolist(),
+                rc=lp._pricing(lp._c1, 0).tolist(),
+                column=lp._column(j).tolist(),
+            )
+        )
+        pivot(row, j, w)
+
+    lp._pivot = recording
+    lp._crash()
+    del lp._pivot
+    return steps
+
+
+def _check_crash(lp, b, scale=None):
+    """Check every crash step and the basis it ends at; returns the picks."""
+    steps = _crash_steps(lp, b, scale)
+    A = lp.A.tolist()
+    columns = [tuple((r, entries[j]) for r, entries in enumerate(A) if entries[j]) for j in range(lp.n)]
+    for s in steps:
+        j, row, d = s["j"], s["row"], s["d"]
+        # The direction is d.A_j, which is M.A_j at the crash's bases.
+        assert s["w"] == [d * entries[j] for entries in A] == s["column"]
+        # An improving phase-1 column ...
+        assert s["rc"][j] < 0
+        # ... leaving on a row of the exact min-ratio test, the smallest
+        # basic id among ties, as the phase-1 loop would pick it.
+        ratios = {i: Fraction(x, w) for i, (x, w) in enumerate(zip(s["levels"], s["w"])) if w > 0}
+        least = min(ratios.values())
+        assert ratios[row] == least
+        assert s["basis"][row] == min(s["basis"][i] for i, t in ratios.items() if t == least)
+        # The rule: the eligible column with the largest step, first on ties.
+        eligible = _eligible_steps(columns, s["basis"], s["levels"], lp.n)
+        top = max(eligible.values())
+        assert j == min(k for k, t in eligible.items() if t == top)
+    # It stops with no column eligible, at a primal feasible basis, and
+    # counts each step as a pivot.
+    assert not _eligible_steps(columns, lp._basis, lp._T[:, -1].tolist(), lp.n)
+    assert (lp._T[:, -1] >= 0).all()
+    assert lp._pivots == len(steps)
+    return [(s["row"], s["j"]) for s in steps]
+
+
+def _with_slacks(A):
+    """A with a +e_r and a -e_r column for every row but the last, as the slack LP has."""
+    units = np.eye(len(A), dtype=np.int64)[:, :-1]
+    return np.hstack([A, np.kron(units, [1, -1])])
+
+
+def _check_scaled_crash(A, b, scale=None):
+    # Scaling every column by one factor scales every step alike: the same
+    # picks, with the pivots in Python ints from two steps on (2**40 x 2**40
+    # entries of w), and with A itself as Python ints at 2**70.
+    picks = _check_crash(ExactSimplex(A, [0] * A.shape[1]), b, scale)
+    for factor in (_WIDE, 2**70):
+        wide = ExactSimplex(A.astype(object) * factor, [0] * A.shape[1])
+        assert (wide.A.dtype == object) == (factor > _WIDE and A.any())
+        assert _check_crash(wide, b, scale) == picks
+        assert len(picks) < 2 or wide._T.dtype == object
+    return picks
+
+
+@settings(max_examples=60, deadline=None)
+@given(draw=_RANDOM_LP, slacks=st.booleans())
+def test_crash_steps_are_phase_1_pivots_on_random_lps(draw, slacks):
+    columns, _, b = _random_feasible_instance(draw)
+    A = _dense(3, columns)
+    _check_scaled_crash(_with_slacks(A) if slacks else A, b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(["peanut-ternary", "homocysteine-3", "incompatible"]),
+    seed=st.integers(0, 2**32 - 1),
+    slacks=st.booleans(),
+)
+def test_crash_steps_are_phase_1_pivots_on_preset_tables(name, seed, slacks):
+    # One bootstrap table at the data's stratum sizes.  An incompatible
+    # one can leave no column eligible from the start.
+    A = merge_columns(_bootstrap_engine(name).system).columns.T
+    B, scale = _replicate_tables(name, seed, 1, six=False)
+    picks = _check_scaled_crash(_with_slacks(A) if slacks else A, B[0].tolist(), scale)
+    assert picks or name == "incompatible"
+
+
+def test_crash_covers_rows_only_at_positive_levels():
+    # x0 = e0 + e1 and x1 = e1 + e2 at b = (1, 2, 0): x1 touches row 2, whose
+    # artificial is at level 0, so only x0 is eligible, with step 1; it
+    # leaves row 0, the first of its rows at that step, and then x1 is
+    # still blocked and x0 is basic: the crash stops after one step.
+    lp = ExactSimplex(_dense(3, [((0, 1), (1, 1)), ((1, 1), (2, 1))]), [0, 0])
+    assert _check_crash(lp, [1, 2, 0], 1) == [(0, 0)]
+    assert lp._basis == [0, 3, 4] and lp._T[:, -1].tolist() == [1, 1, 0]
+
+
+def test_a_start_with_basic_artificials_at_zero_is_evicted_before_phase_2(monkeypatch):
+    # (x1, row 1's artificial) fits b = (3, 3) with the artificial at level
+    # 0.  Row 1 is not redundant, so x0 (M_1 . A_0 = -1) replaces the
+    # artificial before phase 2 starts, and that basis is `phase1`.
+    start = exactlp._Vertex((1, 4), np.array([[1, 0], [-1, 1]]), 1)
+    lp = _transport_lp()
+    entered = []
+    loop = lp._primal_loop
+
+    def recording(phase1=False):
+        entered.append((phase1, list(lp._basis)))
+        loop(phase1)
+
+    monkeypatch.setattr(lp, "_primal_loop", recording)
+    out = lp.solve([3, 3], scale=1, start=start)
+    assert entered == [(False, [1, 0])]
+    assert lp.phase1.basis == (1, 0)
+    again = _transport_lp().solve([3, 3], scale=1, start=lp.phase1)
+    assert out.pivots == 1 + again.pivots
+    assert out.value == again.value == _transport_lp().solve([3, 3], scale=1).value == 3

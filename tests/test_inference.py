@@ -29,7 +29,7 @@ from coarseiv.datasets import (
 )
 from coarseiv import bounds, exactlp
 from coarseiv.bounds import BoundsSolver
-from coarseiv.exactlp import ExactSimplex, Infeasible
+from coarseiv.exactlp import ExactSimplex, Infeasible, integer_rhs
 from coarseiv.oracle import check_validity
 from coarseiv.inference import (
     BootstrapSpec,
@@ -573,12 +573,29 @@ def test_validity_rounds_jump_to_the_cap_after_a_round_that_answered_nothing(mon
     rounds = _record_rounds(monkeypatch)
     check_validity(scenario_preset("homocysteine-3")[1], 200, 1)
     _check_round_rule(rounds)
+    # Whether a small round of that draw answers nothing depends on the
+    # optimal bases its cold solves reach, so the jump is forced here: a
+    # screen answers only rows its basis is primal feasible for, and no
+    # basis is feasible for an incompatible table.  After a compatible first
+    # row, every pending row is the incompatible data table, so the first
+    # round, of one row, answers nothing and the next one is the cap.
+    rounds.clear()
     cap = bounds._ROUND_CAP
-    assert any(
-        not answered and 2 * size < cap and following == cap
-        for side in rounds.values()
-        for (size, answered), (following, _) in zip(side, side[1:])
+    engine = _engine("incompatible")
+    uniform = ObservedDistribution.from_probs(
+        ("z0", "z1"),
+        ("a", "b"),
+        {(z, x, y): Fraction(1, 4) for z in ("z0", "z1") for x in ("a", "b") for y in (0, 1)},
     )
+    (good, n_good), (bad, n_bad) = (
+        integer_rhs(engine.system.rhs(dist)) for dist in (uniform, engine.dist)
+    )
+    scale = n_good * n_bad
+    B = np.array([[v * n_bad for v in good]] + [[v * n_good for v in bad]] * (cap + 8))
+    _, _, rescued = BoundsSolver(engine.system).solve_batch(B, scale)
+    assert rescued == [False] + [True] * (cap + 8)
+    _check_round_rule(rounds)
+    assert list(rounds.values()) == [[[1, 0], [cap, 0], [7, 0]]]
 
 
 def test_crossed_interval_result_is_rejected():
